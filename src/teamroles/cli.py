@@ -37,7 +37,7 @@ DEFAULT_CONFIG = {
         "api_key_env": "TEAMROLES_API_KEY",
     },
     "train": {"epochs": 20, "batch_size": 32, "learning_rate": 0.001, "hidden_sizes": [64, 32]},
-    "explain": {"n_samples": 256, "n_baseline_samples": 32, "svg": False},
+    "explain": {"n_baseline_samples": 32, "svg": False},
 }
 
 ARTIFACTS = {
@@ -302,23 +302,15 @@ def cmd_explain(args, config) -> int:
     train_examples = dataset.read_examples(_require("explain", _out(config, "train")))
     test_examples = dataset.read_examples(_require("explain", _out(config, "test")))
 
-    seed = int(config["seed"])
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(int(config["seed"]))
     n_baselines = min(int(config["explain"]["n_baseline_samples"]), len(train_examples))
     picks = rng.choice(len(train_examples), size=n_baselines, replace=False)
     baselines = [np.zeros(len(model.config.feature_indices))]
     baselines += [mlp.model_input(model, train_examples[i].features) for i in picks]
 
-    attributions = []
-    ids = []
-    for i, ex in enumerate(test_examples):
-        x = mlp.model_input(model, ex.features)
-        attributions.append(
-            explain.gradient_shap(
-                model, x, baselines, n_samples=int(config["explain"]["n_samples"]), seed=seed + i
-            )
-        )
-        ids.append(f"{ex.paper_id}:{ex.author_id}")
+    X = np.array([mlp.model_input(model, ex.features) for ex in test_examples])
+    attributions = explain.exact_shapley_batch(model, X, baselines)
+    ids = [f"{ex.paper_id}:{ex.author_id}" for ex in test_examples]
     explain.write_attributions(attributions, ids, _out(config, "attributions"))
     rows = explain.shap_summary(attributions)
     explain.write_summary(rows, _out(config, "shap_summary"))
@@ -428,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="score the model on the test partition")
     common(p)
 
-    p = sub.add_parser("explain", help="gradient-path attributions for test examples")
+    p = sub.add_parser("explain", help="exact Shapley attributions for test examples")
     common(p)
 
     p = sub.add_parser("lratio", help="per-paper leadership ratio")

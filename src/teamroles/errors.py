@@ -9,6 +9,10 @@ class PipelineError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class EmptyInput(PipelineError):
+    """An operation that needs at least one item was given none."""
+
+
 class ConfigError(PipelineError):
     """Bad or inconsistent pipeline configuration."""
 

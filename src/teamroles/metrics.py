@@ -11,15 +11,11 @@ import json
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Sequence, Tuple
 
-from .errors import PipelineError
+from .errors import EmptyInput, PipelineError
 from .types import ROLE_ORDER, RoleLabel
 
 
 class LengthMismatch(PipelineError):
-    pass
-
-
-class EmptyInput(PipelineError):
     pass
 
 

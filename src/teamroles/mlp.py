@@ -103,6 +103,10 @@ def forward(params: NetworkParams, x: np.ndarray) -> float:
 
 
 def forward_batch(params: NetworkParams, X: np.ndarray) -> np.ndarray:
+    """Predicted probabilities for a whole matrix of points, one row each."""
+    X = np.asarray(X, dtype=float)
+    if not np.all(np.isfinite(X)):
+        raise NonFiniteInput("input matrix contains NaN or infinity")
     Z1 = X @ params.W1.T + params.b1
     A1 = np.maximum(0.0, Z1)
     Z2 = A1 @ params.W2.T + params.b2

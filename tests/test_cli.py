@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 
 import pytest
 
@@ -92,6 +93,9 @@ def test_attribution_rows_cover_test_set(pipeline_dir):
     with open(pipeline_dir / "attributions.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == n_test
+    for row in rows:
+        phi = sum(float(v) for k, v in row.items() if k.startswith("phi_"))
+        assert abs(phi - (float(row["prediction"]) - float(row["base_value"]))) <= 1e-12
     with open(pipeline_dir / "shap_summary.csv", newline="") as fh:
         summary = list(csv.DictReader(fh))
     assert len(summary) == 10
@@ -115,6 +119,15 @@ def test_distribution_counts(pipeline_dir):
         rows = {row["role"]: int(row["count"]) for row in csv.DictReader(fh)}
     assert set(rows) == {"Leadership", "Direct Support", "Indirect Support"}
     assert sum(rows.values()) == 296  # three fixture statements are keyword-free
+
+
+def test_explain_empty_test_partition_is_typed_error(pipeline_dir, tmp_path, capsys):
+    for name in ("model.json", "train.csv"):
+        shutil.copyfile(pipeline_dir / name, tmp_path / name)
+    header = (pipeline_dir / "test.csv").read_text().splitlines()[0]
+    (tmp_path / "test.csv").write_text(header + "\n")
+    assert run("explain", "--output-dir", str(tmp_path)) == 1
+    assert "error: no rows to explain" in capsys.readouterr().err
 
 
 def test_rerun_stage_is_byte_identical(pipeline_dir):

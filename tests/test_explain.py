@@ -3,7 +3,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from teamroles import metrics
 from teamroles.dataset import LabeledExample
 from teamroles.explain import (
     Attribution,
@@ -11,13 +14,15 @@ from teamroles.explain import (
     EmptyInput,
     TooManyFeatures,
     exact_shapley,
+    exact_shapley_batch,
     gradient_shap,
     shap_summary,
     write_attributions,
     write_summary,
     write_summary_svg,
 )
-from teamroles.mlp import TrainConfig, forward, train
+from teamroles.features import NormalizationRanges
+from teamroles.mlp import NonFiniteInput, TrainConfig, TrainedModel, forward, init, train
 from teamroles.types import FEATURE_NAMES, BinaryRole, FeatureVector
 
 
@@ -112,6 +117,59 @@ def test_exact_shapley_identical_point_and_baseline():
 def test_exact_shapley_too_many_features():
     with pytest.raises(TooManyFeatures):
         exact_shapley(lambda v: 0.0, np.zeros(17), np.zeros(17))
+
+
+def random_network(m, seed):
+    """Untrained network on m inputs with random biases, so ReLUs switch inside [0, 1]^m."""
+    config = TrainConfig(seed=seed, hidden_sizes=(6, 4), feature_indices=tuple(range(m)))
+    params = init(config)
+    rng = np.random.default_rng(seed)
+    params.b1 = rng.normal(0.0, 0.5, size=params.b1.shape)
+    params.b2 = rng.normal(0.0, 0.5, size=params.b2.shape)
+    params.b3 = float(rng.normal())
+    return TrainedModel(params, NormalizationRanges((0.0,) * m, (1.0,) * m), config, [])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(min_value=1, max_value=6),
+    n_rows=st.integers(min_value=1, max_value=3),
+    n_bases=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_exact_shapley_batch_is_mean_of_per_baseline_exact(m, n_rows, n_bases, seed):
+    model = random_network(m, seed)
+    rng = np.random.default_rng(seed + 1)
+    X = rng.uniform(0.0, 1.0, size=(n_rows, m))
+    bases = list(rng.uniform(0.0, 1.0, size=(n_bases, m)))
+    fn = lambda v: forward(model.params, v)
+
+    attrs = exact_shapley_batch(model, X, bases)
+    assert len(attrs) == n_rows
+    for x, attr in zip(X, attrs):
+        per_base = [exact_shapley(fn, x, b) for b in bases]
+        assert np.allclose(attr.phi, np.mean([a.phi for a in per_base], axis=0), rtol=0, atol=1e-12)
+        assert attr.base_value == pytest.approx(np.mean([fn(b) for b in bases]), abs=1e-12)
+        assert attr.prediction == pytest.approx(fn(x), abs=1e-12)
+        assert abs(attr.phi.sum() - (attr.prediction - attr.base_value)) <= 1e-12
+
+
+def test_exact_shapley_batch_validations():
+    model = random_network(3, seed=0)
+    with pytest.raises(EmptyBaselines):
+        exact_shapley_batch(model, np.zeros((2, 3)), [])
+    with pytest.raises(EmptyInput):
+        exact_shapley_batch(model, np.array([]), [np.zeros(3)])
+    with pytest.raises(TooManyFeatures):
+        exact_shapley_batch(model, np.zeros((1, 17)), [np.zeros(17)])
+    X = np.zeros((2, 3))
+    X[1, 2] = np.nan
+    with pytest.raises(NonFiniteInput):
+        exact_shapley_batch(model, X, [np.zeros(3)])
+
+
+def test_empty_input_is_one_class():
+    assert EmptyInput is metrics.EmptyInput
 
 
 def test_gradient_shap_exact_on_linear_model(tmp_path):

@@ -72,6 +72,15 @@ def test_forward_rejects_non_finite():
             input_gradient(params, x)
 
 
+def test_forward_batch_rejects_non_finite():
+    params = small_params()
+    for bad in (np.nan, np.inf, -np.inf):
+        X = np.zeros((4, 10))
+        X[2, 3] = bad
+        with pytest.raises(NonFiniteInput):
+            forward_batch(params, X)
+
+
 def test_forward_batch_matches_scalar():
     params = small_params()
     X = np.random.default_rng(1).uniform(-2, 2, size=(30, 10))
