@@ -7,16 +7,14 @@ trained by full-batch gradient descent.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from .errors import PipelineError
+from .rules import _tokenize
 from .types import ROLE_ORDER, RoleLabel
-
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 
 class EmptyCorpus(PipelineError):
@@ -39,10 +37,6 @@ class TfidfVocabulary:
 
     def __len__(self) -> int:
         return len(self.terms)
-
-
-def _tokenize(text: str) -> List[str]:
-    return _TOKEN_RE.findall(text.lower())
 
 
 def tfidf_fit(corpus: Sequence[str], max_features: int = 2000) -> TfidfVocabulary:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import shutil
 import sys
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import dataset, explain, features, ingest, llm, metrics, mlp, openalex
 from .errors import ConfigError, PipelineError, UpstreamArtifactMissing
-from .types import BinaryRole, PaperRecord, to_binary
+from .types import BinaryRole, to_binary
 
 DEFAULT_CONFIG = {
     "output_dir": "out",
@@ -108,6 +109,10 @@ def _client(config: dict) -> openalex.OpenAlexClient:
             offline=bool(config["offline"]),
         )
     )
+
+
+def _labels_path(args, config: dict) -> Path:
+    return Path(args.labels) if args.labels else _out(config, "labels_rule")
 
 
 def _read_labels(path: Path) -> dict:
@@ -200,30 +205,22 @@ def cmd_fetch(args, config) -> int:
 
 def cmd_featurize(args, config) -> int:
     corpus_path = _require("featurize", _out(config, "corpus"))
-    labels_path = Path(args.labels) if args.labels else _out(config, "labels_rule")
-    _require("featurize", labels_path)
+    labels_path = _require("featurize", _labels_path(args, config))
     records = ingest.read_corpus(corpus_path)
     labels = _read_labels(labels_path)
     client = _client(config)
 
     # one focal-paper record per paper, shared across its authors
     focal_by_paper = {}
-    for rec in records:
-        if rec.paper_id in focal_by_paper:
-            continue
+    for paper in ingest.group_papers(records):
         try:
-            work = client.fetch_work(rec.paper_id)
+            work = client.fetch_work(paper.paper_id)
         except PipelineError as exc:
-            print(f"featurize: cannot fetch {rec.paper_id}: {exc}", file=sys.stderr)
-            focal_by_paper[rec.paper_id] = None
+            print(f"featurize: cannot fetch {paper.paper_id}: {exc}", file=sys.stderr)
+            focal_by_paper[paper.paper_id] = None
             continue
-        focal_by_paper[rec.paper_id] = PaperRecord(
-            paper_id=rec.paper_id,
-            journal=rec.journal,
-            year=rec.year,
-            authors=tuple(r for r in records if r.paper_id == rec.paper_id),
-            referenced_work_ids=work.referenced_work_ids,
-            topic_ids=work.topic_ids,
+        focal_by_paper[paper.paper_id] = dataclasses.replace(
+            paper, referenced_work_ids=work.referenced_work_ids, topic_ids=work.topic_ids
         )
 
     examples = []
@@ -322,8 +319,7 @@ def cmd_explain(args, config) -> int:
 
 def cmd_lratio(args, config) -> int:
     records = ingest.read_corpus(_require("lratio", _out(config, "corpus")))
-    labels_path = Path(args.labels) if args.labels else _out(config, "labels_rule")
-    labels = _read_labels(_require("lratio", labels_path))
+    labels = _read_labels(_require("lratio", _labels_path(args, config)))
 
     teams = {}
     for rec in records:
@@ -348,8 +344,7 @@ def cmd_report(args, config) -> int:
         _require("report", _out(config, "shap_summary")), report_dir / "shap_summary.csv"
     )
 
-    labels_path = Path(args.labels) if args.labels else _out(config, "labels_rule")
-    labels = _read_labels(_require("report", labels_path))
+    labels = _read_labels(_require("report", _labels_path(args, config)))
     distribution = metrics.label_distribution(list(labels.values()))
     with open(report_dir / "distribution.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -360,77 +355,45 @@ def cmd_report(args, config) -> int:
     return 0
 
 
-COMMANDS = {
-    "ingest": cmd_ingest,
-    "sample": cmd_sample,
-    "label-rule": cmd_label_rule,
-    "label-llm": cmd_label_llm,
-    "fetch": cmd_fetch,
-    "featurize": cmd_featurize,
-    "split": cmd_split,
-    "train": cmd_train,
-    "evaluate": cmd_evaluate,
-    "explain": cmd_explain,
-    "lratio": cmd_lratio,
-    "report": cmd_report,
+_LABELS = ("--labels", {"help": "labels file (default labels_rule.jsonl)"})
+
+# stage name -> (handler, help, stage-specific arguments as (flag, add_argument kwargs))
+STAGES = {
+    "ingest": (cmd_ingest, "parse a raw corpus into canonical JSON-lines", [
+        ("--input", {"required": True}),
+        ("--format", {"choices": ["delimited-table", "json-lines"], "default": "delimited-table"}),
+        ("--delimiter", {"default": ","}),
+    ]),
+    "sample": (cmd_sample, "journal-stratified paper sampling", []),
+    "label-rule": (cmd_label_rule, "keyword-hierarchy labeling", []),
+    "label-llm": (cmd_label_llm, "few-shot chat-backend labeling", [
+        ("--backend", {"choices": ["mock", "http"], "default": "mock"}),
+    ]),
+    "fetch": (cmd_fetch, "warm the metadata cache for the corpus", []),
+    "featurize": (cmd_featurize, "compute the ten features per labeled record", [_LABELS]),
+    "split": (cmd_split, "stratified train/test split", [
+        ("--group-by-author", {"action": "store_true"}),
+    ]),
+    "train": (cmd_train, "train the dense network", []),
+    "evaluate": (cmd_evaluate, "score the model on the test partition", []),
+    "explain": (cmd_explain, "exact Shapley attributions for test examples", []),
+    "lratio": (cmd_lratio, "per-paper leadership ratio", [_LABELS]),
+    "report": (cmd_report, "aggregate metrics, distribution, and attributions", [_LABELS]),
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="teamroles", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, (_, help_text, arguments) in STAGES.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--output-dir", dest="output_dir", help="artifact directory")
         p.add_argument("--cache-dir", dest="cache_dir", help="metadata cache directory")
         p.add_argument("--seed", type=int, help="pipeline seed")
         p.add_argument("--offline", action="store_true", help="never touch the network")
-
-    p = sub.add_parser("ingest", help="parse a raw corpus into canonical JSON-lines")
-    p.add_argument("--input", required=True)
-    p.add_argument("--format", choices=["delimited-table", "json-lines"], default="delimited-table")
-    p.add_argument("--delimiter", default=",")
-    common(p)
-
-    p = sub.add_parser("sample", help="journal-stratified paper sampling")
-    common(p)
-
-    p = sub.add_parser("label-rule", help="keyword-hierarchy labeling")
-    common(p)
-
-    p = sub.add_parser("label-llm", help="few-shot chat-backend labeling")
-    p.add_argument("--backend", choices=["mock", "http"], default="mock")
-    common(p)
-
-    p = sub.add_parser("fetch", help="warm the metadata cache for the corpus")
-    common(p)
-
-    p = sub.add_parser("featurize", help="compute the ten features per labeled record")
-    p.add_argument("--labels", help="labels file (default labels_rule.jsonl)")
-    common(p)
-
-    p = sub.add_parser("split", help="stratified train/test split")
-    p.add_argument("--group-by-author", action="store_true")
-    common(p)
-
-    p = sub.add_parser("train", help="train the dense network")
-    common(p)
-
-    p = sub.add_parser("evaluate", help="score the model on the test partition")
-    common(p)
-
-    p = sub.add_parser("explain", help="exact Shapley attributions for test examples")
-    common(p)
-
-    p = sub.add_parser("lratio", help="per-paper leadership ratio")
-    p.add_argument("--labels", help="labels file (default labels_rule.jsonl)")
-    common(p)
-
-    p = sub.add_parser("report", help="aggregate metrics, distribution, and attributions")
-    p.add_argument("--labels", help="labels file (default labels_rule.jsonl)")
-    common(p)
-
     return parser
 
 
@@ -439,7 +402,7 @@ def main(argv=None) -> int:
     try:
         config = load_config(args)
         _echo_config(config)
-        return COMMANDS[args.command](args, config)
+        return STAGES[args.command][0](args, config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

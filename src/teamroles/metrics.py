@@ -97,13 +97,6 @@ def classification_report(
     )
 
 
-def macro_f1(per_class_f1: Sequence[float]) -> float:
-    """Unweighted arithmetic mean of per-class F1 scores."""
-    if not per_class_f1:
-        raise EmptyInput("no class F1 values")
-    return sum(per_class_f1) / len(per_class_f1)
-
-
 def label_distribution(labels: Sequence[RoleLabel]) -> Dict[RoleLabel, int]:
     counts = {label: 0 for label in ROLE_ORDER}
     for label in labels:

@@ -3,7 +3,11 @@
 Two ReLU hidden layers and a sigmoid output, trained with plain minibatch
 gradient descent on binary cross-entropy. Everything is seeded and
 single-threaded, so a (seed, data, config) triple gives a bit-identical
-model. The analytic input gradient feeds the attribution estimator.
+model. One layer function computes the pre- and post-activations of a
+matrix of rows, and one backward function propagates output gradients
+through the ReLU layers; `forward_batch`, the analytic input gradient
+(which feeds the gradient attribution estimator) and training all share
+them.
 """
 from __future__ import annotations
 
@@ -91,63 +95,44 @@ def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
 
 
-def forward(params: NetworkParams, x: np.ndarray) -> float:
-    """Predicted probability for one (already normalized) input vector."""
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteInput("input vector contains NaN or infinity")
-    a1 = np.maximum(0.0, params.W1 @ x + params.b1)
-    a2 = np.maximum(0.0, params.W2 @ a1 + params.b2)
-    y = _sigmoid(params.W3 @ a2 + params.b3)
-    return float(np.clip(y, _EPS, 1.0 - _EPS))
+def _layers(params: NetworkParams, X: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """Pre- and post-activations (Z1, A1, Z2, A2, z3) for each row of X."""
+    X = np.asarray(X, dtype=float)
+    if not np.all(np.isfinite(X)):
+        raise NonFiniteInput("input matrix contains NaN or infinity")
+    Z1 = X @ params.W1.T + params.b1
+    A1 = np.maximum(0.0, Z1)
+    Z2 = A1 @ params.W2.T + params.b2
+    A2 = np.maximum(0.0, Z2)
+    return Z1, A1, Z2, A2, A2 @ params.W3 + params.b3
+
+
+def _backward(
+    params: NetworkParams, Z1: np.ndarray, Z2: np.ndarray, d3: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Back-propagate per-row output gradients d3 to the hidden pre-activations."""
+    d2 = d3[:, None] * params.W3[None, :] * (Z2 > 0)
+    d1 = (d2 @ params.W2) * (Z1 > 0)
+    return d1, d2
 
 
 def forward_batch(params: NetworkParams, X: np.ndarray) -> np.ndarray:
     """Predicted probabilities for a whole matrix of points, one row each."""
-    X = np.asarray(X, dtype=float)
-    if not np.all(np.isfinite(X)):
-        raise NonFiniteInput("input matrix contains NaN or infinity")
-    Z1 = X @ params.W1.T + params.b1
-    A1 = np.maximum(0.0, Z1)
-    Z2 = A1 @ params.W2.T + params.b2
-    A2 = np.maximum(0.0, Z2)
-    Y = _sigmoid(A2 @ params.W3 + params.b3)
-    return np.clip(Y, _EPS, 1.0 - _EPS)
+    z3 = _layers(params, X)[-1]
+    return np.clip(_sigmoid(z3), _EPS, 1.0 - _EPS)
+
+
+def forward(params: NetworkParams, x: np.ndarray) -> float:
+    """Predicted probability for one (already normalized) input vector."""
+    return float(forward_batch(params, np.reshape(x, (1, -1)))[0])
 
 
 def input_gradient_batch(params: NetworkParams, X: np.ndarray) -> np.ndarray:
     """Analytic input gradients for a whole matrix of points, one row each."""
-    X = np.asarray(X, dtype=float)
-    if not np.all(np.isfinite(X)):
-        raise NonFiniteInput("input matrix contains NaN or infinity")
-    Z1 = X @ params.W1.T + params.b1
-    A1 = np.maximum(0.0, Z1)
-    Z2 = A1 @ params.W2.T + params.b2
-    A2 = np.maximum(0.0, Z2)
-    Y = _sigmoid(A2 @ params.W3 + params.b3)
-
-    D3 = (Y * (1.0 - Y))[:, None]
-    D2 = D3 * params.W3[None, :] * (Z2 > 0)
-    D1 = (D2 @ params.W2) * (Z1 > 0)
-    return D1 @ params.W1
-
-
-def input_gradient(params: NetworkParams, x: np.ndarray) -> np.ndarray:
-    """Exact analytic gradient of the output probability w.r.t. the input."""
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteInput("input vector contains NaN or infinity")
-    z1 = params.W1 @ x + params.b1
-    a1 = np.maximum(0.0, z1)
-    z2 = params.W2 @ a1 + params.b2
-    a2 = np.maximum(0.0, z2)
-    z3 = params.W3 @ a2 + params.b3
+    Z1, _, Z2, _, z3 = _layers(params, X)
     y = _sigmoid(z3)
-
-    d3 = y * (1.0 - y)  # sigmoid'
-    d2 = (d3 * params.W3) * (z2 > 0)
-    d1 = (params.W2.T @ d2) * (z1 > 0)
-    return params.W1.T @ d1
+    d1, _ = _backward(params, Z1, Z2, y * (1.0 - y))
+    return d1 @ params.W1
 
 
 def _bce(y: np.ndarray, t: np.ndarray, weights: np.ndarray) -> float:
@@ -182,17 +167,13 @@ def train(examples: Sequence[LabeledExample], config: TrainConfig = TrainConfig(
             idx = order[start : start + config.batch_size]
             Xb, tb, wb = X[idx], t[idx], sample_w[idx]
 
-            Z1 = Xb @ params.W1.T + params.b1
-            A1 = np.maximum(0.0, Z1)
-            Z2 = A1 @ params.W2.T + params.b2
-            A2 = np.maximum(0.0, Z2)
-            Y = np.clip(_sigmoid(A2 @ params.W3 + params.b3), _EPS, 1.0 - _EPS)
+            Z1, A1, Z2, A2, z3 = _layers(params, Xb)
+            Y = np.clip(_sigmoid(z3), _EPS, 1.0 - _EPS)
             epoch_loss += _bce(Y, tb, wb) * len(idx)
 
             # dL/dz3 for weighted mean BCE through the sigmoid
             d3 = (wb * (Y - tb)) / np.sum(wb)
-            d2 = np.outer(d3, params.W3) * (Z2 > 0)
-            d1 = (d2 @ params.W2) * (Z1 > 0)
+            d1, d2 = _backward(params, Z1, Z2, d3)
 
             lr = config.learning_rate
             params.W3 = params.W3 - lr * (d3 @ A2)

@@ -80,8 +80,8 @@ def load_taxonomy(path) -> KeywordTaxonomy:
 
 
 def _tokenize(statement: str) -> list:
-    # hyphenated words split before matching; punctuation stripped
-    return _TOKEN_RE.findall(statement.lower().replace("-", " "))
+    # [a-z0-9]+ already splits at hyphens and strips punctuation
+    return _TOKEN_RE.findall(statement.lower())
 
 
 def match_stems(statement: str, taxonomy: KeywordTaxonomy = KeywordTaxonomy()) -> Set[Tuple[str, RoleLabel]]:

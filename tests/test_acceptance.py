@@ -22,7 +22,7 @@ from teamroles.mlp import (
     TrainConfig,
     forward,
     init,
-    input_gradient,
+    input_gradient_batch,
     load_model,
     model_input,
     predict,
@@ -275,7 +275,7 @@ def test_criterion_05_gradient_check():
             z2 = params.W2 @ np.maximum(0.0, z1) + params.b2
             if np.abs(z1).min() > 1e-6 and np.abs(z2).min() > 1e-6:
                 break
-        analytic = input_gradient(params, x)
+        analytic = input_gradient_batch(params, x[None, :])[0]
         numeric = np.empty(10)
         for j in range(10):
             e = np.zeros(10)

@@ -140,6 +140,48 @@ def test_missing_upstream_artifact_exit_code(tmp_path):
     assert run("split", "--output-dir", str(tmp_path)) == 3
 
 
+@pytest.fixture
+def labels_override_dir(pipeline_dir, tmp_path):
+    """Inputs of featurize, lratio and report, with no labels_rule.jsonl and a
+    labels_llm.jsonl that names every labeled record Leadership."""
+    for name in ("corpus.jsonl", "metrics.json", "shap_summary.csv"):
+        shutil.copyfile(pipeline_dir / name, tmp_path / name)
+    with open(tmp_path / "labels_llm.jsonl", "w", encoding="utf-8") as fh:
+        for line in (pipeline_dir / "labels_llm.jsonl").read_text().splitlines():
+            row = json.loads(line)
+            if row["label"] is not None:
+                row["label"] = "Leadership"
+            fh.write(json.dumps(row) + "\n")
+    return tmp_path
+
+
+def test_labels_flag_overrides_default(labels_override_dir):
+    out = labels_override_dir
+    common = ["--output-dir", str(out), "--cache-dir", "tests/fixtures/cache", "--offline",
+              "--labels", str(out / "labels_llm.jsonl")]
+    for stage in ("featurize", "lratio", "report"):
+        assert run(stage, *common) == 0, stage
+    with open(out / "features.csv", newline="") as fh:
+        features_rows = list(csv.DictReader(fh))
+    assert len(features_rows) == 296
+    assert {row["label"] for row in features_rows} == {"Leadership"}
+    with open(out / "lratio.csv", newline="") as fh:
+        assert {row["l_ratio"] for row in csv.DictReader(fh)} == {"1.0"}
+    with open(out / "report" / "distribution.csv", newline="") as fh:
+        rows = {row["role"]: int(row["count"]) for row in csv.DictReader(fh)}
+    assert rows == {"Leadership": 296, "Direct Support": 0, "Indirect Support": 0}
+
+
+def test_missing_labels_flag_path_exit_code(labels_override_dir, capsys):
+    out = labels_override_dir
+    shutil.copyfile(out / "labels_llm.jsonl", out / "labels_rule.jsonl")  # the default exists
+    missing = out / "missing.jsonl"
+    for stage in ("featurize", "lratio", "report"):
+        assert run(stage, "--output-dir", str(out), "--cache-dir", "tests/fixtures/cache",
+                   "--offline", "--labels", str(missing)) == 3, stage
+        assert str(missing) in capsys.readouterr().err
+
+
 def test_missing_cache_dir_is_config_error(tmp_path):
     (tmp_path / "corpus.jsonl").write_text("")
     (tmp_path / "labels_rule.jsonl").write_text("")

@@ -12,7 +12,7 @@ from teamroles.mlp import (
     forward,
     forward_batch,
     init,
-    input_gradient,
+    input_gradient_batch,
     load_model,
     model_input,
     predict,
@@ -69,7 +69,7 @@ def test_forward_rejects_non_finite():
         with pytest.raises(NonFiniteInput):
             forward(params, x)
         with pytest.raises(NonFiniteInput):
-            input_gradient(params, x)
+            input_gradient_batch(params, x[None, :])[0]
 
 
 def test_forward_batch_rejects_non_finite():
@@ -102,7 +102,7 @@ def test_input_gradient_matches_finite_differences():
     eps = 1e-6
     for _ in range(20):
         x = rng.uniform(0.05, 1.0, size=10)  # away from ReLU kinks with prob ~1
-        grad = input_gradient(params, x)
+        grad = input_gradient_batch(params, x[None, :])[0]
         for j in range(10):
             e = np.zeros(10)
             e[j] = eps
@@ -113,7 +113,7 @@ def test_input_gradient_matches_finite_differences():
 @settings(max_examples=100)
 @given(arrays(np.float64, 10, elements=st.floats(min_value=-3, max_value=3)))
 def test_input_gradient_finite(x):
-    grad = input_gradient(small_params(), x)
+    grad = input_gradient_batch(small_params(), x[None, :])[0]
     assert grad.shape == (10,)
     assert np.all(np.isfinite(grad))
 
