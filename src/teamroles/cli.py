@@ -187,17 +187,59 @@ def cmd_label_llm(args, config) -> int:
     return 0
 
 
+def _author_profiles(client, records, wanted, skip):
+    """Yield (profile, [(record, focal paper)]) once per author of the records whose ids
+    are in `wanted`.
+
+    Each focal work is fetched once and the names of its wanted rows are
+    matched on it; each author's profile is fetched once, and only after
+    the previous one was consumed. Rows that cannot be resolved or profiled
+    go to skip(rows, error), paper by paper and then author by author.
+    """
+    by_author = {}
+    for paper_id, rows in ingest.rows_by_paper(records).items():
+        wanted_rows = [rec for rec in rows if rec.record_id in wanted]
+        if not wanted_rows:
+            continue
+        try:
+            paper = ingest.paper_record(rows)
+            work = client.fetch_work(paper_id)
+        except PipelineError as exc:
+            skip(wanted_rows, exc)
+            continue
+        focal = dataclasses.replace(
+            paper, referenced_work_ids=work.referenced_work_ids, topic_ids=work.topic_ids
+        )
+        for rec in wanted_rows:
+            try:
+                author_id = openalex.match_author(work, rec.author_name)
+            except PipelineError as exc:
+                skip([rec], exc)
+                continue
+            by_author.setdefault(author_id, []).append((rec, focal))
+    for author_id in list(by_author):
+        # popped, so the memory of finished groups is reused by the caller's results
+        group = by_author.pop(author_id)
+        try:
+            profile = client.fetch_author_profile(author_id)
+        except PipelineError as exc:
+            skip([rec for rec, _ in group], exc)
+            continue
+        yield profile, group
+
+
 def cmd_fetch(args, config) -> int:
     records = ingest.read_corpus(_require("fetch", _out(config, "corpus")))
     client = _client(config)
     fetched, failed = 0, 0
-    for rec in records:
-        try:
-            author_id = client.resolve_author(rec.author_name, rec.paper_id)
-            client.fetch_author_profile(author_id)
-            fetched += 1
-        except PipelineError:
-            failed += 1
+
+    def skip(rows, exc):
+        nonlocal failed
+        failed += len(rows)
+
+    every = {rec.record_id for rec in records}
+    for _, group in _author_profiles(client, records, every, skip):
+        fetched += len(group)
     client.write_manifest()
     print(f"fetch: {fetched} profiles, {failed} failures")
     return 0
@@ -209,45 +251,26 @@ def cmd_featurize(args, config) -> int:
     records = ingest.read_corpus(corpus_path)
     labels = _read_labels(labels_path)
     client = _client(config)
+    skipped = sum(1 for rec in records if rec.record_id not in labels)
 
-    # one focal-paper record per paper, shared across its authors
-    focal_by_paper = {}
-    for paper in ingest.group_papers(records):
-        try:
-            work = client.fetch_work(paper.paper_id)
-        except PipelineError as exc:
-            print(f"featurize: cannot fetch {paper.paper_id}: {exc}", file=sys.stderr)
-            focal_by_paper[paper.paper_id] = None
-            continue
-        focal_by_paper[paper.paper_id] = dataclasses.replace(
-            paper, referenced_work_ids=work.referenced_work_ids, topic_ids=work.topic_ids
-        )
-
-    examples = []
-    skipped = 0
-    for rec in records:
-        role = labels.get(rec.record_id)
-        focal = focal_by_paper.get(rec.paper_id)
-        if role is None or focal is None:
-            skipped += 1
-            continue
-        try:
-            author_id = client.resolve_author(rec.author_name, rec.paper_id)
-            profile = client.fetch_author_profile(author_id)
-        except PipelineError as exc:
+    def skip(rows, exc):
+        nonlocal skipped
+        for rec in rows:
             print(f"featurize: skipping {rec.record_id}: {exc}", file=sys.stderr)
-            skipped += 1
-            continue
-        examples.append(
-            dataset.LabeledExample(
-                author_id=author_id,
+        skipped += len(rows)
+
+    examples = {}
+    for profile, group in _author_profiles(client, records, labels, skip):
+        for rec, focal in group:
+            examples[rec.record_id] = dataset.LabeledExample(
+                author_id=profile.author_id,
                 paper_id=rec.paper_id,
                 features=features.extract_features(profile, focal),
-                label=to_binary(role),
+                label=to_binary(labels[rec.record_id]),
             )
-        )
-    dataset.write_examples(examples, _out(config, "features"))
-    print(f"featurize: {len(examples)} examples, {skipped} skipped")
+    rows = [examples[rec.record_id] for rec in records if rec.record_id in examples]
+    dataset.write_examples(rows, _out(config, "features"))
+    print(f"featurize: {len(rows)} examples, {skipped} skipped")
     return 0
 
 
@@ -285,7 +308,7 @@ def cmd_evaluate(args, config) -> int:
     model = mlp.load_model(_require("evaluate", _out(config, "model")))
     examples = dataset.read_examples(_require("evaluate", _out(config, "test")))
     gold = [ex.label for ex in examples]
-    predicted = [mlp.predict(model, ex.features) for ex in examples]
+    predicted = mlp.predict_batch(model, mlp.model_inputs(model, [ex.features for ex in examples]))
     report = metrics.classification_report(gold, predicted, labels=list(BinaryRole))
     metrics.save_report(report, _out(config, "metrics"))
     with open(_out(config, "metrics_text"), "w", encoding="utf-8") as fh:
@@ -305,7 +328,7 @@ def cmd_explain(args, config) -> int:
     baselines = [np.zeros(len(model.config.feature_indices))]
     baselines += [mlp.model_input(model, train_examples[i].features) for i in picks]
 
-    X = np.array([mlp.model_input(model, ex.features) for ex in test_examples])
+    X = mlp.model_inputs(model, [ex.features for ex in test_examples])
     attributions = explain.exact_shapley_batch(model, X, baselines)
     ids = [f"{ex.paper_id}:{ex.author_id}" for ex in test_examples]
     explain.write_attributions(attributions, ids, _out(config, "attributions"))

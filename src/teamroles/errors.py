@@ -13,6 +13,11 @@ class EmptyInput(PipelineError):
     """An operation that needs at least one item was given none."""
 
 
+class IncompletePaper(PipelineError, ValueError):
+    """A paper's rows do not cover its author positions 1..n, e.g. after ingest
+    rejected one of them."""
+
+
 class ConfigError(PipelineError):
     """Bad or inconsistent pipeline configuration."""
 

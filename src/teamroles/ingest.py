@@ -11,7 +11,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .errors import PipelineError
 from .types import (
@@ -142,6 +142,8 @@ def parse_corpus(file: CorpusFile) -> ParseResult:
     rejects: List[Reject] = []
     # per-paper fallback when the source carries no position column
     position_counter: Dict[str, int] = {}
+    # (paper_id, author_position) of every accepted row, so record_id is a key
+    taken: Set[Tuple[str, int]] = set()
 
     first = True
     for lineno, raw in _iter_rows(file):
@@ -194,6 +196,10 @@ def parse_corpus(file: CorpusFile) -> ParseResult:
             except ValueError:
                 rejects.append(Reject(lineno, raw, "bad_gold_role"))
                 continue
+        if (paper_id, position) in taken:
+            rejects.append(Reject(lineno, raw, "duplicate_position"))
+            continue
+        taken.add((paper_id, position))
 
         records.append(
             ContributionRecord(
@@ -210,23 +216,28 @@ def parse_corpus(file: CorpusFile) -> ParseResult:
     return ParseResult(records, rejects)
 
 
-def group_papers(records: List[ContributionRecord]) -> List[PaperRecord]:
-    """Group per-author rows into PaperRecords, preserving first-seen order."""
+def rows_by_paper(records: List[ContributionRecord]) -> Dict[str, List[ContributionRecord]]:
+    """Per-author rows keyed by paper id, papers and rows in first-seen order."""
     by_paper: Dict[str, List[ContributionRecord]] = {}
     for rec in records:
         by_paper.setdefault(rec.paper_id, []).append(rec)
-    papers = []
-    for paper_id, recs in by_paper.items():
-        recs = sorted(recs, key=lambda r: r.author_position)
-        papers.append(
-            PaperRecord(
-                paper_id=paper_id,
-                journal=recs[0].journal,
-                year=recs[0].year,
-                authors=tuple(recs),
-            )
-        )
-    return papers
+    return by_paper
+
+
+def paper_record(rows: List[ContributionRecord]) -> PaperRecord:
+    """One paper's rows as a PaperRecord, authors ordered by position.
+
+    Raises IncompletePaper when the rows leave a position of the team uncovered.
+    """
+    rows = sorted(rows, key=lambda r: r.author_position)
+    return PaperRecord(
+        paper_id=rows[0].paper_id, journal=rows[0].journal, year=rows[0].year, authors=tuple(rows)
+    )
+
+
+def group_papers(records: List[ContributionRecord]) -> List[PaperRecord]:
+    """Group per-author rows into PaperRecords, preserving first-seen order."""
+    return [paper_record(rows) for rows in rows_by_paper(records).values()]
 
 
 def sample_papers(papers: List[PaperRecord], plan: SamplingPlan) -> List[PaperRecord]:

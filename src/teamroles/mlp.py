@@ -147,8 +147,7 @@ def train(examples: Sequence[LabeledExample], config: TrainConfig = TrainConfig(
         raise DegenerateTrainingSet("training set must contain both classes")
 
     ranges = fit_normalization([ex.features for ex in examples])
-    raw = np.array([ex.features.to_list() for ex in examples])
-    X = normalize_array(raw, ranges)[:, list(config.feature_indices)]
+    X = _inputs([ex.features for ex in examples], ranges, config.feature_indices)
     t = np.array([1.0 if ex.label is BinaryRole.LEADERSHIP else 0.0 for ex in examples])
     if config.class_weights is not None:
         w_support, w_lead = config.class_weights
@@ -186,19 +185,37 @@ def train(examples: Sequence[LabeledExample], config: TrainConfig = TrainConfig(
     return TrainedModel(params, ranges, config, loss_history)
 
 
+def _inputs(vectors: Sequence[FeatureVector], ranges: NormalizationRanges,
+            indices: Sequence[int]) -> np.ndarray:
+    """Normalize raw feature vectors and select the input columns, one row each."""
+    raw = np.array([fv.to_list() for fv in vectors], dtype=float)
+    return normalize_array(raw.reshape(len(vectors), len(FEATURE_NAMES)), ranges)[:, list(indices)]
+
+
+def model_inputs(model: TrainedModel, vectors: Sequence[FeatureVector]) -> np.ndarray:
+    """The model's input matrix for raw feature vectors, one row each."""
+    return _inputs(vectors, model.ranges, model.config.feature_indices)
+
+
 def model_input(model: TrainedModel, features: FeatureVector) -> np.ndarray:
     """Normalize a raw feature vector and select the model's input columns."""
-    row = normalize_array(np.array([features.to_list()]), model.ranges)[0]
-    return row[list(model.config.feature_indices)]
+    return model_inputs(model, [features])[0]
 
 
 def predict_proba(model: TrainedModel, features: FeatureVector) -> float:
     return forward(model.params, model_input(model, features))
 
 
+def predict_batch(model: TrainedModel, X: np.ndarray, threshold: float = 0.5) -> List[BinaryRole]:
+    """Predicted role for each row of a model input matrix (see model_inputs)."""
+    return [
+        BinaryRole.LEADERSHIP if y >= threshold else BinaryRole.SUPPORT
+        for y in forward_batch(model.params, X)
+    ]
+
+
 def predict(model: TrainedModel, features: FeatureVector, threshold: float = 0.5) -> BinaryRole:
-    y = predict_proba(model, features)
-    return BinaryRole.LEADERSHIP if y >= threshold else BinaryRole.SUPPORT
+    return predict_batch(model, model_inputs(model, [features]), threshold)[0]
 
 
 def save_model(model: TrainedModel, path) -> None:

@@ -163,10 +163,20 @@ def _short_id(openalex_id: str) -> str:
     return openalex_id.rsplit("/", 1)[-1]
 
 
+def _count(data: dict, name: str, default=None) -> int:
+    """A non-negative integer field; anything else is a malformed response."""
+    value = data.get(name, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise MalformedResponse(name, f"(got {value!r})")
+    return value
+
+
 def parse_work(data: dict) -> RawWork:
     for name in ("id", "publication_year", "authorships"):
         if data.get(name) is None:
             raise MalformedResponse(name)
+    year = _count(data, "publication_year")
+    citation_count = _count(data, "cited_by_count", 0)
     authorships = []
     for i, auth in enumerate(data["authorships"]):
         author = auth.get("author") or {}
@@ -189,8 +199,8 @@ def parse_work(data: dict) -> RawWork:
     )
     return RawWork(
         work_id=_short_id(data["id"]),
-        year=int(data["publication_year"]),
-        citation_count=int(data.get("cited_by_count", 0)),
+        year=year,
+        citation_count=citation_count,
         referenced_work_ids=frozenset(_short_id(w) for w in data.get("referenced_works", [])),
         topic_ids=topic_ids,
         authorships=tuple(authorships),
@@ -203,6 +213,34 @@ def normalize_name(name: str) -> str:
     stripped = "".join(c for c in decomposed if not unicodedata.combining(c))
     cleaned = re.sub(r"[^a-z0-9\s]", " ", stripped.lower())
     return " ".join(cleaned.split())
+
+
+def match_author(work: RawWork, name: str) -> str:
+    """Match a corpus author name against a work's authorship list.
+
+    Normalized exact match first, then surname + first initial.
+    """
+    target = normalize_name(name)
+    exact = [a for a in work.authorships if normalize_name(a.display_name) == target]
+    if len(exact) == 1:
+        return exact[0].author_id
+    if len(exact) > 1:
+        raise AmbiguousMatch([a.author_id for a in exact])
+
+    tokens = target.split()
+    if not tokens:
+        raise NoMatch(f"empty name for work {work.work_id}")
+    surname, initial = tokens[-1], tokens[0][:1]
+    loose = []
+    for auth in work.authorships:
+        cand = normalize_name(auth.display_name).split()
+        if cand and cand[-1] == surname and cand[0][:1] == initial:
+            loose.append(auth)
+    if len(loose) == 1:
+        return loose[0].author_id
+    if len(loose) > 1:
+        raise AmbiguousMatch([a.author_id for a in loose])
+    raise NoMatch(f"{name!r} not on work {work.work_id}")
 
 
 class OpenAlexClient:
@@ -286,32 +324,8 @@ class OpenAlexClient:
         return AuthorProfile(author_id, tuple(entries))
 
     def resolve_author(self, name: str, paper_work_id: str) -> str:
-        """Match a corpus author name against a work's authorship list.
-
-        Normalized exact match first, then surname + first initial.
-        """
-        work = self.fetch_work(paper_work_id)
-        target = normalize_name(name)
-        exact = [a for a in work.authorships if normalize_name(a.display_name) == target]
-        if len(exact) == 1:
-            return exact[0].author_id
-        if len(exact) > 1:
-            raise AmbiguousMatch([a.author_id for a in exact])
-
-        tokens = target.split()
-        if not tokens:
-            raise NoMatch(f"empty name for work {paper_work_id}")
-        surname, initial = tokens[-1], tokens[0][:1]
-        loose = []
-        for auth in work.authorships:
-            cand = normalize_name(auth.display_name).split()
-            if cand and cand[-1] == surname and cand[0][:1] == initial:
-                loose.append(auth)
-        if len(loose) == 1:
-            return loose[0].author_id
-        if len(loose) > 1:
-            raise AmbiguousMatch([a.author_id for a in loose])
-        raise NoMatch(f"{name!r} not on work {paper_work_id}")
+        """Fetch a work and match a corpus author name on it (see match_author)."""
+        return match_author(self.fetch_work(paper_work_id), name)
 
     def write_manifest(self) -> None:
         manifest = {

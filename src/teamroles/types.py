@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .errors import PipelineError
+from .errors import IncompletePaper, PipelineError
 
 CORPUS_YEAR_MIN = 2003
 CORPUS_YEAR_MAX = 2020
@@ -137,7 +137,7 @@ class PaperRecord:
     def __post_init__(self):
         positions = [a.author_position for a in self.authors]
         if any(p > len(self.authors) for p in positions):
-            raise ValueError(
+            raise IncompletePaper(
                 f"paper {self.paper_id}: author_position exceeds team size {len(self.authors)}"
             )
 

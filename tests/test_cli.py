@@ -4,7 +4,9 @@ import shutil
 
 import pytest
 
+from teamroles import dataset, metrics, mlp
 from teamroles.cli import ARTIFACTS, main
+from teamroles.types import BinaryRole
 
 
 def run(*argv):
@@ -86,6 +88,31 @@ def test_metrics_file_shape(pipeline_dir):
     assert 0.0 <= report["accuracy"] <= 1.0
     text = (pipeline_dir / "metrics.txt").read_text()
     assert "macro avg" in text
+
+
+def test_evaluate_scores_the_test_set_in_one_forward_pass(pipeline_dir, tmp_path, monkeypatch):
+    for name in ("model.json", "test.csv"):
+        shutil.copyfile(pipeline_dir / name, tmp_path / name)
+    calls = []
+    forward_batch = mlp.forward_batch
+
+    def counted(params, X):
+        calls.append(len(X))
+        return forward_batch(params, X)
+
+    monkeypatch.setattr(mlp, "forward_batch", counted)
+    assert run("evaluate", "--output-dir", str(tmp_path)) == 0
+    examples = dataset.read_examples(tmp_path / "test.csv")
+    assert calls == [len(examples)]
+
+    model = mlp.load_model(tmp_path / "model.json")
+    predicted = [mlp.predict(model, ex.features) for ex in examples]  # one row at a time
+    report = metrics.classification_report(
+        [ex.label for ex in examples], predicted, labels=list(BinaryRole)
+    )
+    metrics.save_report(report, tmp_path / "reference.json")
+    assert (tmp_path / "metrics.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
+    assert (tmp_path / "metrics.json").read_bytes() == (pipeline_dir / "metrics.json").read_bytes()
 
 
 def test_attribution_rows_cover_test_set(pipeline_dir):

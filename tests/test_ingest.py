@@ -180,3 +180,31 @@ def test_group_papers_team_size():
     papers = group_papers(file_records)
     assert len(papers) == 1
     assert papers[0].team_size == 2
+
+
+def test_duplicate_position_rejected(tmp_path):
+    path = tmp_path / "corpus.csv"
+    path.write_text(
+        "paper_id,journal,year,author_name,author_position,statement\n"
+        "W1,PNAS,2010,Ann Lee,1,designed the study\n"
+        "W1,PNAS,2010,Bo Chen,1,analyzed data\n"
+        "W1,PNAS,2010,Cy Park,2,edited the text\n",
+        encoding="utf-8",
+    )
+    result = parse_corpus(CorpusFile(path=path))
+    assert [r.author_name for r in result.records] == ["Ann Lee", "Cy Park"]
+    assert [(rej.line, rej.reason) for rej in result.rejects] == [(3, "duplicate_position")]
+    assert len({r.record_id for r in result.records}) == len(result.records)
+
+
+def test_rejected_row_does_not_take_its_position(tmp_path):
+    path = tmp_path / "corpus.csv"
+    path.write_text(
+        "paper_id,journal,year,author_name,author_position,statement,gold_role\n"
+        "W1,PNAS,2010,Ann Lee,1,designed the study,Chief\n"
+        "W1,PNAS,2010,Bo Chen,1,analyzed data,\n",
+        encoding="utf-8",
+    )
+    result = parse_corpus(CorpusFile(path=path))
+    assert [r.author_name for r in result.records] == ["Bo Chen"]
+    assert [rej.reason for rej in result.rejects] == ["bad_gold_role"]

@@ -6,10 +6,12 @@ from teamroles.openalex import (
     AmbiguousMatch,
     ClientConfig,
     JsonLinesCache,
+    MalformedResponse,
     NoMatch,
     OfflineCacheMiss,
     OpenAlexClient,
     TokenBucket,
+    match_author,
     normalize_name,
     normalize_url,
     parse_work,
@@ -158,6 +160,76 @@ def test_resolve_author_ambiguous(tmp_path):
     client = offline_client(tmp_path / "cache")
     with pytest.raises(AmbiguousMatch):
         client.resolve_author("J. Smith", "W1")
+
+
+def raw_work(*authors, **fields):
+    """A work body with the given (author id, display name) authorships."""
+    body = {
+        "id": "W1",
+        "publication_year": 2010,
+        "authorships": [
+            {"author": {"id": aid, "display_name": name}, "institutions": []}
+            for aid, name in authors
+        ],
+    }
+    body.update(fields)
+    return body
+
+
+@pytest.mark.parametrize(
+    "name, expected",
+    [
+        ("John Smith", "A1"),  # normalized exact match
+        ("  JOHN   smith ", "A1"),
+        ("Zoë Àlvarez", "A3"),  # diacritics stripped on both sides
+        ("J. Smith", "A1"),  # surname + first initial when no exact match
+        ("K. Lee", "A2"),
+    ],
+)
+def test_match_author(name, expected):
+    work = parse_work(raw_work(("A1", "John Smith"), ("A2", "Kim Lee"), ("A3", "Zoe Alvarez")))
+    assert match_author(work, name) == expected
+
+
+def test_match_author_failures():
+    work = parse_work(raw_work(("A1", "John Smith"), ("A2", "Jane Smith"), ("A3", "Jane Smith")))
+    with pytest.raises(AmbiguousMatch) as excinfo:
+        match_author(work, "J. Smith")  # two loose matches
+    assert excinfo.value.candidates == ["A1", "A2", "A3"]
+    with pytest.raises(AmbiguousMatch) as excinfo:
+        match_author(work, "Jane Smith")  # two exact matches
+    assert excinfo.value.candidates == ["A2", "A3"]
+    with pytest.raises(NoMatch, match="not on work W1"):
+        match_author(work, "Zz Nobody")
+    with pytest.raises(NoMatch, match="empty name"):
+        match_author(work, " ?! ")
+
+
+def test_resolve_author_is_fetch_work_plus_match_author(cache_dir):
+    client = offline_client(cache_dir)
+    work = client.fetch_work("W1001")
+    for authorship in work.authorships:
+        expected = match_author(work, authorship.display_name)
+        assert client.resolve_author(authorship.display_name, "W1001") == expected
+
+
+@pytest.mark.parametrize(
+    "field_name, value",
+    [
+        ("cited_by_count", -1),
+        ("cited_by_count", 2.5),
+        ("cited_by_count", "7"),
+        ("cited_by_count", None),
+        ("cited_by_count", True),
+        ("publication_year", -2010),
+        ("publication_year", 2010.5),
+        ("publication_year", "2010"),
+    ],
+)
+def test_parse_work_rejects_bad_counts(field_name, value):
+    with pytest.raises(MalformedResponse) as excinfo:
+        parse_work(raw_work(("A1", "Ann Lee"), **{field_name: value}))
+    assert excinfo.value.field_name == field_name
 
 
 def test_parse_work_short_ids():
