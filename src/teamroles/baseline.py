@@ -6,12 +6,12 @@ trained by full-batch gradient descent.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
+from . import artifacts
 from .errors import PipelineError
 from .rules import _tokenize
 from .types import ROLE_ORDER, RoleLabel
@@ -140,13 +140,11 @@ def save_baseline(vocab: TfidfVocabulary, model: SoftmaxModel, path) -> None:
             "classes": [c.value for c in model.classes],
         },
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, sort_keys=True)
+    artifacts.write_json(path, data, indent=None)
 
 
 def load_baseline(path) -> Tuple[TfidfVocabulary, SoftmaxModel]:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = artifacts.read_json(path)
     vocab = TfidfVocabulary(
         terms=tuple(data["vocabulary"]["terms"]),
         idf=tuple(data["vocabulary"]["idf"]),

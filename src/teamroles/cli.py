@@ -9,16 +9,14 @@ is echoed into the output directory.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
-import shutil
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import dataset, explain, features, ingest, llm, metrics, mlp, openalex
+from . import artifacts, dataset, explain, features, ingest, llm, metrics, mlp, openalex
 from .errors import ConfigError, PipelineError, UpstreamArtifactMissing
 from .types import BinaryRole, to_binary
 
@@ -64,9 +62,8 @@ def load_config(args) -> dict:
     config = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     if args.config:
         try:
-            with open(args.config, encoding="utf-8") as fh:
-                user = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+            user = artifacts.read_json(args.config)
+        except PipelineError as exc:
             raise ConfigError(f"cannot load config {args.config}: {exc}") from exc
         for key, value in user.items():
             if isinstance(value, dict) and isinstance(config.get(key), dict):
@@ -95,8 +92,7 @@ def _require(stage: str, path: Path) -> Path:
 def _echo_config(config: dict) -> None:
     out_dir = Path(config["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "config_used.json", "w", encoding="utf-8") as fh:
-        json.dump({"schema_version": 1, **config}, fh, indent=2, sort_keys=True)
+    artifacts.write_json(out_dir / "config_used.json", {"schema_version": 1, **config})
 
 
 def _client(config: dict) -> openalex.OpenAlexClient:
@@ -311,8 +307,7 @@ def cmd_evaluate(args, config) -> int:
     predicted = mlp.predict_batch(model, mlp.model_inputs(model, [ex.features for ex in examples]))
     report = metrics.classification_report(gold, predicted, labels=list(BinaryRole))
     metrics.save_report(report, _out(config, "metrics"))
-    with open(_out(config, "metrics_text"), "w", encoding="utf-8") as fh:
-        fh.write(metrics.report_to_text(report) + "\n")
+    artifacts.write_text(_out(config, "metrics_text"), metrics.report_to_text(report) + "\n")
     print(f"evaluate: macro F1 {report.macro_f1:.3f} on {len(examples)} test examples")
     return 0
 
@@ -349,12 +344,8 @@ def cmd_lratio(args, config) -> int:
         label = labels.get(rec.record_id)
         if label is not None:
             teams.setdefault(rec.paper_id, []).append(label)
-    with open(_out(config, "lratio"), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["paper_id", "team_size", "l_ratio"])
-        for paper_id in sorted(teams):
-            team = teams[paper_id]
-            writer.writerow([paper_id, len(team), repr(metrics.l_ratio(team))])
+    rows = ([pid, len(team), repr(metrics.l_ratio(team))] for pid, team in sorted(teams.items()))
+    artifacts.write_csv(_out(config, "lratio"), ["paper_id", "team_size", "l_ratio"], rows)
     print(f"lratio: {len(teams)} papers")
     return 0
 
@@ -362,18 +353,14 @@ def cmd_lratio(args, config) -> int:
 def cmd_report(args, config) -> int:
     report_dir = Path(config["output_dir"]) / "report"
     report_dir.mkdir(parents=True, exist_ok=True)
-    shutil.copyfile(_require("report", _out(config, "metrics")), report_dir / "metrics.json")
-    shutil.copyfile(
-        _require("report", _out(config, "shap_summary")), report_dir / "shap_summary.csv"
-    )
+    for key in ("metrics", "shap_summary"):
+        source = _require("report", _out(config, key))
+        artifacts.write_text(report_dir / source.name, artifacts.read_text(source))
 
     labels = _read_labels(_require("report", _labels_path(args, config)))
     distribution = metrics.label_distribution(list(labels.values()))
-    with open(report_dir / "distribution.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["role", "count"])
-        for role, count in distribution.items():
-            writer.writerow([role.value, count])
+    rows = ([role.value, count] for role, count in distribution.items())
+    artifacts.write_csv(report_dir / "distribution.csv", ["role", "count"], rows)
     print(f"report: written to {report_dir}")
     return 0
 

@@ -1,13 +1,12 @@
 """Labeled-example assembly and the stratified train/test split."""
 from __future__ import annotations
 
-import csv
-import json
 import math
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
+from . import artifacts
 from .errors import PipelineError
 from .types import FEATURE_NAMES, BinaryRole, FeatureVector
 
@@ -43,8 +42,13 @@ def stratified_split(
     """Per-class split: the test partition gets round(ratio * class_count) examples.
 
     `ratio` is the test fraction. With group_by_author=True whole authors
-    are assigned to one side, preventing same-author leakage (off by
-    default to match the plain example-level split).
+    are assigned to one side, across classes, so no author has examples in
+    both train and test and every example is in exactly one of them.
+    Authors are visited in a seeded shuffle of their sorted ids, and an
+    author goes to test while each class it has examples of is still below
+    its test quota; since an author's examples move together, a class's test
+    count can miss round(ratio * class_count). Off by default to match the
+    plain example-level split.
     """
     if not (0.0 < ratio < 1.0):
         raise ValueError(f"ratio must be in (0,1), got {ratio}")
@@ -56,31 +60,33 @@ def stratified_split(
     for label, members in by_class.items():
         if len(members) < 2:
             raise ClassTooSmall(label)
+    n_test = {label: math.floor(ratio * len(members) + 0.5) for label, members in by_class.items()}
 
     train: List[LabeledExample] = []
     test: List[LabeledExample] = []
+    if group_by_author:
+        groups: Dict[str, List[LabeledExample]] = {}
+        for ex in examples:
+            groups.setdefault(ex.author_id, []).append(ex)
+        keys = sorted(groups)
+        rng.shuffle(keys)
+        picked = dict.fromkeys(by_class, 0)
+        for key in keys:
+            group = groups[key]
+            if all(picked[ex.label] < n_test[ex.label] for ex in group):
+                test.extend(group)
+                for ex in group:
+                    picked[ex.label] += 1
+            else:
+                train.extend(group)
+        return SplitResult(train, test, seed, ratio)
+
     for label in sorted(by_class, key=lambda b: b.value):
         members = by_class[label]
-        if group_by_author:
-            groups: Dict[str, List[LabeledExample]] = {}
-            for ex in members:
-                groups.setdefault(ex.author_id, []).append(ex)
-            keys = sorted(groups)
-            rng.shuffle(keys)
-            n_test = math.floor(ratio * len(members) + 0.5)
-            picked = 0
-            for key in keys:
-                if picked < n_test:
-                    test.extend(groups[key])
-                    picked += len(groups[key])
-                else:
-                    train.extend(groups[key])
-        else:
-            order = list(range(len(members)))
-            rng.shuffle(order)
-            n_test = math.floor(ratio * len(members) + 0.5)
-            test.extend(members[i] for i in order[:n_test])
-            train.extend(members[i] for i in order[n_test:])
+        order = list(range(len(members)))
+        rng.shuffle(order)
+        test.extend(members[i] for i in order[: n_test[label]])
+        train.extend(members[i] for i in order[n_test[label]:])
     return SplitResult(train, test, seed, ratio)
 
 
@@ -88,31 +94,23 @@ FEATURE_TABLE_HEADER = ["author_id", "paper_id", *FEATURE_NAMES, "label"]
 
 
 def write_examples(examples: Sequence[LabeledExample], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FEATURE_TABLE_HEADER)
-        for ex in examples:
-            writer.writerow(
-                [ex.author_id, ex.paper_id]
-                + [repr(v) for v in ex.features.to_list()]
-                + [ex.label.value]
-            )
+    rows = (
+        [ex.author_id, ex.paper_id, *[repr(v) for v in ex.features.to_list()], ex.label.value]
+        for ex in examples
+    )
+    artifacts.write_csv(path, FEATURE_TABLE_HEADER, rows)
 
 
 def read_examples(path) -> List[LabeledExample]:
-    examples = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            examples.append(
-                LabeledExample(
-                    author_id=row["author_id"],
-                    paper_id=row["paper_id"],
-                    features=FeatureVector.from_list([float(row[n]) for n in FEATURE_NAMES]),
-                    label=BinaryRole.from_string(row["label"]),
-                )
-            )
-    return examples
+    return [
+        LabeledExample(
+            author_id=row["author_id"],
+            paper_id=row["paper_id"],
+            features=FeatureVector.from_list([float(row[n]) for n in FEATURE_NAMES]),
+            label=BinaryRole.from_string(row["label"]),
+        )
+        for _, row in artifacts.read_csv(path)
+    ]
 
 
 def write_split_manifest(result: SplitResult, path) -> None:
@@ -128,5 +126,4 @@ def write_split_manifest(result: SplitResult, path) -> None:
         "n_train": len(result.train),
         "n_test": len(result.test),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    artifacts.write_json(path, manifest)

@@ -29,3 +29,20 @@ class UpstreamArtifactMissing(PipelineError):
         super().__init__(f"stage '{stage}' requires missing artifact: {path}")
         self.stage = stage
         self.path = path
+
+
+class FileUnreadable(PipelineError):
+    """A file could not be opened or read."""
+
+
+class FormatError(PipelineError):
+    """A line of a file does not parse as its format requires."""
+
+    def __init__(self, path, line: int, message: str):
+        super().__init__(f"{path} line {line}: {message}")
+        self.path = path
+        self.line = line
+
+
+class TruncatedLine(FormatError):
+    """The last line of a file does not parse and has no newline: a write was cut short."""

@@ -11,7 +11,6 @@ explained quantity is the pre-threshold probability, not the class label.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -19,6 +18,7 @@ from typing import Callable, List, NamedTuple, Sequence
 
 import numpy as np
 
+from . import artifacts
 from .errors import EmptyInput, PipelineError
 from .mlp import TrainedModel, forward, forward_batch, input_gradient_batch
 from .types import FEATURE_NAMES
@@ -220,28 +220,21 @@ def write_attributions(
     path,
     feature_names: Sequence[str] = FEATURE_NAMES,
 ) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["example_id", *[f"phi_{n}" for n in feature_names], "base_value", "prediction"])
-        for ex_id, attr in zip(example_ids, attributions):
-            writer.writerow(
-                [
-                    ex_id,
-                    *[repr(float(v)) for v in attr.phi],
-                    repr(float(attr.base_value)),
-                    repr(float(attr.prediction)),
-                ]
-            )
+    header = ["example_id", *[f"phi_{n}" for n in feature_names], "base_value", "prediction"]
+    rows = (
+        [ex_id, *[repr(float(v)) for v in attr.phi], repr(float(attr.base_value)),
+         repr(float(attr.prediction))]
+        for ex_id, attr in zip(example_ids, attributions)
+    )
+    artifacts.write_csv(path, header, rows)
 
 
 def write_summary(rows: Sequence[SummaryRow], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["feature", "mean_abs_phi", "mean_phi", "sign_consistency"])
-        for row in rows:
-            writer.writerow(
-                [row.feature, repr(row.mean_abs_phi), repr(row.mean_phi), repr(row.sign_consistency)]
-            )
+    header = ["feature", "mean_abs_phi", "mean_phi", "sign_consistency"]
+    values = (
+        [r.feature, repr(r.mean_abs_phi), repr(r.mean_phi), repr(r.sign_consistency)] for r in rows
+    )
+    artifacts.write_csv(path, header, values)
 
 
 def write_summary_svg(rows: Sequence[SummaryRow], path) -> None:
@@ -259,5 +252,4 @@ def write_summary_svg(rows: Sequence[SummaryRow], path) -> None:
         lines.append(f'<text x="4" y="{y + 13}">{row.feature}</text>')
         lines.append(f'<rect x="{left}" y="{y}" width="{w:.2f}" height="{bar_h}" fill="#4878a8"/>')
     lines.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    artifacts.write_text(path, "\n".join(lines) + "\n")

@@ -6,7 +6,6 @@ the focal year, so no feature sees post-publication information.
 """
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
@@ -178,13 +177,3 @@ def normalize_array(x: np.ndarray, ranges: NormalizationRanges) -> np.ndarray:
     out = (x - mins) / safe
     out = np.where(span == 0, 0.0, out)
     return np.clip(out, 0.0, 1.0)
-
-
-def save_ranges(ranges: NormalizationRanges, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"schema_version": 1, **ranges.to_dict()}, fh, indent=2, sort_keys=True)
-
-
-def load_ranges(path) -> NormalizationRanges:
-    with open(path, encoding="utf-8") as fh:
-        return NormalizationRanges.from_dict(json.load(fh))

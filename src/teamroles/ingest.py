@@ -1,19 +1,21 @@
 """Corpus parsing and journal-stratified sampling.
 
 Input corpora are delimited tables or JSON-lines with one (paper, author)
-row per line. Rows that violate corpus invariants are collected into a
+row per line, read through `artifacts`: a file that cannot be read raises
+FileUnreadable, and a line that does not parse as the format (bad JSON, a
+row with the wrong number of columns) raises FormatError with the path and
+line. Rows that parse but violate corpus invariants are collected into a
 rejects report instead of being silently dropped.
 """
 from __future__ import annotations
 
-import csv
-import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
-from .errors import PipelineError
+from . import artifacts
+from .errors import FileUnreadable, FormatError, PipelineError  # noqa: F401 (re-exported)
 from .types import (
     CORPUS_YEAR_MAX,
     CORPUS_YEAR_MIN,
@@ -27,16 +29,6 @@ from .types import (
 
 REQUIRED_FIELDS = ("paper_id", "journal", "year", "author_name", "statement")
 OPTIONAL_FIELDS = ("author_position", "is_corresponding", "gold_role")
-
-
-class FileUnreadable(PipelineError):
-    pass
-
-
-class FormatError(PipelineError):
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
 
 
 class MissingColumn(PipelineError):
@@ -104,34 +96,6 @@ def _truthy(value) -> bool:
     return str(value).strip().lower() in ("1", "true", "yes", "y", "t")
 
 
-def _iter_rows(file: CorpusFile):
-    """Yield (line_number, row_dict) for either supported format."""
-    try:
-        text = Path(file.path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise FileUnreadable(f"cannot read {file.path}: {exc}") from exc
-
-    if file.format == "json-lines":
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(lineno, f"bad JSON: {exc}") from exc
-            if not isinstance(row, dict):
-                raise FormatError(lineno, "row is not a JSON object")
-            yield lineno, row
-    else:
-        reader = csv.DictReader(text.splitlines(), delimiter=file.delimiter)
-        if reader.fieldnames is None:
-            raise FormatError(1, "empty file, header row required")
-        for lineno, row in enumerate(reader, start=2):
-            if None in row.values() or None in row:
-                raise FormatError(lineno, "column count does not match header")
-            yield lineno, row
-
-
 def parse_corpus(file: CorpusFile) -> ParseResult:
     """Parse a corpus file into ContributionRecords plus a rejects report.
 
@@ -145,8 +109,12 @@ def parse_corpus(file: CorpusFile) -> ParseResult:
     # (paper_id, author_position) of every accepted row, so record_id is a key
     taken: Set[Tuple[str, int]] = set()
 
+    if file.format == "json-lines":
+        rows = artifacts.read_jsonl(file.path)
+    else:
+        rows = artifacts.read_csv(file.path, delimiter=file.delimiter)
     first = True
-    for lineno, raw in _iter_rows(file):
+    for lineno, raw in rows:
         if column_map:
             row = {column_map.get(k, k): v for k, v in raw.items()}
         else:
@@ -295,24 +263,14 @@ def record_from_json(data: dict) -> ContributionRecord:
 
 
 def write_corpus(records: List[ContributionRecord], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(record_to_json(rec), sort_keys=True) + "\n")
+    artifacts.write_jsonl(path, (record_to_json(rec) for rec in records))
 
 
 def read_corpus(path) -> List[ContributionRecord]:
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                records.append(record_from_json(json.loads(line)))
-    return records
+    return [record_from_json(row) for _, row in artifacts.read_jsonl(path)]
 
 
 def write_rejects(rejects: List[Reject], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rej in rejects:
-            row = dict(rej.row)
-            row["reject_reason"] = rej.reason
-            row["line"] = rej.line
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+    artifacts.write_jsonl(
+        path, ({**rej.row, "reject_reason": rej.reason, "line": rej.line} for rej in rejects)
+    )

@@ -8,13 +8,13 @@ pipeline runs offline.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import re
 import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
+from . import artifacts
 from .errors import PipelineError
 from .rules import KeywordTaxonomy, NoKeywordMatch, classify_statement
 from .types import ROLE_ORDER, ContributionRecord, RoleLabel
@@ -256,35 +256,25 @@ def classify_batch(
 
 
 def write_outcomes(outcomes: List[BatchOutcome], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for out in outcomes:
-            fh.write(
-                json.dumps(
-                    {
-                        "record_id": out.record_id,
-                        "label": out.label.value if out.label else None,
-                        "error": out.error,
-                        "raw_response_hash": out.raw_response_hash,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    rows = (
+        {
+            "record_id": out.record_id,
+            "label": out.label.value if out.label else None,
+            "error": out.error,
+            "raw_response_hash": out.raw_response_hash,
+        }
+        for out in outcomes
+    )
+    artifacts.write_jsonl(path, rows)
 
 
 def read_outcomes(path) -> List[BatchOutcome]:
-    outcomes = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            data = json.loads(line)
-            outcomes.append(
-                BatchOutcome(
-                    record_id=data["record_id"],
-                    label=RoleLabel.from_string(data["label"]) if data.get("label") else None,
-                    error=data.get("error"),
-                    raw_response_hash=data.get("raw_response_hash"),
-                )
-            )
-    return outcomes
+    return [
+        BatchOutcome(
+            record_id=data["record_id"],
+            label=RoleLabel.from_string(data["label"]) if data.get("label") else None,
+            error=data.get("error"),
+            raw_response_hash=data.get("raw_response_hash"),
+        )
+        for _, data in artifacts.read_jsonl(path)
+    ]

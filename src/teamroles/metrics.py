@@ -7,10 +7,10 @@ macro precision and recall).
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Sequence, Tuple
 
+from . import artifacts
 from .errors import EmptyInput, PipelineError
 from .types import ROLE_ORDER, RoleLabel
 
@@ -155,5 +155,4 @@ def report_to_text(report: ClassificationReport) -> str:
 
 
 def save_report(report: ClassificationReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report_to_dict(report), fh, indent=2, sort_keys=True)
+    artifacts.write_json(path, report_to_dict(report))

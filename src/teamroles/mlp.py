@@ -11,12 +11,12 @@ them.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import artifacts
 from .dataset import LabeledExample
 from .errors import PipelineError
 from .features import NormalizationRanges, fit_normalization, normalize_array
@@ -243,13 +243,11 @@ def save_model(model: TrainedModel, path) -> None:
         },
         "loss_history": model.loss_history,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
+    artifacts.write_json(path, data)
 
 
 def load_model(path) -> TrainedModel:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = artifacts.read_json(path)
     p = data["params"]
     cfg = data["config"]
     return TrainedModel(

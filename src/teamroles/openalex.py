@@ -6,7 +6,9 @@ complete fixture cache makes the downstream pipeline byte-reproducible.
 """
 from __future__ import annotations
 
+import functools
 import json
+import logging
 import re
 import threading
 import time
@@ -17,10 +19,13 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 from urllib.parse import parse_qsl, urlencode, urlsplit, urlunsplit
 
-from .errors import PipelineError
+from . import artifacts
+from .errors import PipelineError, TruncatedLine
 from .types import AuthorProfile, WorkEntry
 
 PAGE_SIZE = 200
+
+log = logging.getLogger(__name__)
 
 
 class NotFound(PipelineError):
@@ -33,6 +38,10 @@ class RateLimited(PipelineError):
 
 class OfflineCacheMiss(PipelineError):
     pass
+
+
+class FetchFailed(PipelineError):
+    """The request failed: no connection, a timeout, or an error status."""
 
 
 class MalformedResponse(PipelineError):
@@ -98,11 +107,17 @@ class TokenBucket:
 
 
 class JsonLinesCache:
-    """Append-only per-kind cache; lookups return the newest entry for a URL."""
+    """Append-only per-kind cache; lookups return the newest entry for a URL.
+
+    A last line cut short by an interrupted append is ignored with a warning,
+    and the next put for that kind replaces it; any other line that does not
+    parse is a FormatError.
+    """
 
     def __init__(self, cache_dir: Path):
         self.cache_dir = Path(cache_dir)
         self._entries: Dict[str, Dict[str, str]] = {}  # kind -> url -> body
+        self._torn: set = set()  # kinds whose file ends in a cut-short line
         self._lock = threading.Lock()
         self._load()
 
@@ -115,12 +130,12 @@ class JsonLinesCache:
         for path in sorted(self.cache_dir.glob("*.jsonl")):
             kind = path.stem
             table = self._entries.setdefault(kind, {})
-            with open(path, encoding="utf-8") as fh:
-                for line in fh:
-                    if not line.strip():
-                        continue
-                    entry = json.loads(line)
+            try:
+                for _, entry in artifacts.read_jsonl(path):
                     table[entry["request_url"]] = entry["body"]
+            except TruncatedLine as exc:
+                log.warning("ignoring a cut-short cache line: %s", exc)
+                self._torn.add(kind)
 
     def get(self, kind: str, url: str) -> Optional[str]:
         return self._entries.get(kind, {}).get(normalize_url(url))
@@ -135,6 +150,10 @@ class JsonLinesCache:
                 "body": body,
             }
             with open(self._path(kind), "a", encoding="utf-8") as fh:
+                if kind in self._torn:
+                    # drop the cut-short line, so this entry starts a line of its own
+                    fh.truncate(self._path(kind).read_bytes().rfind(b"\n") + 1)
+                    self._torn.discard(kind)
                 fh.write(json.dumps(entry, sort_keys=True) + "\n")
             self._entries.setdefault(kind, {})[key] = body
 
@@ -207,6 +226,7 @@ def parse_work(data: dict) -> RawWork:
     )
 
 
+@functools.lru_cache(maxsize=1 << 14)  # the same names recur on every work they match
 def normalize_name(name: str) -> str:
     """Lowercase, strip diacritics and punctuation, collapse whitespace."""
     decomposed = unicodedata.normalize("NFKD", name)
@@ -243,6 +263,16 @@ def match_author(work: RawWork, name: str) -> str:
     raise NoMatch(f"{name!r} not on work {work.work_id}")
 
 
+def _parse_body(body: str) -> dict:
+    try:
+        data = json.loads(body)
+    except ValueError as exc:
+        raise MalformedResponse("body", f"(not JSON: {exc})") from exc
+    if not isinstance(data, dict):
+        raise MalformedResponse("body", "(not a JSON object)")
+    return data
+
+
 class OpenAlexClient:
     """Cache-first client; safe to share across threads."""
 
@@ -255,9 +285,10 @@ class OpenAlexClient:
     def _request(self, kind: str, url: str) -> dict:
         cached = self.cache.get(kind, url)
         if cached is not None:
-            return json.loads(cached)
+            return _parse_body(cached)
+        key = normalize_url(url)
         if self.config.offline:
-            raise OfflineCacheMiss(f"offline mode, not cached: {normalize_url(url)}")
+            raise OfflineCacheMiss(f"offline mode, not cached: {key}")
 
         import requests
 
@@ -267,18 +298,23 @@ class OpenAlexClient:
             full_url = f"{url}{sep}mailto={self.config.mailto}"
         for attempt in range(3):
             self.limiter.acquire()
-            resp = requests.get(full_url, timeout=30)
-            if resp.status_code == 404:
-                raise NotFound(normalize_url(url))
-            if resp.status_code == 429:
-                if attempt == 2:
-                    raise RateLimited(normalize_url(url))
+            try:
+                resp = requests.get(full_url, timeout=30)
+            except requests.RequestException as exc:
+                raise FetchFailed(f"{key}: {exc}") from exc
+            status = resp.status_code
+            if status == 404:
+                raise NotFound(key)
+            if (status == 429 or status >= 500) and attempt < 2:
                 self.limiter.sleep(2.0 * (attempt + 1))
                 continue
-            resp.raise_for_status()
+            if status == 429:
+                raise RateLimited(key)
+            if not 200 <= status < 300:
+                raise FetchFailed(f"{key}: HTTP {status}")
+            data = _parse_body(resp.text)
             self.cache.put(kind, url, resp.text)
-            return resp.json()
-        raise RateLimited(normalize_url(url))
+            return data
 
     def fetch_work(self, work_id: str) -> RawWork:
         url = f"{self.config.base_url}/works/{_short_id(work_id)}"
@@ -334,5 +370,4 @@ class OpenAlexClient:
             "kinds": sorted(k for k in self.cache._entries),
         }
         self.cache.cache_dir.mkdir(parents=True, exist_ok=True)
-        with open(self.cache.cache_dir / "manifest.json", "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
+        artifacts.write_json(self.cache.cache_dir / "manifest.json", manifest)

@@ -92,6 +92,25 @@ def test_split_group_by_author_no_leakage():
 
 @settings(max_examples=60)
 @given(
+    st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=2, max_size=20),
+    st.floats(min_value=0.05, max_value=0.95),
+    st.integers(min_value=0, max_value=10_000),
+)
+def test_split_group_by_author_keeps_mixed_authors_on_one_side(authors, ratio, seed):
+    # every author has both Leadership and Support examples, so each class has two or more
+    examples = []
+    for a, (n_lead, n_support) in enumerate(authors):
+        for label, n in ((BinaryRole.LEADERSHIP, n_lead), (BinaryRole.SUPPORT, n_support)):
+            examples += [example(len(examples), label, author=f"A{a}") for _ in range(n)]
+    result = stratified_split(examples, ratio=ratio, seed=seed, group_by_author=True)
+    assert not ({e.author_id for e in result.train} & {e.author_id for e in result.test})
+    assert sorted(e.paper_id for e in result.train + result.test) == sorted(
+        e.paper_id for e in examples
+    )
+
+
+@settings(max_examples=60)
+@given(
     st.integers(min_value=2, max_value=60),
     st.integers(min_value=2, max_value=60),
     st.floats(min_value=0.05, max_value=0.95),

@@ -15,11 +15,9 @@ from teamroles.features import (
     extract_features,
     fit_normalization,
     institutional_diversity,
-    load_ranges,
     normalize_array,
     probability_of_leading,
     probability_of_leading_correspondence,
-    save_ranges,
     total_publications,
     unique_topics,
 )
@@ -297,10 +295,3 @@ def test_normalize_array_matches_scalar_path():
     scalar = np.array([apply_normalization(fv, ranges).to_list() for fv in matrix])
     assert np.array_equal(arr, scalar)
 
-
-def test_ranges_round_trip(tmp_path):
-    ranges = NormalizationRanges(mins=tuple(float(i) for i in range(10)),
-                                 maxs=tuple(float(i + 1) for i in range(10)))
-    path = tmp_path / "ranges.json"
-    save_ranges(ranges, path)
-    assert load_ranges(path) == ranges

@@ -1,10 +1,13 @@
 import json
+import logging
+import shutil
 
 import pytest
 
 from teamroles.openalex import (
     AmbiguousMatch,
     ClientConfig,
+    FetchFailed,
     JsonLinesCache,
     MalformedResponse,
     NoMatch,
@@ -276,3 +279,85 @@ def test_token_bucket_respects_rate():
     for i in range(len(stamps)):
         window = [t for t in stamps if stamps[i] <= t < stamps[i] + 1.0]
         assert len(window) <= 4
+
+
+def test_cache_tolerates_a_torn_last_line(tmp_path, caplog):
+    shutil.copytree("tests/fixtures/cache", tmp_path / "cache")
+    works = tmp_path / "cache" / "works.jsonl"
+    intact = works.read_bytes()
+    entries = JsonLinesCache(tmp_path / "cache")._entries["works"]
+    with open(works, "ab") as fh:
+        fh.write(b'{"body": "{\\"id\\": \\"W9')  # an append cut short
+    with caplog.at_level(logging.WARNING, logger="teamroles.openalex"):
+        cache = JsonLinesCache(tmp_path / "cache")
+    assert cache._entries["works"] == entries
+    assert [r.levelno for r in caplog.records] == [logging.WARNING]
+    assert str(works) in caplog.records[0].getMessage()
+
+    cache.put("works", f"{BASE}/works/W9", '{"id": "W9"}')
+    assert works.read_bytes().startswith(intact)
+    assert works.read_bytes()[len(intact):].count(b"\n") == 1  # the new entry, on its own line
+    reloaded = JsonLinesCache(tmp_path / "cache")
+    assert reloaded._entries["works"] == {**entries, normalize_url(f"{BASE}/works/W9"): '{"id": "W9"}'}
+
+
+class FakeResponse:
+    def __init__(self, status_code, text='{"id": "W1", "publication_year": 2010, "authorships": []}'):
+        self.status_code = status_code
+        self.text = text
+
+
+@pytest.fixture
+def online(tmp_path, monkeypatch):
+    """An online client whose requests.get replays `replies` (responses or exceptions)
+    and whose limiter records its sleeps instead of sleeping."""
+    requests = pytest.importorskip("requests")
+    replies, calls, sleeps = [], [], []
+
+    def fake_get(url, timeout):
+        calls.append(url)
+        reply = replies.pop(0)
+        if isinstance(reply, Exception):
+            raise reply
+        return reply
+
+    monkeypatch.setattr(requests, "get", fake_get)
+    client = OpenAlexClient(
+        ClientConfig(cache_dir=tmp_path / "cache", max_requests_per_second=0), sleep=sleeps.append
+    )
+    return client, replies, calls, sleeps
+
+
+def test_network_errors_are_typed(online):
+    import requests
+
+    client, replies, calls, sleeps = online
+    for reply in (requests.ConnectionError("refused"), requests.Timeout("slow"), FakeResponse(403)):
+        replies.append(reply)
+        with pytest.raises(FetchFailed):
+            client.fetch_work("W1")
+    assert len(calls) == 3 and sleeps == []
+    assert client.cache.get("works", f"{BASE}/works/W1") is None
+
+
+def test_server_errors_are_retried(online):
+    client, replies, calls, sleeps = online
+    replies += [FakeResponse(500), FakeResponse(503), FakeResponse(200)]
+    assert client.fetch_work("W1").work_id == "W1"
+    assert len(calls) == 3 and sleeps == [2.0, 4.0]
+
+    replies += [FakeResponse(502)] * 3
+    with pytest.raises(FetchFailed):
+        client.fetch_work("W2")
+    assert len(calls) == 6 and sleeps == [2.0, 4.0, 2.0, 4.0]
+    assert client.cache.get("works", f"{BASE}/works/W2") is None
+
+
+def test_non_json_body_is_not_cached(online, tmp_path):
+    client, replies, calls, _ = online
+    replies += [FakeResponse(200, "<html>gateway</html>"), FakeResponse(200, "[1]")]
+    for _ in range(2):
+        with pytest.raises(MalformedResponse):
+            client.fetch_work("W1")
+    assert client.cache.get("works", f"{BASE}/works/W1") is None
+    assert not (tmp_path / "cache" / "works.jsonl").exists()
