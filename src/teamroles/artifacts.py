@@ -5,9 +5,14 @@ it over the target, so a stage that crashes mid-write leaves the previous file
 or the new one, never a truncated file that a later stage trusts (no fsync: a
 crashed process, not a power loss). Files are UTF-8 without newline
 translation, JSON keys are sorted, and CSV uses the csv module's default dialect.
-Readers raise FileUnreadable when a file cannot be read and FormatError(path,
-line, message) when it does not parse; a JSON-lines line cut short at the end
-of a file raises its subclass TruncatedLine.
+A write or a directory that cannot be made raises FileUnwritable. Readers
+raise FileUnreadable when a file cannot be read and FormatError(path, line,
+message) when it does not parse; a JSON-lines line cut short at the end of a
+file raises its subclass TruncatedLine. The row readers take an optional
+`decode` that turns each row into a value; a KeyError, ValueError or TypeError
+it raises becomes FormatError(path, line, "field <name>: ..."), naming the
+field the decoder read last. To find that field, a failed decode is run a
+second time, so a decoder must be a pure function of its row.
 """
 from __future__ import annotations
 
@@ -16,21 +21,34 @@ import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, Sequence, Tuple
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Tuple
 
-from .errors import FileUnreadable, FormatError, TruncatedLine
+from .errors import FileUnreadable, FileUnwritable, FormatError, TruncatedLine
+
+
+def make_dir(path) -> None:
+    """Create a directory and its parents unless it exists."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise FileUnwritable(f"cannot create directory {path}: {exc}") from exc
 
 
 @contextmanager
 def _writing(path):
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
+    opened = False
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            opened = True
             yield fh
         os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
+    except BaseException as exc:
+        if opened:  # else tmp may be someone else's, e.g. a directory in the way
+            tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise FileUnwritable(f"cannot write {path}: {exc}") from exc
         raise
 
 
@@ -81,8 +99,40 @@ def read_json(path) -> Any:
         raise FormatError(path, exc.lineno, f"bad JSON: {exc.msg} at column {exc.colno}") from exc
 
 
-def read_jsonl(path) -> Iterator[Tuple[int, dict]]:
-    """(line number, object) for each non-blank line of a JSON-lines file."""
+class _Row(dict):
+    """A row that remembers the last field a decoder read from it."""
+
+    field: Optional[str] = None
+
+    def __getitem__(self, key):
+        self.field = key
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.field = key
+        return super().get(key, default)
+
+
+def _decoded(path, number: int, row: dict, decode: Optional[Callable[[dict], Any]]) -> Any:
+    if decode is None:
+        return row
+    try:
+        return decode(row)
+    except KeyError as exc:
+        raise FormatError(path, number, f"field {exc.args[0]}: missing") from exc
+    except (ValueError, TypeError) as exc:
+        # decode again on a row that tracks its reads (slower, so only on failure)
+        # to name the field that failed
+        tracked = _Row(row)
+        try:
+            decode(tracked)
+        except (ValueError, TypeError):
+            pass
+        raise FormatError(path, number, f"field {tracked.field}: {exc}") from exc
+
+
+def read_jsonl(path, decode: Optional[Callable[[dict], Any]] = None) -> Iterator[Tuple[int, Any]]:
+    """(line number, object or decode(object)) for each non-blank line of a JSON-lines file."""
     for number, line in _lines(path):
         if not line.strip():
             continue
@@ -94,11 +144,13 @@ def read_jsonl(path) -> Iterator[Tuple[int, dict]]:
             raise error(path, number, f"bad JSON: {exc.msg} at column {exc.colno}") from exc
         if not isinstance(row, dict):
             raise FormatError(path, number, "row is not a JSON object")
-        yield number, row
+        yield number, _decoded(path, number, row, decode)
 
 
-def read_csv(path, delimiter: str = ",") -> Iterator[Tuple[int, Dict[str, str]]]:
-    """(line number, row keyed by the header) for each non-blank row of a CSV file."""
+def read_csv(
+    path, delimiter: str = ",", decode: Optional[Callable[[dict], Any]] = None
+) -> Iterator[Tuple[int, Any]]:
+    """(line number, row keyed by the header or decode(row)) for each non-blank CSV row."""
     reader = csv.reader((line for _, line in _lines(path)), delimiter=delimiter)
     try:
         header = next(reader, None)
@@ -108,6 +160,7 @@ def read_csv(path, delimiter: str = ",") -> Iterator[Tuple[int, Dict[str, str]]]
             if len(values) != len(header):
                 message = f"{len(values)} columns, the header has {len(header)}"
                 raise FormatError(path, reader.line_num, message)
-            yield reader.line_num, dict(zip(header, values))
+            row = dict(zip(header, values))
+            yield reader.line_num, _decoded(path, reader.line_num, row, decode)
     except csv.Error as exc:
         raise FormatError(path, reader.line_num, str(exc)) from exc

@@ -65,6 +65,8 @@ def load_config(args) -> dict:
             user = artifacts.read_json(args.config)
         except PipelineError as exc:
             raise ConfigError(f"cannot load config {args.config}: {exc}") from exc
+        if not isinstance(user, dict):
+            raise ConfigError(f"config {args.config} is not a JSON object")
         for key, value in user.items():
             if isinstance(value, dict) and isinstance(config.get(key), dict):
                 config[key].update(value)
@@ -91,7 +93,7 @@ def _require(stage: str, path: Path) -> Path:
 
 def _echo_config(config: dict) -> None:
     out_dir = Path(config["output_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    artifacts.make_dir(out_dir)
     artifacts.write_json(out_dir / "config_used.json", {"schema_version": 1, **config})
 
 
@@ -352,7 +354,7 @@ def cmd_lratio(args, config) -> int:
 
 def cmd_report(args, config) -> int:
     report_dir = Path(config["output_dir"]) / "report"
-    report_dir.mkdir(parents=True, exist_ok=True)
+    artifacts.make_dir(report_dir)
     for key in ("metrics", "shap_summary"):
         source = _require("report", _out(config, key))
         artifacts.write_text(report_dir / source.name, artifacts.read_text(source))

@@ -101,16 +101,17 @@ def write_examples(examples: Sequence[LabeledExample], path) -> None:
     artifacts.write_csv(path, FEATURE_TABLE_HEADER, rows)
 
 
+def example_from_row(row: dict) -> LabeledExample:
+    return LabeledExample(
+        author_id=row["author_id"],
+        paper_id=row["paper_id"],
+        features=FeatureVector.from_list([float(row[n]) for n in FEATURE_NAMES]),
+        label=BinaryRole.from_string(row["label"]),
+    )
+
+
 def read_examples(path) -> List[LabeledExample]:
-    return [
-        LabeledExample(
-            author_id=row["author_id"],
-            paper_id=row["paper_id"],
-            features=FeatureVector.from_list([float(row[n]) for n in FEATURE_NAMES]),
-            label=BinaryRole.from_string(row["label"]),
-        )
-        for _, row in artifacts.read_csv(path)
-    ]
+    return [example for _, example in artifacts.read_csv(path, decode=example_from_row)]
 
 
 def write_split_manifest(result: SplitResult, path) -> None:

@@ -35,6 +35,10 @@ class FileUnreadable(PipelineError):
     """A file could not be opened or read."""
 
 
+class FileUnwritable(PipelineError):
+    """A file could not be written or a directory could not be created."""
+
+
 class FormatError(PipelineError):
     """A line of a file does not parse as its format requires."""
 

@@ -267,7 +267,7 @@ def write_corpus(records: List[ContributionRecord], path) -> None:
 
 
 def read_corpus(path) -> List[ContributionRecord]:
-    return [record_from_json(row) for _, row in artifacts.read_jsonl(path)]
+    return [record for _, record in artifacts.read_jsonl(path, decode=record_from_json)]
 
 
 def write_rejects(rejects: List[Reject], path) -> None:

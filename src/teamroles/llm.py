@@ -268,13 +268,14 @@ def write_outcomes(outcomes: List[BatchOutcome], path) -> None:
     artifacts.write_jsonl(path, rows)
 
 
+def outcome_from_json(data: dict) -> BatchOutcome:
+    return BatchOutcome(
+        record_id=data["record_id"],
+        label=RoleLabel.from_string(data["label"]) if data.get("label") else None,
+        error=data.get("error"),
+        raw_response_hash=data.get("raw_response_hash"),
+    )
+
+
 def read_outcomes(path) -> List[BatchOutcome]:
-    return [
-        BatchOutcome(
-            record_id=data["record_id"],
-            label=RoleLabel.from_string(data["label"]) if data.get("label") else None,
-            error=data.get("error"),
-            raw_response_hash=data.get("raw_response_hash"),
-        )
-        for _, data in artifacts.read_jsonl(path)
-    ]
+    return [outcome for _, outcome in artifacts.read_jsonl(path, decode=outcome_from_json)]

@@ -7,7 +7,9 @@ model. One layer function computes the pre- and post-activations of a
 matrix of rows, and one backward function propagates output gradients
 through the ReLU layers; `forward_batch`, the analytic input gradient
 (which feeds the gradient attribution estimator) and training all share
-them.
+them. The layers above the first are a function of their own, which the
+exact Shapley kernel in `explain` also runs, on first-layer
+pre-activations it computes in factored form and into buffers it reuses.
 """
 from __future__ import annotations
 
@@ -91,20 +93,50 @@ def init(config: TrainConfig) -> NetworkParams:
     )
 
 
-def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
+def _sigmoid(z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    s = np.clip(z, -500.0, 500.0, out=out)
+    np.negative(s, out=s)
+    np.exp(s, out=s)
+    s += 1.0
+    return np.divide(1.0, s, out=s)
+
+
+def _probability(z3: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Predicted probabilities from output pre-activations, kept off 0 and 1 for the loss."""
+    y = _sigmoid(z3, out=out)
+    return np.clip(y, _EPS, 1.0 - _EPS, out=y)
+
+
+def _check_finite(X: np.ndarray) -> None:
+    if not np.all(np.isfinite(X)):
+        raise NonFiniteInput("input matrix contains NaN or infinity")
+
+
+def _upper_layers(
+    params: NetworkParams, Z1: np.ndarray, out: Optional[Tuple[np.ndarray, ...]] = None
+) -> Tuple[np.ndarray, ...]:
+    """Post-activations (A1, Z2, A2, z3) of the layers above first-layer pre-activations Z1.
+
+    Given out=(A1, Z2, A2, z3) buffers, each result is written into its own,
+    so a caller that evaluates many blocks allocates nothing per block; A1 may
+    be Z1 and A2 may be Z2 itself, which makes those ReLUs in place.
+    """
+    A1, Z2, A2, z3 = out if out is not None else (None,) * 4
+    A1 = np.maximum(0.0, Z1, out=A1)
+    Z2 = np.matmul(A1, params.W2.T, out=Z2)
+    Z2 += params.b2
+    A2 = np.maximum(0.0, Z2, out=A2)
+    z3 = np.matmul(A2, params.W3, out=z3)
+    z3 += params.b3
+    return A1, Z2, A2, z3
 
 
 def _layers(params: NetworkParams, X: np.ndarray) -> Tuple[np.ndarray, ...]:
     """Pre- and post-activations (Z1, A1, Z2, A2, z3) for each row of X."""
     X = np.asarray(X, dtype=float)
-    if not np.all(np.isfinite(X)):
-        raise NonFiniteInput("input matrix contains NaN or infinity")
+    _check_finite(X)
     Z1 = X @ params.W1.T + params.b1
-    A1 = np.maximum(0.0, Z1)
-    Z2 = A1 @ params.W2.T + params.b2
-    A2 = np.maximum(0.0, Z2)
-    return Z1, A1, Z2, A2, A2 @ params.W3 + params.b3
+    return (Z1, *_upper_layers(params, Z1))
 
 
 def _backward(
@@ -118,8 +150,7 @@ def _backward(
 
 def forward_batch(params: NetworkParams, X: np.ndarray) -> np.ndarray:
     """Predicted probabilities for a whole matrix of points, one row each."""
-    z3 = _layers(params, X)[-1]
-    return np.clip(_sigmoid(z3), _EPS, 1.0 - _EPS)
+    return _probability(_layers(params, X)[-1])
 
 
 def forward(params: NetworkParams, x: np.ndarray) -> float:
@@ -167,7 +198,7 @@ def train(examples: Sequence[LabeledExample], config: TrainConfig = TrainConfig(
             Xb, tb, wb = X[idx], t[idx], sample_w[idx]
 
             Z1, A1, Z2, A2, z3 = _layers(params, Xb)
-            Y = np.clip(_sigmoid(z3), _EPS, 1.0 - _EPS)
+            Y = _probability(z3)
             epoch_loss += _bce(Y, tb, wb) * len(idx)
 
             # dL/dz3 for weighted mean BCE through the sigmoid

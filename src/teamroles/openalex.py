@@ -143,7 +143,7 @@ class JsonLinesCache:
     def put(self, kind: str, url: str, body: str) -> None:
         key = normalize_url(url)
         with self._lock:
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
+            artifacts.make_dir(self.cache_dir)
             entry = {
                 "request_url": key,
                 "fetched_at": datetime.now(timezone.utc).isoformat(),
@@ -369,5 +369,5 @@ class OpenAlexClient:
             "written_at": datetime.now(timezone.utc).isoformat(),
             "kinds": sorted(k for k in self.cache._entries),
         }
-        self.cache.cache_dir.mkdir(parents=True, exist_ok=True)
+        artifacts.make_dir(self.cache.cache_dir)
         artifacts.write_json(self.cache.cache_dir / "manifest.json", manifest)

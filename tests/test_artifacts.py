@@ -1,5 +1,6 @@
 import ast
 import csv
+import json
 import shutil
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import pytest
 
 from teamroles import artifacts, errors, ingest
 from teamroles.cli import main
-from teamroles.errors import FileUnreadable, FormatError, TruncatedLine
+from teamroles.errors import FileUnreadable, FileUnwritable, FormatError, TruncatedLine
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "teamroles"
 
@@ -154,6 +155,113 @@ def test_unparseable_artifact_exits_1_naming_path_and_line(
     assert code == 1
     assert err.startswith(f"error: {tmp_path / name} line {line}: ")
     assert "Traceback" not in err
+
+
+def set_field(path: Path, number: int, name: str, value) -> None:
+    """Give field `name` of JSON-lines line `number` a new value, or drop it if value is None."""
+    lines = path.read_text().split("\n")
+    row = json.loads(lines[number - 1])
+    if value is None:
+        del row[name]
+    else:
+        row[name] = value
+    lines[number - 1] = json.dumps(row)
+    path.write_text("\n".join(lines))
+
+
+def set_csv_field(path: Path, number: int, name: str, value: str) -> None:
+    lines = path.read_text().split("\n")
+    header = lines[0].split(",")
+    values = lines[number - 1].split(",")
+    values[header.index(name)] = value
+    lines[number - 1] = ",".join(values)
+    path.write_text("\n".join(lines))
+
+
+@pytest.mark.parametrize(
+    "stage, name, damage, line, field",
+    [
+        ("train", "train.csv", lambda p: set_csv_field(p, 3, "career_age", "abc"), 3,
+         "career_age"),
+        ("label-rule", "corpus.jsonl", lambda p: set_field(p, 4, "year", [2013]), 4, "year"),
+        ("lratio", "labels_rule.jsonl", lambda p: set_field(p, 6, "record_id", None), 6,
+         "record_id"),
+        ("lratio", "labels_rule.jsonl", lambda p: set_field(p, 2, "label", "Boss"), 2, "label"),
+    ],
+    ids=["read_examples", "read_corpus", "read_outcomes-missing", "read_outcomes-bad"],
+)
+def test_bad_field_exits_1_naming_path_line_and_field(
+    stage_dir, tmp_path, capsys, stage, name, damage, line, field
+):
+    for artifact in ("corpus.jsonl", "labels_rule.jsonl", "train.csv"):
+        shutil.copyfile(stage_dir / artifact, tmp_path / artifact)
+    damage(tmp_path / name)
+    capsys.readouterr()
+    assert main([stage, "--output-dir", str(tmp_path), "--offline"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / name} line {line}: field {field}: ")
+    assert "Traceback" not in err
+
+
+def test_decode_errors_become_format_errors(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_text('{"n": "1"}\n{"n": "x"}\n')
+    assert next(artifacts.read_jsonl(path, decode=lambda row: int(row["n"]))) == (1, 1)
+    with pytest.raises(FormatError, match=r"line 2: field n: invalid literal"):
+        list(artifacts.read_jsonl(path, decode=lambda row: int(row["n"])))
+    with pytest.raises(FormatError, match=r"line 1: field m: missing"):
+        list(artifacts.read_jsonl(path, decode=lambda row: row.get("n") and row["m"]))
+    (tmp_path / "rows.csv").write_text("n\n1\n\n-\n")
+    with pytest.raises(FormatError, match=r"line 4: field n: could not convert"):
+        list(artifacts.read_csv(tmp_path / "rows.csv", decode=lambda row: float(row["n"])))
+
+
+def test_failed_write_is_file_unwritable(tmp_path):
+    (tmp_path / "out.csv.tmp").mkdir()  # something else's, in the way of the temp file
+    with pytest.raises(FileUnwritable, match="cannot write"):
+        artifacts.write_csv(tmp_path / "out.csv", ["n"], [[1]])
+    assert (tmp_path / "out.csv.tmp").is_dir()
+    (tmp_path / "dir.json").mkdir()  # in the way of the target: os.replace fails
+    with pytest.raises(FileUnwritable):
+        artifacts.write_json(tmp_path / "dir.json", {})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir.json", "out.csv.tmp"]
+    (tmp_path / "file").write_text("")
+    with pytest.raises(FileUnwritable, match="cannot create directory"):
+        artifacts.make_dir(tmp_path / "file")
+    with pytest.raises(FileUnwritable):
+        artifacts.make_dir(tmp_path / "file" / "sub")
+
+
+def test_unwritable_output_exits_1(stage_dir, tmp_path, capsys):
+    in_the_way = tmp_path / "a-file"
+    in_the_way.write_text("")
+    capsys.readouterr()
+    assert main(["ingest", "--input", "tests/fixtures/corpus.csv",
+                 "--output-dir", str(in_the_way)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot create directory {in_the_way}: ")
+    assert "Traceback" not in err
+
+    out = tmp_path / "out"
+    out.mkdir()
+    for artifact in ("labels_rule.jsonl", "metrics.json", "shap_summary.csv"):
+        (out / artifact).write_text("{}" if artifact == "metrics.json" else "")
+    (out / "report").write_text("")  # report/ cannot be made
+    assert main(["report", "--output-dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot create directory {out / 'report'}: ")
+
+    (out / "corpus.jsonl.tmp").mkdir()
+    assert main(["ingest", "--input", "tests/fixtures/corpus.csv", "--output-dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out / 'corpus.jsonl'}: ")
+
+
+def test_config_that_is_not_an_object_exits_2(tmp_path, capsys):
+    for text in ("[1]", "3", '"out"', "null"):
+        (tmp_path / "config.json").write_text(text)
+        capsys.readouterr()
+        code = main(["ingest", "--input", "x.csv", "--config", str(tmp_path / "config.json")])
+        assert code == 2, text
+        assert capsys.readouterr().err.startswith("config error: ")
 
 
 def test_bad_config_still_exits_2(tmp_path):

@@ -1,12 +1,17 @@
 import csv
 import itertools
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from teamroles import metrics
+from teamroles import dataset, explain, metrics, mlp
+from teamroles.cli import main
 from teamroles.dataset import LabeledExample
 from teamroles.explain import (
     Attribution,
@@ -166,6 +171,92 @@ def test_exact_shapley_batch_validations():
     X[1, 2] = np.nan
     with pytest.raises(NonFiniteInput):
         exact_shapley_batch(model, X, [np.zeros(3)])
+
+
+@pytest.fixture(scope="module")
+def fixture_explain(tmp_path_factory):
+    """The fixture pipeline's model, 12 of its test rows and 5 explain baselines."""
+    out = tmp_path_factory.mktemp("explain")
+    common = ["--output-dir", str(out), "--cache-dir", "tests/fixtures/cache", "--offline"]
+    for stage in (["ingest", "--input", "tests/fixtures/corpus.csv"], ["label-rule"],
+                  ["featurize"], ["split"], ["train"]):
+        assert main(stage + common) == 0, stage
+    model = mlp.load_model(out / "model.json")
+    inputs = lambda name: mlp.model_inputs(
+        model, [ex.features for ex in dataset.read_examples(out / name)]
+    )
+    baselines = [np.zeros(len(FEATURE_NAMES)), *inputs("train.csv")[:4]]
+    return model, inputs("test.csv")[:12], baselines
+
+
+@pytest.fixture
+def started_threads(monkeypatch):
+    """Every thread started while the test runs."""
+    started = []
+    start = threading.Thread.start
+
+    def counted(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return started
+
+
+def explain_on(cpus, monkeypatch, model, X, baselines):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    return exact_shapley_batch(model, X, baselines)
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 8])
+def test_exact_shapley_batch_same_bytes_whatever_the_thread_count(
+    fixture_explain, monkeypatch, started_threads, cpus
+):
+    model, X, baselines = fixture_explain
+    serial = explain_on(1, monkeypatch, model, X, baselines)
+    assert started_threads == []  # one CPU: the calling thread does every row
+    rows_done = []
+    attribution = explain._attribution
+    monkeypatch.setattr(explain, "_attribution", lambda *a: rows_done.append(1) or attribution(*a))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so a race in handing out rows shows
+    try:
+        threaded = explain_on(cpus, monkeypatch, model, X, baselines)
+    finally:
+        sys.setswitchinterval(interval)
+    assert 1 <= len(started_threads) <= cpus - 1
+    assert len(rows_done) == len(threaded) == len(serial) == len(X)
+    for one, many in zip(serial, threaded):
+        assert one.phi.tobytes() == many.phi.tobytes()
+        assert one.base_value == many.base_value
+        assert one.prediction == many.prediction
+        assert abs(one.phi.sum() - (one.prediction - one.base_value)) <= 1e-12
+
+
+def test_exact_shapley_batch_raises_what_a_worker_thread_raised(fixture_explain, monkeypatch):
+    model, X, baselines = fixture_explain
+    attribution = explain._attribution
+
+    def fails_off_the_main_thread(values, m):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError("worker thread")
+        time.sleep(0.01)  # leave rows for the worker thread
+        return attribution(values, m)
+
+    monkeypatch.setattr(explain, "_attribution", fails_off_the_main_thread)
+    running = threading.active_count()
+    with pytest.raises(MemoryError, match="worker thread"):
+        explain_on(2, monkeypatch, model, X, baselines)
+    assert threading.active_count() == running
+
+
+def test_exact_shapley_batch_checks_the_baselines(fixture_explain):
+    model, X, baselines = fixture_explain
+    for bad in (np.nan, np.inf):
+        spoilt = [b.copy() for b in baselines]
+        spoilt[2][3] = bad
+        with pytest.raises(NonFiniteInput):
+            exact_shapley_batch(model, X, spoilt)
 
 
 def test_empty_input_is_one_class():
