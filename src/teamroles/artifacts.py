@@ -8,11 +8,13 @@ translation, JSON keys are sorted, and CSV uses the csv module's default dialect
 A write or a directory that cannot be made raises FileUnwritable. Readers
 raise FileUnreadable when a file cannot be read and FormatError(path, line,
 message) when it does not parse; a JSON-lines line cut short at the end of a
-file raises its subclass TruncatedLine. The row readers take an optional
-`decode` that turns each row into a value; a KeyError, ValueError or TypeError
-it raises becomes FormatError(path, line, "field <name>: ..."), naming the
-field the decoder read last. To find that field, a failed decode is run a
-second time, so a decoder must be a pure function of its row.
+file raises its subclass TruncatedLine. The row readers, and read_json for a
+file that holds one JSON object, take an optional `decode` that turns each row
+into a value; a KeyError, ValueError or TypeError it raises becomes
+FormatError(path, line, "field <name>: ..."), naming the field the decoder
+read last, dotted through nested objects (`params.W2`); a whole JSON file is
+line 1. To find that field, a failed decode is run a second time, so a
+decoder must be a pure function of its row.
 """
 from __future__ import annotations
 
@@ -92,25 +94,40 @@ def read_text(path) -> str:
     return "".join(line for _, line in _lines(path))
 
 
-def read_json(path) -> Any:
+def read_json(path, decode: Optional[Callable[[dict], Any]] = None) -> Any:
+    """The JSON value of a file, or decode(value) for a file that holds one object."""
     try:
-        return json.loads(read_text(path))
+        data = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise FormatError(path, exc.lineno, f"bad JSON: {exc.msg} at column {exc.colno}") from exc
+    if decode is not None and not isinstance(data, dict):
+        raise FormatError(path, 1, "not a JSON object")
+    return _decoded(path, 1, data, decode)
 
 
 class _Row(dict):
-    """A row that remembers the last field a decoder read from it."""
+    """A row that remembers the last field a decoder read from it or from an
+    object nested in it."""
 
-    field: Optional[str] = None
+    def __init__(self, data: dict, prefix: str = "", last: Optional[list] = None):
+        super().__init__(data)
+        self.prefix = prefix
+        self.last = [None] if last is None else last  # shared with the nested rows
+
+    @property
+    def field(self) -> Optional[str]:
+        return self.last[0]
+
+    def _nested(self, value):
+        return _Row(value, self.last[0] + ".", self.last) if isinstance(value, dict) else value
 
     def __getitem__(self, key):
-        self.field = key
-        return super().__getitem__(key)
+        self.last[0] = f"{self.prefix}{key}"  # before the lookup, which may fail
+        return self._nested(super().__getitem__(key))
 
     def get(self, key, default=None):
-        self.field = key
-        return super().get(key, default)
+        self.last[0] = f"{self.prefix}{key}"
+        return self._nested(super().get(key, default))
 
 
 def _decoded(path, number: int, row: dict, decode: Optional[Callable[[dict], Any]]) -> Any:
@@ -118,17 +135,16 @@ def _decoded(path, number: int, row: dict, decode: Optional[Callable[[dict], Any
         return row
     try:
         return decode(row)
-    except KeyError as exc:
-        raise FormatError(path, number, f"field {exc.args[0]}: missing") from exc
-    except (ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError) as exc:
         # decode again on a row that tracks its reads (slower, so only on failure)
         # to name the field that failed
         tracked = _Row(row)
         try:
             decode(tracked)
-        except (ValueError, TypeError):
+        except (KeyError, ValueError, TypeError):
             pass
-        raise FormatError(path, number, f"field {tracked.field}: {exc}") from exc
+        reason = "missing" if isinstance(exc, KeyError) else exc
+        raise FormatError(path, number, f"field {tracked.field}: {reason}") from exc
 
 
 def read_jsonl(path, decode: Optional[Callable[[dict], Any]] = None) -> Iterator[Tuple[int, Any]]:

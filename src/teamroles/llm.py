@@ -12,6 +12,7 @@ import os
 import re
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, List, Optional, Tuple
 
 from . import artifacts
@@ -56,6 +57,9 @@ DEFAULT_FEW_SHOT: Tuple[Tuple[str, RoleLabel], ...] = (
 )
 
 
+_TAIL_FORMAT = '\nStatement: "{stmt}"\nRole:'
+
+
 @dataclass(frozen=True)
 class PromptTemplate:
     role_definitions: str = DEFAULT_ROLE_DEFINITIONS
@@ -70,6 +74,19 @@ class PromptTemplate:
             raise ValueError(
                 f"few-shot examples must cover every role; missing {sorted(m.value for m in missing)}"
             )
+
+    @cached_property
+    def _head(self) -> Tuple[str, int]:
+        """The fixed head of every prompt (definitions, examples, instruction) and the
+        characters it leaves for the statement, rendered once per template."""
+        parts = [self.role_definitions, "", "Examples:"]
+        for example_statement, label in self.few_shot_examples:
+            parts.append(f'Statement: "{example_statement}"')
+            parts.append(f"Role: {label.value}")
+        parts.append("")
+        parts.append(self.instruction)
+        head = "\n".join(parts)
+        return head, self.char_budget - len(head) - len(_TAIL_FORMAT.format(stmt=""))
 
 
 @dataclass(frozen=True)
@@ -96,19 +113,10 @@ def build_prompt(record: ContributionRecord, template: PromptTemplate = PromptTe
     if not statement:
         raise EmptyStatement(f"record {record.record_id} has an empty statement")
 
-    parts = [template.role_definitions, "", "Examples:"]
-    for example_statement, label in template.few_shot_examples:
-        parts.append(f'Statement: "{example_statement}"')
-        parts.append(f"Role: {label.value}")
-    parts.append("")
-    parts.append(template.instruction)
-    head = "\n".join(parts)
-
-    tail_format = '\nStatement: "{stmt}"\nRole:'
-    budget = template.char_budget - len(head) - len(tail_format.format(stmt=""))
+    head, budget = template._head
     if len(statement) > budget:
         statement = statement[: max(0, budget - len(TRUNCATION_MARKER))] + TRUNCATION_MARKER
-    return head + tail_format.format(stmt=statement)
+    return head + _TAIL_FORMAT.format(stmt=statement)
 
 
 _ROLE_PATTERNS = [

@@ -277,8 +277,7 @@ def save_model(model: TrainedModel, path) -> None:
     artifacts.write_json(path, data)
 
 
-def load_model(path) -> TrainedModel:
-    data = artifacts.read_json(path)
+def model_from_json(data: dict) -> TrainedModel:
     p = data["params"]
     cfg = data["config"]
     return TrainedModel(
@@ -302,3 +301,7 @@ def load_model(path) -> TrainedModel:
         ),
         loss_history=list(data["loss_history"]),
     )
+
+
+def load_model(path) -> TrainedModel:
+    return artifacts.read_json(path, decode=model_from_json)

@@ -20,7 +20,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from urllib.parse import parse_qsl, urlencode, urlsplit, urlunsplit
 
 from . import artifacts
-from .errors import PipelineError, TruncatedLine
+from .errors import FileUnwritable, PipelineError, TruncatedLine
 from .types import AuthorProfile, WorkEntry
 
 PAGE_SIZE = 200
@@ -106,6 +106,10 @@ class TokenBucket:
                 self.sleep((1.0 - self._tokens) / self.rate)
 
 
+def _cache_entry(entry: dict) -> Tuple[str, str]:
+    return entry["request_url"], entry["body"]
+
+
 class JsonLinesCache:
     """Append-only per-kind cache; lookups return the newest entry for a URL.
 
@@ -131,8 +135,7 @@ class JsonLinesCache:
             kind = path.stem
             table = self._entries.setdefault(kind, {})
             try:
-                for _, entry in artifacts.read_jsonl(path):
-                    table[entry["request_url"]] = entry["body"]
+                table.update(entry for _, entry in artifacts.read_jsonl(path, decode=_cache_entry))
             except TruncatedLine as exc:
                 log.warning("ignoring a cut-short cache line: %s", exc)
                 self._torn.add(kind)
@@ -149,12 +152,15 @@ class JsonLinesCache:
                 "fetched_at": datetime.now(timezone.utc).isoformat(),
                 "body": body,
             }
-            with open(self._path(kind), "a", encoding="utf-8") as fh:
-                if kind in self._torn:
-                    # drop the cut-short line, so this entry starts a line of its own
-                    fh.truncate(self._path(kind).read_bytes().rfind(b"\n") + 1)
-                    self._torn.discard(kind)
-                fh.write(json.dumps(entry, sort_keys=True) + "\n")
+            try:
+                with open(self._path(kind), "a", encoding="utf-8") as fh:
+                    if kind in self._torn:
+                        # drop the cut-short line, so this entry starts a line of its own
+                        fh.truncate(self._path(kind).read_bytes().rfind(b"\n") + 1)
+                        self._torn.discard(kind)
+                    fh.write(json.dumps(entry, sort_keys=True) + "\n")
+            except OSError as exc:
+                raise FileUnwritable(f"cannot append to {self._path(kind)}: {exc}") from exc
             self._entries.setdefault(kind, {})[key] = body
 
 

@@ -29,12 +29,13 @@ class RoleLabel(Enum):
 
     @classmethod
     def from_string(cls, text: str) -> "RoleLabel":
-        key = text.strip().lower().replace("_", " ")
-        for label in cls:
-            if label.value.lower() == key:
-                return label
-        raise ValueError(f"unknown role label: {text!r}")
+        try:
+            return _ROLE_BY_KEY[text.strip().lower().replace("_", " ")]
+        except KeyError:
+            raise ValueError(f"unknown role label: {text!r}") from None
 
+
+_ROLE_BY_KEY = {label.value.lower(): label for label in RoleLabel}
 
 _ROLE_RANK = {
     RoleLabel.LEADERSHIP: 2,
@@ -52,11 +53,13 @@ class BinaryRole(Enum):
 
     @classmethod
     def from_string(cls, text: str) -> "BinaryRole":
-        key = text.strip().lower()
-        for label in cls:
-            if label.value.lower() == key:
-                return label
-        raise ValueError(f"unknown binary role: {text!r}")
+        try:
+            return _BINARY_BY_KEY[text.strip().lower()]
+        except KeyError:
+            raise ValueError(f"unknown binary role: {text!r}") from None
+
+
+_BINARY_BY_KEY = {label.value.lower(): label for label in BinaryRole}
 
 
 def to_binary(label: RoleLabel) -> BinaryRole:
@@ -90,8 +93,9 @@ _JOURNAL_ALIASES = {
 }
 
 
-class UnknownJournal(PipelineError):
-    pass
+class UnknownJournal(PipelineError, ValueError):
+    """A journal name outside the alias table; a ValueError, so a row decoder that
+    meets one reports the field."""
 
 
 def parse_journal(name: str) -> Journal:

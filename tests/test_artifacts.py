@@ -169,6 +169,12 @@ def set_field(path: Path, number: int, name: str, value) -> None:
     path.write_text("\n".join(lines))
 
 
+def drop_model_param(path: Path, name: str) -> None:
+    model = json.loads(path.read_text())
+    del model["params"][name]
+    path.write_text(json.dumps(model, indent=2))
+
+
 def set_csv_field(path: Path, number: int, name: str, value: str) -> None:
     lines = path.read_text().split("\n")
     header = lines[0].split(",")
@@ -187,17 +193,25 @@ def set_csv_field(path: Path, number: int, name: str, value: str) -> None:
         ("lratio", "labels_rule.jsonl", lambda p: set_field(p, 6, "record_id", None), 6,
          "record_id"),
         ("lratio", "labels_rule.jsonl", lambda p: set_field(p, 2, "label", "Boss"), 2, "label"),
+        ("label-rule", "corpus.jsonl", lambda p: set_field(p, 3, "journal", "Cell"), 3,
+         "journal"),
+        ("evaluate", "model.json", lambda p: drop_model_param(p, "W2"), 1, "params.W2"),
+        ("featurize", "cache/works.jsonl", lambda p: set_field(p, 2, "body", None), 2, "body"),
     ],
-    ids=["read_examples", "read_corpus", "read_outcomes-missing", "read_outcomes-bad"],
+    ids=["read_examples", "read_corpus", "read_outcomes-missing", "read_outcomes-bad",
+         "read_corpus-journal", "load_model", "cache_load"],
 )
 def test_bad_field_exits_1_naming_path_line_and_field(
     stage_dir, tmp_path, capsys, stage, name, damage, line, field
 ):
-    for artifact in ("corpus.jsonl", "labels_rule.jsonl", "train.csv"):
+    for artifact in ("corpus.jsonl", "labels_rule.jsonl", "train.csv", "test.csv", "model.json"):
         shutil.copyfile(stage_dir / artifact, tmp_path / artifact)
+    shutil.copytree("tests/fixtures/cache", tmp_path / "cache")
     damage(tmp_path / name)
     capsys.readouterr()
-    assert main([stage, "--output-dir", str(tmp_path), "--offline"]) == 1
+    code = main([stage, "--output-dir", str(tmp_path), "--cache-dir", str(tmp_path / "cache"),
+                 "--offline"])
+    assert code == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {tmp_path / name} line {line}: field {field}: ")
     assert "Traceback" not in err

@@ -1,3 +1,7 @@
+import itertools
+import random
+import sys
+
 import pytest
 
 from teamroles.llm import (
@@ -15,8 +19,8 @@ from teamroles.llm import (
     read_outcomes,
     write_outcomes,
 )
-from teamroles.rules import classify_statement
-from teamroles.types import ContributionRecord, Journal, RoleLabel
+from teamroles.rules import KeywordTaxonomy, classify_statement
+from teamroles.types import ROLE_ORDER, ContributionRecord, Journal, RoleLabel
 
 
 def make_record(statement, position=1, paper="W1"):
@@ -44,6 +48,40 @@ def test_build_prompt_truncates_to_budget():
     prompt = build_prompt(make_record("x" * 5000), template)
     assert len(prompt) <= 1500
     assert TRUNCATION_MARKER in prompt
+
+
+def build_prompt_reference(statement, template):
+    """The prompt rendered whole for each record, as before the head was cached per template."""
+    parts = [template.role_definitions, "", "Examples:"]
+    for example_statement, label in template.few_shot_examples:
+        parts.append(f'Statement: "{example_statement}"')
+        parts.append(f"Role: {label.value}")
+    parts += ["", template.instruction]
+    head = "\n".join(parts)
+    tail_format = '\nStatement: "{stmt}"\nRole:'
+    budget = template.char_budget - len(head) - len(tail_format.format(stmt=""))
+    if len(statement) > budget:
+        statement = statement[: max(0, budget - len(TRUNCATION_MARKER))] + TRUNCATION_MARKER
+    return head + tail_format.format(stmt=statement)
+
+
+def test_build_prompt_equals_the_reference_rendering():
+    custom = PromptTemplate(
+        role_definitions="Pick a role.",
+        few_shot_examples=(("led it", RoleLabel.LEADERSHIP), ("did it", RoleLabel.DIRECT_SUPPORT),
+                           ("saw it", RoleLabel.INDIRECT_SUPPORT)),
+        instruction="One word.",
+        char_budget=150,
+    )
+    tiny = PromptTemplate(char_budget=10)  # no room for the statement at all
+    templates = (PromptTemplate(), custom, PromptTemplate(char_budget=1500), tiny)
+    statements = ["designed the study", "x" * 89, "y" * 90, "z" * 5000]
+    for _ in range(2):  # the second round reuses each template's cached head
+        for template in templates:
+            for statement in statements:
+                prompt = build_prompt(make_record(f"  {statement} "), template)
+                assert prompt.encode() == build_prompt_reference(statement, template).encode()
+    assert build_prompt(make_record("z" * 5000), custom).endswith(TRUNCATION_MARKER + '"\nRole:')
 
 
 def test_template_requires_all_roles():
@@ -143,6 +181,31 @@ def test_concurrent_batch_matches_serial():
     serial = classify_batch(records, MockBackend())
     parallel = classify_batch(records, MockBackend(), config=BackendConfig(max_concurrency=4))
     assert serial == parallel
+
+
+def test_concurrent_batch_shares_the_token_memo():
+    """Threads classify through one taxonomy's memo while it fills and evicts."""
+    stems = {RoleLabel.LEADERSHIP: ["lead", "plan"], RoleLabel.DIRECT_SUPPORT: ["help", "ran"],
+             RoleLabel.INDIRECT_SUPPORT: ["read", "saw"]}
+    taxonomy = KeywordTaxonomy(*(frozenset(stems[role]) for role in ROLE_ORDER))
+    vocab = [(stem + suffix, role) for role in ROLE_ORDER for stem in stems[role]
+             for suffix in ("".join(p) for p in itertools.product("xyzqvw", repeat=5))][::5]
+    rng = random.Random(3)
+    records, expected = [], []
+    for i in range(2000):
+        picked = rng.sample(vocab, 4)
+        records.append(make_record(" ".join(word for word, _ in picked), paper=f"W{i}"))
+        expected.append(max((role for _, role in picked), key=lambda r: r.rank))
+    assert len({word for r in records for word in r.statement.split()}) > 4096  # the memo bound
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        parallel = classify_batch(records, MockBackend(taxonomy),
+                                  config=BackendConfig(max_concurrency=4))
+    finally:
+        sys.setswitchinterval(interval)
+    assert [o.label for o in parallel] == expected
+    assert classify_batch(records, MockBackend(taxonomy)) == parallel
 
 
 def test_outcomes_round_trip(tmp_path):

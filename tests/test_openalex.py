@@ -4,6 +4,7 @@ import shutil
 
 import pytest
 
+from teamroles.errors import FileUnwritable
 from teamroles.openalex import (
     AmbiguousMatch,
     ClientConfig,
@@ -361,3 +362,12 @@ def test_non_json_body_is_not_cached(online, tmp_path):
             client.fetch_work("W1")
     assert client.cache.get("works", f"{BASE}/works/W1") is None
     assert not (tmp_path / "cache" / "works.jsonl").exists()
+
+
+def test_failed_cache_append_is_file_unwritable(online, tmp_path):
+    client, replies, _, _ = online
+    (tmp_path / "cache" / "works.jsonl").mkdir(parents=True)  # in the way of the append
+    replies.append(FakeResponse(200))
+    with pytest.raises(FileUnwritable, match="works.jsonl"):
+        client.fetch_work("W1")
+    assert client.cache.get("works", f"{BASE}/works/W1") is None

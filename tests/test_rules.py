@@ -11,11 +11,12 @@ from teamroles.rules import (
     KeywordTaxonomy,
     NoKeywordMatch,
     TaxonomyOverlap,
+    _tokenize,
     classify_statement,
     load_taxonomy,
     match_stems,
 )
-from teamroles.types import RoleLabel
+from teamroles.types import ROLE_ORDER, RoleLabel
 
 ALL_STEM_WORDS = {
     RoleLabel.LEADERSHIP: ["designing", "conceptualized", "directed", "supervises",
@@ -104,3 +105,78 @@ def test_fuzz_highest_category_wins():
         statement = " ".join(w for w, _ in picked)
         expected = max((role for _, role in picked), key=lambda r: r.rank)
         assert classify_statement(statement) is expected
+
+
+def match_stems_reference(statement, taxonomy=KeywordTaxonomy()):
+    """Every stem of every role tried on every token with startswith: the matcher
+    before the taxonomy was compiled into per-length tables and a token memo."""
+    aliases = taxonomy.alias_map
+    matches = set()
+    for token in _tokenize(statement):
+        token = aliases.get(token, token)
+        for role, stems in taxonomy.stems_by_role().items():
+            for stem in stems:
+                if token.startswith(stem):
+                    matches.add((stem, role))
+    return matches
+
+
+# a small alphabet, so stems often prefix one another and tokens
+words = st.text("abe", min_size=1, max_size=5)
+
+
+@st.composite
+def taxonomies(draw):
+    stems = draw(st.lists(words, unique=True, max_size=10))
+    roles = draw(st.lists(st.sampled_from(ROLE_ORDER), min_size=len(stems), max_size=len(stems)))
+    by_role = [frozenset(s for s, r in zip(stems, roles) if r is role) for role in ROLE_ORDER]
+    aliases = draw(st.dictionaries(words, words, max_size=3))
+    return KeywordTaxonomy(*by_role, aliases=tuple(sorted(aliases.items())))
+
+
+statements = st.lists(st.text("abeAB", max_size=6), max_size=8).map(" -".join)
+
+
+@given(taxonomies(), statements)
+def test_match_stems_equals_the_per_stem_loop(taxonomy, statement):
+    assert match_stems(statement, taxonomy) == match_stems_reference(statement, taxonomy)
+
+
+@given(st.lists(st.sampled_from(sorted(DEFAULT_LEADERSHIP_STEMS | DEFAULT_DIRECT_STEMS
+                                       | DEFAULT_INDIRECT_STEMS | {"wrote", "the", "ran"})),
+                max_size=6),
+       st.lists(st.text("aeinorsdg", max_size=4), min_size=6, max_size=6))
+def test_default_match_stems_equals_the_per_stem_loop(stems, suffixes):
+    statement = " ".join(stem + suffix for stem, suffix in zip(stems, suffixes))
+    assert match_stems(statement) == match_stems_reference(statement)
+
+
+def test_stem_that_prefixes_another_stem():
+    taxonomy = KeywordTaxonomy(
+        leadership_stems=frozenset({"editor"}),
+        direct_stems=frozenset({"help"}),
+        indirect_stems=frozenset({"edit"}),
+        aliases=(("ed", "editor"),),
+    )
+    for _ in range(2):  # the second round answers from the memo
+        assert match_stems("editorial edits", taxonomy) == {
+            ("editor", RoleLabel.LEADERSHIP), ("edit", RoleLabel.INDIRECT_SUPPORT)
+        }
+        assert match_stems("ed", taxonomy) == {
+            ("editor", RoleLabel.LEADERSHIP), ("edit", RoleLabel.INDIRECT_SUPPORT)
+        }
+        assert classify_statement("edited", taxonomy) is RoleLabel.INDIRECT_SUPPORT
+
+
+def test_taxonomies_do_not_share_answers():
+    a = KeywordTaxonomy(frozenset({"lead"}), frozenset({"do"}), frozenset({"watch"}),
+                        aliases=(("led", "lead"),))
+    b = KeywordTaxonomy(frozenset({"watch"}), frozenset({"lead"}), frozenset({"do"}))
+    for _ in range(2):  # the second round answers from each taxonomy's memo
+        assert classify_statement("leading", a) is RoleLabel.LEADERSHIP
+        assert classify_statement("leading", b) is RoleLabel.DIRECT_SUPPORT
+        assert classify_statement("led", a) is RoleLabel.LEADERSHIP
+        with pytest.raises(NoKeywordMatch):
+            classify_statement("led", b)
+        with pytest.raises(NoKeywordMatch):
+            classify_statement("leading")

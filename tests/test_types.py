@@ -65,6 +65,14 @@ def test_role_serialization_round_trip():
         assert RoleLabel.from_string(label.value) is label
     for label in BinaryRole:
         assert BinaryRole.from_string(label.value) is label
+    for text in ("direct support", "  DIRECT SUPPORT\n", "Direct_Support", "direct_support "):
+        assert RoleLabel.from_string(text) is RoleLabel.DIRECT_SUPPORT
+    assert RoleLabel.from_string("\tleadership") is RoleLabel.LEADERSHIP
+    assert BinaryRole.from_string(" SUPPORT ") is BinaryRole.SUPPORT
+    with pytest.raises(ValueError, match=r"^unknown role label: 'Boss'$"):
+        RoleLabel.from_string("Boss")
+    with pytest.raises(ValueError, match=r"^unknown binary role: 'Leadership_'$"):
+        BinaryRole.from_string("Leadership_")  # only the three-level parser reads _ as a space
 
 
 @pytest.mark.parametrize(
