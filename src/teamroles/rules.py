@@ -4,19 +4,16 @@ A statement is classified by prefix-matching verb stems against three
 disjoint stem sets and taking the highest-ranked role among the matches.
 Also serves as the deterministic oracle behind the mock chat backend.
 
-Each taxonomy is compiled once, on first use, and kept for the life of the
-process (the last 16 distinct taxonomies). The compiled form groups the
-stems by length, so a token costs one dict lookup per distinct stem length
-instead of one prefix test per stem, and memoizes the matches of the 4096
-tokens it saw most recently. Statements reuse a small vocabulary, so most
-tokens are memo hits.
+Each taxonomy groups its stems by length once, on first use, so a token
+costs one dict lookup per distinct stem length instead of one prefix test
+per stem.
 """
 from __future__ import annotations
 
 import json
 import re
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, reduce
 from pathlib import Path
 from typing import Dict, FrozenSet, Set, Tuple
 
@@ -71,6 +68,15 @@ class KeywordTaxonomy:
             RoleLabel.INDIRECT_SUPPORT: self.indirect_stems,
         }
 
+    @cached_property
+    def _tables(self) -> Tuple[list, Dict[str, str]]:
+        """(length, {stem: role}) pairs, shortest stems first, and the alias map."""
+        by_length: Dict[int, Dict[str, RoleLabel]] = {}
+        for role, stems in self.stems_by_role().items():
+            for stem in stems:
+                by_length.setdefault(len(stem), {})[stem] = role
+        return sorted(by_length.items()), self.alias_map
+
 
 def load_taxonomy(path) -> KeywordTaxonomy:
     """Load a taxonomy override from a JSON file mapping role -> stem list.
@@ -91,40 +97,18 @@ def _tokenize(statement: str) -> list:
     return _TOKEN_RE.findall(statement.lower())
 
 
-class _CompiledTaxonomy:
-    """A taxonomy's stems grouped by length, with a bounded per-token memo."""
-
-    def __init__(self, taxonomy: KeywordTaxonomy):
-        self.aliases = taxonomy.alias_map
-        by_length: Dict[int, Dict[str, RoleLabel]] = {}
-        for role, stems in taxonomy.stems_by_role().items():
-            for stem in stems:
-                by_length.setdefault(len(stem), {})[stem] = role
-        self.tables = sorted(by_length.items())
-        # threads may share an lru_cache; two that miss one token at once both match it
-        self.token_matches = lru_cache(maxsize=4096)(self._token_matches)
-
-    def _token_matches(self, token: str) -> Tuple[Tuple[str, RoleLabel], ...]:
-        token = self.aliases.get(token, token)
-        found = []
-        for length, table in self.tables:
+def match_stems(statement: str, taxonomy: KeywordTaxonomy = KeywordTaxonomy()) -> Set[Tuple[str, RoleLabel]]:
+    """All (stem, role) pairs whose stem prefixes some word of the statement."""
+    tables, aliases = taxonomy._tables
+    matches = set()
+    for token in set(_tokenize(statement)):
+        token = aliases.get(token, token)
+        for length, table in tables:
             if length > len(token):
                 break
             role = table.get(token[:length])
             if role is not None:
-                found.append((token[:length], role))
-        return tuple(found)
-
-
-_compiled = lru_cache(maxsize=16)(_CompiledTaxonomy)
-
-
-def match_stems(statement: str, taxonomy: KeywordTaxonomy = KeywordTaxonomy()) -> Set[Tuple[str, RoleLabel]]:
-    """All (stem, role) pairs whose stem prefixes some word of the statement."""
-    token_matches = _compiled(taxonomy).token_matches
-    matches = set()
-    for token in set(_tokenize(statement)):
-        matches.update(token_matches(token))
+                matches.add((token[:length], role))
     return matches
 
 

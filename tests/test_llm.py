@@ -1,7 +1,3 @@
-import itertools
-import random
-import sys
-
 import pytest
 
 from teamroles.llm import (
@@ -19,8 +15,8 @@ from teamroles.llm import (
     read_outcomes,
     write_outcomes,
 )
-from teamroles.rules import KeywordTaxonomy, classify_statement
-from teamroles.types import ROLE_ORDER, ContributionRecord, Journal, RoleLabel
+from teamroles.rules import classify_statement
+from teamroles.types import ContributionRecord, Journal, RoleLabel
 
 
 def make_record(statement, position=1, paper="W1"):
@@ -181,31 +177,6 @@ def test_concurrent_batch_matches_serial():
     serial = classify_batch(records, MockBackend())
     parallel = classify_batch(records, MockBackend(), config=BackendConfig(max_concurrency=4))
     assert serial == parallel
-
-
-def test_concurrent_batch_shares_the_token_memo():
-    """Threads classify through one taxonomy's memo while it fills and evicts."""
-    stems = {RoleLabel.LEADERSHIP: ["lead", "plan"], RoleLabel.DIRECT_SUPPORT: ["help", "ran"],
-             RoleLabel.INDIRECT_SUPPORT: ["read", "saw"]}
-    taxonomy = KeywordTaxonomy(*(frozenset(stems[role]) for role in ROLE_ORDER))
-    vocab = [(stem + suffix, role) for role in ROLE_ORDER for stem in stems[role]
-             for suffix in ("".join(p) for p in itertools.product("xyzqvw", repeat=5))][::5]
-    rng = random.Random(3)
-    records, expected = [], []
-    for i in range(2000):
-        picked = rng.sample(vocab, 4)
-        records.append(make_record(" ".join(word for word, _ in picked), paper=f"W{i}"))
-        expected.append(max((role for _, role in picked), key=lambda r: r.rank))
-    assert len({word for r in records for word in r.statement.split()}) > 4096  # the memo bound
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        parallel = classify_batch(records, MockBackend(taxonomy),
-                                  config=BackendConfig(max_concurrency=4))
-    finally:
-        sys.setswitchinterval(interval)
-    assert [o.label for o in parallel] == expected
-    assert classify_batch(records, MockBackend(taxonomy)) == parallel
 
 
 def test_outcomes_round_trip(tmp_path):

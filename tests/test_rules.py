@@ -109,7 +109,7 @@ def test_fuzz_highest_category_wins():
 
 def match_stems_reference(statement, taxonomy=KeywordTaxonomy()):
     """Every stem of every role tried on every token with startswith: the matcher
-    before the taxonomy was compiled into per-length tables and a token memo."""
+    before the taxonomy grouped its stems into per-length tables."""
     aliases = taxonomy.alias_map
     matches = set()
     for token in _tokenize(statement):
@@ -158,7 +158,7 @@ def test_stem_that_prefixes_another_stem():
         indirect_stems=frozenset({"edit"}),
         aliases=(("ed", "editor"),),
     )
-    for _ in range(2):  # the second round answers from the memo
+    for _ in range(2):  # the second round uses the tables built by the first
         assert match_stems("editorial edits", taxonomy) == {
             ("editor", RoleLabel.LEADERSHIP), ("edit", RoleLabel.INDIRECT_SUPPORT)
         }
@@ -172,7 +172,7 @@ def test_taxonomies_do_not_share_answers():
     a = KeywordTaxonomy(frozenset({"lead"}), frozenset({"do"}), frozenset({"watch"}),
                         aliases=(("led", "lead"),))
     b = KeywordTaxonomy(frozenset({"watch"}), frozenset({"lead"}), frozenset({"do"}))
-    for _ in range(2):  # the second round answers from each taxonomy's memo
+    for _ in range(2):  # the second round uses each taxonomy's own tables
         assert classify_statement("leading", a) is RoleLabel.LEADERSHIP
         assert classify_statement("leading", b) is RoleLabel.DIRECT_SUPPORT
         assert classify_statement("led", a) is RoleLabel.LEADERSHIP
