@@ -10,7 +10,7 @@ rejects report instead of being silently dropped.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -28,7 +28,6 @@ from .types import (
 )
 
 REQUIRED_FIELDS = ("paper_id", "journal", "year", "author_name", "statement")
-OPTIONAL_FIELDS = ("author_position", "is_corresponding", "gold_role")
 
 
 class MissingColumn(PipelineError):
@@ -55,7 +54,6 @@ class NonPositiveInput(PipelineError):
 class CorpusFile:
     path: Path
     format: str = "delimited-table"  # or "json-lines"
-    column_map: Dict[str, str] = field(default_factory=dict)  # source column -> record field
     delimiter: str = ","
 
     def __post_init__(self):
@@ -101,7 +99,6 @@ def parse_corpus(file: CorpusFile) -> ParseResult:
 
     record count + reject count always equals the input row count.
     """
-    column_map = dict(file.column_map)
     records: List[ContributionRecord] = []
     rejects: List[Reject] = []
     # per-paper fallback when the source carries no position column
@@ -114,11 +111,7 @@ def parse_corpus(file: CorpusFile) -> ParseResult:
     else:
         rows = artifacts.read_csv(file.path, delimiter=file.delimiter)
     first = True
-    for lineno, raw in rows:
-        if column_map:
-            row = {column_map.get(k, k): v for k, v in raw.items()}
-        else:
-            row = dict(raw)
+    for lineno, row in rows:
         if first:
             for name in REQUIRED_FIELDS:
                 if name not in row:
@@ -128,19 +121,19 @@ def parse_corpus(file: CorpusFile) -> ParseResult:
         try:
             journal = parse_journal(str(row["journal"]))
         except UnknownJournal:
-            rejects.append(Reject(lineno, raw, "unknown_journal"))
+            rejects.append(Reject(lineno, row, "unknown_journal"))
             continue
         try:
             year = int(row["year"])
         except (TypeError, ValueError):
-            rejects.append(Reject(lineno, raw, "bad_year"))
+            rejects.append(Reject(lineno, row, "bad_year"))
             continue
         if not (CORPUS_YEAR_MIN <= year <= CORPUS_YEAR_MAX):
-            rejects.append(Reject(lineno, raw, "year_out_of_range"))
+            rejects.append(Reject(lineno, row, "year_out_of_range"))
             continue
         statement = str(row["statement"]).strip()
         if not statement:
-            rejects.append(Reject(lineno, raw, "empty_statement"))
+            rejects.append(Reject(lineno, row, "empty_statement"))
             continue
 
         paper_id = str(row["paper_id"])
@@ -148,12 +141,12 @@ def parse_corpus(file: CorpusFile) -> ParseResult:
             try:
                 position = int(row["author_position"])
             except (TypeError, ValueError):
-                rejects.append(Reject(lineno, raw, "bad_author_position"))
+                rejects.append(Reject(lineno, row, "bad_author_position"))
                 continue
         else:
             position = position_counter.get(paper_id, 0) + 1
         if position < 1:
-            rejects.append(Reject(lineno, raw, "bad_author_position"))
+            rejects.append(Reject(lineno, row, "bad_author_position"))
             continue
         position_counter[paper_id] = max(position_counter.get(paper_id, 0), position)
 
@@ -162,10 +155,10 @@ def parse_corpus(file: CorpusFile) -> ParseResult:
             try:
                 gold_role = RoleLabel.from_string(str(row["gold_role"]))
             except ValueError:
-                rejects.append(Reject(lineno, raw, "bad_gold_role"))
+                rejects.append(Reject(lineno, row, "bad_gold_role"))
                 continue
         if (paper_id, position) in taken:
-            rejects.append(Reject(lineno, raw, "duplicate_position"))
+            rejects.append(Reject(lineno, row, "duplicate_position"))
             continue
         taken.add((paper_id, position))
 

@@ -21,6 +21,7 @@ from .rules import KeywordTaxonomy, NoKeywordMatch, classify_statement
 from .types import ROLE_ORDER, ContributionRecord, RoleLabel
 
 TRUNCATION_MARKER = " ...[statement truncated]"
+RETRY_BACKOFF_S = 1.0  # first wait after a TransportFailure; doubled per attempt
 
 
 class EmptyStatement(PipelineError):
@@ -97,8 +98,6 @@ class BackendConfig:
     max_retries: int = 2
     timeout: float = 30.0
     api_key_env: str = "TEAMROLES_API_KEY"
-    retry_backoff: float = 1.0  # seconds; doubled per attempt
-    max_concurrency: int = 1
 
     def __post_init__(self):
         if self.temperature < 0:
@@ -230,7 +229,7 @@ def _classify_one(
         except TransportFailure as exc:
             if attempt == config.max_retries:
                 return BatchOutcome(record.record_id, None, f"TransportFailure: {exc}", None)
-            sleep(config.retry_backoff * (2**attempt))
+            sleep(RETRY_BACKOFF_S * (2**attempt))
 
     digest = hashlib.sha256(response.encode("utf-8")).hexdigest()
     try:
@@ -249,17 +248,8 @@ def classify_batch(
 ) -> List[BatchOutcome]:
     """Classify every record; per-record failures never abort the batch.
 
-    Results preserve input order. Concurrency is bounded by
-    config.max_concurrency; the mock backend is pure, so concurrent runs
-    stay deterministic.
+    Results preserve input order.
     """
-    if config.max_concurrency > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=config.max_concurrency) as pool:
-            return list(
-                pool.map(lambda r: _classify_one(r, backend, template, config, sleep), records)
-            )
     return [_classify_one(r, backend, template, config, sleep) for r in records]
 
 

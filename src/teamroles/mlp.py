@@ -233,10 +233,6 @@ def model_input(model: TrainedModel, features: FeatureVector) -> np.ndarray:
     return model_inputs(model, [features])[0]
 
 
-def predict_proba(model: TrainedModel, features: FeatureVector) -> float:
-    return forward(model.params, model_input(model, features))
-
-
 def predict_batch(model: TrainedModel, X: np.ndarray, threshold: float = 0.5) -> List[BinaryRole]:
     """Predicted role for each row of a model input matrix (see model_inputs)."""
     return [

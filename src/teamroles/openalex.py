@@ -326,7 +326,7 @@ class OpenAlexClient:
         url = f"{self.config.base_url}/works/{_short_id(work_id)}"
         return parse_work(self._request("works", url))
 
-    def fetch_author_profile(self, author_id: str, before_year: Optional[int] = None) -> AuthorProfile:
+    def fetch_author_profile(self, author_id: str) -> AuthorProfile:
         """Page through an author's works and build their publication history."""
         author_id = _short_id(author_id)
         cursor = "*"
@@ -346,8 +346,6 @@ class OpenAlexClient:
                     continue
                 mine = [a for a in work.authorships if a.author_id == author_id]
                 if not mine:
-                    continue
-                if before_year is not None and work.year >= before_year:
                     continue
                 seen.add(work.work_id)
                 entries.append(

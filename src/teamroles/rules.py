@@ -10,11 +10,9 @@ per stem.
 """
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from pathlib import Path
 from typing import Dict, FrozenSet, Set, Tuple
 
 from .errors import PipelineError
@@ -76,20 +74,6 @@ class KeywordTaxonomy:
             for stem in stems:
                 by_length.setdefault(len(stem), {})[stem] = role
         return sorted(by_length.items()), self.alias_map
-
-
-def load_taxonomy(path) -> KeywordTaxonomy:
-    """Load a taxonomy override from a JSON file mapping role -> stem list.
-
-    Disjointness is validated on construction.
-    """
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return KeywordTaxonomy(
-        leadership_stems=frozenset(data["leadership"]),
-        direct_stems=frozenset(data["direct_support"]),
-        indirect_stems=frozenset(data["indirect_support"]),
-        aliases=tuple(sorted(data.get("aliases", {}).items())),
-    )
 
 
 def _tokenize(statement: str) -> list:

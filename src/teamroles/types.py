@@ -88,7 +88,6 @@ _JOURNAL_ALIASES = {
     "nature": Journal.NATURE,
     "science": Journal.SCIENCE,
     "plos one": Journal.PLOS_ONE,
-    "plos  one": Journal.PLOS_ONE,
     "plosone": Journal.PLOS_ONE,
 }
 
@@ -232,10 +231,3 @@ class FeatureVector:
         if len(values) != len(FEATURE_NAMES):
             raise ValueError(f"expected {len(FEATURE_NAMES)} values, got {len(values)}")
         return cls(*[float(v) for v in values])
-
-    def to_dict(self) -> dict:
-        return {name: float(getattr(self, name)) for name in FEATURE_NAMES}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FeatureVector":
-        return cls(**{name: float(data[name]) for name in FEATURE_NAMES})

@@ -239,7 +239,7 @@ def test_criterion_04_feature_oracle_equivalence(cache_dir, fixture_cache_raw):
         )
         for auth in focal["authorships"]:
             author_id = _strip(auth["author"]["id"])
-            profile = client.fetch_author_profile(author_id, before_year=year)
+            profile = client.fetch_author_profile(author_id)
             got = extract_features(profile, focal_record).to_list()
             expected = _oracle_features(fixture_cache_raw, author_id, focal)
             assert got == expected, (paper_id, author_id)
@@ -520,7 +520,7 @@ def test_criterion_10_llm_path_contract(corpus_csv):
                 raise TransportFailure("injected")
             return self.mock.complete(prompt, config)
 
-    config = BackendConfig(max_retries=0, retry_backoff=0.0)
+    config = BackendConfig(max_retries=0)
     outcomes = classify_batch(classifiable[:10], FailFirst(), config=config,
                               sleep=lambda s: None)
     assert outcomes[0].label is None and "TransportFailure" in outcomes[0].error

@@ -66,19 +66,16 @@ def test_unreadable_file(tmp_path):
         parse_corpus(CorpusFile(path=tmp_path / "nope.csv"))
 
 
-def test_json_lines_format_and_column_map(tmp_path):
+def test_json_lines_format(tmp_path):
     path = tmp_path / "corpus.jsonl"
     rows = [
-        {"id": "W1", "venue": "PLOS One", "year": 2012, "name": "Ann Lee", "text": "designed"},
-        {"id": "W1", "venue": "PLOS One", "year": 2012, "name": "Bo Chen", "text": "helped"},
+        {"paper_id": "W1", "journal": "PLOS One", "year": 2012, "author_name": "Ann Lee",
+         "statement": "designed"},
+        {"paper_id": "W1", "journal": "PLOS One", "year": 2012, "author_name": "Bo Chen",
+         "statement": "helped"},
     ]
     path.write_text("\n".join(json.dumps(r) for r in rows))
-    file = CorpusFile(
-        path=path,
-        format="json-lines",
-        column_map={"id": "paper_id", "venue": "journal", "name": "author_name", "text": "statement"},
-    )
-    result = parse_corpus(file)
+    result = parse_corpus(CorpusFile(path=path, format="json-lines"))
     assert len(result.records) == 2
     assert result.records[0].journal is Journal.PLOS_ONE
 

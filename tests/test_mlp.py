@@ -16,7 +16,6 @@ from teamroles.mlp import (
     load_model,
     model_input,
     predict,
-    predict_proba,
     save_model,
     train,
 )
@@ -185,7 +184,7 @@ def test_feature_subset_model():
     assert model.params.input_dim == 8
     x = model_input(model, examples[0].features)
     assert x.shape == (8,)
-    assert 0.0 < predict_proba(model, examples[0].features) < 1.0
+    assert 0.0 < forward(model.params, x) < 1.0
 
 
 def test_predict_threshold():
@@ -215,7 +214,9 @@ def test_save_load_round_trip(tmp_path):
     assert loaded.ranges == model.ranges
     assert loaded.loss_history == model.loss_history
     for ex in examples[:10]:
-        assert predict_proba(loaded, ex.features) == predict_proba(model, ex.features)
+        assert forward(loaded.params, model_input(loaded, ex.features)) == forward(
+            model.params, model_input(model, ex.features)
+        )
 
 
 def test_save_model_byte_deterministic(tmp_path):

@@ -13,7 +13,6 @@ from teamroles.rules import (
     TaxonomyOverlap,
     _tokenize,
     classify_statement,
-    load_taxonomy,
     match_stems,
 )
 from teamroles.types import ROLE_ORDER, RoleLabel
@@ -70,19 +69,6 @@ def test_classify_statement_examples():
 def test_taxonomy_disjointness_enforced():
     with pytest.raises(TaxonomyOverlap):
         KeywordTaxonomy(leadership_stems=frozenset({"design", "help"}))
-
-
-def test_taxonomy_json_round_trip(tmp_path):
-    path = tmp_path / "taxonomy.json"
-    path.write_text(
-        '{"leadership": ["lead"], "direct_support": ["do"], '
-        '"indirect_support": ["watch"], "aliases": {"led": "lead"}}'
-    )
-    taxonomy = load_taxonomy(path)
-    assert classify_statement("led the team", taxonomy) is RoleLabel.LEADERSHIP
-    path.write_text('{"leadership": ["x"], "direct_support": ["x"], "indirect_support": ["y"]}')
-    with pytest.raises(TaxonomyOverlap):
-        load_taxonomy(path)
 
 
 @given(st.permutations(["designed", "provided", "analyzed", "commented"]))
