@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +82,16 @@ def load_config(args) -> dict:
     return config
 
 
+@contextmanager
+def _config_values(section: str):
+    """Turn a config value that a stage's settings reject (a TypeError or
+    ValueError while they are built) into a ConfigError naming the section."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
+
+
 def _out(config: dict, key: str) -> Path:
     return Path(config["output_dir"]) / ARTIFACTS[key]
 
@@ -135,12 +146,13 @@ def cmd_ingest(args, config) -> int:
 def cmd_sample(args, config) -> int:
     records = ingest.read_corpus(_require("sample", _out(config, "corpus")))
     papers = ingest.group_papers(records)
-    plan = ingest.SamplingPlan(
-        per_journal=config["sampling"]["per_journal"],
-        min_team=config["sampling"]["min_team"],
-        max_team=config["sampling"]["max_team"],
-        seed=int(config["seed"]),
-    )
+    with _config_values("sampling"):
+        plan = ingest.SamplingPlan(
+            per_journal=config["sampling"]["per_journal"],
+            min_team=config["sampling"]["min_team"],
+            max_team=config["sampling"]["max_team"],
+            seed=int(config["seed"]),
+        )
     selected = ingest.sample_papers(papers, plan)
     rows = [rec for paper in selected for rec in paper.authors]
     ingest.write_corpus(rows, _out(config, "sampled"))
@@ -167,13 +179,14 @@ def cmd_label_rule(args, config) -> int:
 
 def cmd_label_llm(args, config) -> int:
     records = ingest.read_corpus(_require("label-llm", _out(config, "corpus")))
-    backend_cfg = llm.BackendConfig(
-        endpoint_url=config["backend"]["endpoint_url"],
-        model_name=config["backend"]["model_name"],
-        temperature=config["backend"]["temperature"],
-        max_retries=config["backend"]["max_retries"],
-        api_key_env=config["backend"]["api_key_env"],
-    )
+    with _config_values("backend"):
+        backend_cfg = llm.BackendConfig(
+            endpoint_url=config["backend"]["endpoint_url"],
+            model_name=config["backend"]["model_name"],
+            temperature=config["backend"]["temperature"],
+            max_retries=config["backend"]["max_retries"],
+            api_key_env=config["backend"]["api_key_env"],
+        )
     if args.backend == "http":
         backend = llm.HttpBackend()
     else:
@@ -274,9 +287,11 @@ def cmd_featurize(args, config) -> int:
 
 def cmd_split(args, config) -> int:
     examples = dataset.read_examples(_require("split", _out(config, "features")))
+    with _config_values("split_ratio"):
+        ratio = dataset.check_ratio(float(config["split_ratio"]))
     result = dataset.stratified_split(
         examples,
-        ratio=float(config["split_ratio"]),
+        ratio=ratio,
         seed=int(config["seed"]),
         group_by_author=bool(args.group_by_author),
     )
@@ -289,13 +304,14 @@ def cmd_split(args, config) -> int:
 
 def cmd_train(args, config) -> int:
     examples = dataset.read_examples(_require("train", _out(config, "train")))
-    train_cfg = mlp.TrainConfig(
-        epochs=int(config["train"]["epochs"]),
-        batch_size=int(config["train"]["batch_size"]),
-        learning_rate=float(config["train"]["learning_rate"]),
-        hidden_sizes=tuple(config["train"]["hidden_sizes"]),
-        seed=int(config["seed"]),
-    )
+    with _config_values("train"):
+        train_cfg = mlp.TrainConfig(
+            epochs=int(config["train"]["epochs"]),
+            batch_size=int(config["train"]["batch_size"]),
+            learning_rate=float(config["train"]["learning_rate"]),
+            hidden_sizes=tuple(config["train"]["hidden_sizes"]),
+            seed=int(config["seed"]),
+        )
     model = mlp.train(examples, train_cfg)
     mlp.save_model(model, _out(config, "model"))
     print(f"train: {len(examples)} examples, final loss {model.loss_history[-1]:.4f}")
@@ -320,7 +336,11 @@ def cmd_explain(args, config) -> int:
     test_examples = dataset.read_examples(_require("explain", _out(config, "test")))
 
     rng = np.random.default_rng(int(config["seed"]))
-    n_baselines = min(int(config["explain"]["n_baseline_samples"]), len(train_examples))
+    with _config_values("explain"):
+        n_samples = int(config["explain"]["n_baseline_samples"])
+        if n_samples < 0:
+            raise ValueError(f"n_baseline_samples must be >= 0, got {n_samples}")
+    n_baselines = min(n_samples, len(train_examples))
     picks = rng.choice(len(train_examples), size=n_baselines, replace=False)
     baselines = [np.zeros(len(model.config.feature_indices))]
     baselines += [mlp.model_input(model, train_examples[i].features) for i in picks]

@@ -33,6 +33,13 @@ class SplitResult:
     ratio: float
 
 
+def check_ratio(ratio: float) -> float:
+    """`ratio` if it is a test fraction strictly between 0 and 1, else a ValueError."""
+    if not (0.0 < ratio < 1.0):
+        raise ValueError(f"ratio must be in (0,1), got {ratio}")
+    return ratio
+
+
 def stratified_split(
     examples: Sequence[LabeledExample],
     ratio: float,
@@ -50,8 +57,7 @@ def stratified_split(
     count can miss round(ratio * class_count). Off by default to match the
     plain example-level split.
     """
-    if not (0.0 < ratio < 1.0):
-        raise ValueError(f"ratio must be in (0,1), got {ratio}")
+    check_ratio(ratio)
 
     rng = random.Random(seed)
     by_class: Dict[BinaryRole, List[LabeledExample]] = {}

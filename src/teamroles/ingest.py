@@ -24,6 +24,8 @@ from .types import (
     PaperRecord,
     RoleLabel,
     UnknownJournal,
+    as_flag,
+    as_text,
     parse_journal,
 )
 
@@ -244,14 +246,16 @@ def record_to_json(rec: ContributionRecord) -> dict:
 
 def record_from_json(data: dict) -> ContributionRecord:
     return ContributionRecord(
-        paper_id=data["paper_id"],
+        paper_id=as_text(data["paper_id"]),
         journal=parse_journal(data["journal"]),
         year=int(data["year"]),
-        author_name=data["author_name"],
+        author_name=as_text(data["author_name"]),
         author_position=int(data["author_position"]),
-        is_corresponding=bool(data["is_corresponding"]),
-        statement=data["statement"],
-        gold_role=RoleLabel.from_string(data["gold_role"]) if data.get("gold_role") else None,
+        is_corresponding=as_flag(data["is_corresponding"]),
+        statement=as_text(data["statement"]),
+        gold_role=(
+            None if data.get("gold_role") is None else RoleLabel.from_string(data["gold_role"])
+        ),
     )
 
 

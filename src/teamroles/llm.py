@@ -18,7 +18,7 @@ from typing import Callable, List, Optional, Tuple
 from . import artifacts
 from .errors import PipelineError
 from .rules import KeywordTaxonomy, NoKeywordMatch, classify_statement
-from .types import ROLE_ORDER, ContributionRecord, RoleLabel
+from .types import ROLE_ORDER, ContributionRecord, RoleLabel, as_text
 
 TRUNCATION_MARKER = " ...[statement truncated]"
 RETRY_BACKOFF_S = 1.0  # first wait after a TransportFailure; doubled per attempt
@@ -268,8 +268,8 @@ def write_outcomes(outcomes: List[BatchOutcome], path) -> None:
 
 def outcome_from_json(data: dict) -> BatchOutcome:
     return BatchOutcome(
-        record_id=data["record_id"],
-        label=RoleLabel.from_string(data["label"]) if data.get("label") else None,
+        record_id=as_text(data["record_id"]),
+        label=None if data.get("label") is None else RoleLabel.from_string(data["label"]),
         error=data.get("error"),
         raw_response_hash=data.get("raw_response_hash"),
     )

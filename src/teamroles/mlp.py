@@ -50,6 +50,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if len(self.hidden_sizes) != 2:
+            raise ValueError("hidden_sizes must give the widths of two layers")
         if any(h < 1 for h in self.hidden_sizes):
             raise ValueError("hidden sizes must be >= 1")
         if len(set(self.feature_indices)) != len(self.feature_indices):
@@ -273,28 +275,40 @@ def save_model(model: TrainedModel, path) -> None:
     artifacts.write_json(path, data)
 
 
+def _array(value, shape: Tuple[int, ...]) -> np.ndarray:
+    array = np.array(value, dtype=float)
+    if array.shape != shape:
+        raise ValueError(f"shape {array.shape}, expected {shape}")
+    return array
+
+
 def model_from_json(data: dict) -> TrainedModel:
-    p = data["params"]
+    """The model a save_model file holds; each weight array must have the shape
+    that the config's feature count and hidden sizes give it."""
     cfg = data["config"]
+    config = TrainConfig(
+        epochs=cfg["epochs"],
+        batch_size=cfg["batch_size"],
+        learning_rate=cfg["learning_rate"],
+        hidden_sizes=tuple(cfg["hidden_sizes"]),
+        seed=cfg["seed"],
+        feature_indices=tuple(cfg["feature_indices"]),
+        class_weights=tuple(cfg["class_weights"]) if cfg.get("class_weights") else None,
+    )
+    h1, h2 = config.hidden_sizes
+    d = len(config.feature_indices)
+    p = data["params"]
     return TrainedModel(
         params=NetworkParams(
-            W1=np.array(p["W1"]),
-            b1=np.array(p["b1"]),
-            W2=np.array(p["W2"]),
-            b2=np.array(p["b2"]),
-            W3=np.array(p["W3"]),
+            W1=_array(p["W1"], (h1, d)),
+            b1=_array(p["b1"], (h1,)),
+            W2=_array(p["W2"], (h2, h1)),
+            b2=_array(p["b2"], (h2,)),
+            W3=_array(p["W3"], (h2,)),
             b3=float(p["b3"]),
         ),
         ranges=NormalizationRanges.from_dict(data["ranges"]),
-        config=TrainConfig(
-            epochs=cfg["epochs"],
-            batch_size=cfg["batch_size"],
-            learning_rate=cfg["learning_rate"],
-            hidden_sizes=tuple(cfg["hidden_sizes"]),
-            seed=cfg["seed"],
-            feature_indices=tuple(cfg["feature_indices"]),
-            class_weights=tuple(cfg["class_weights"]) if cfg.get("class_weights") else None,
-        ),
+        config=config,
         loss_history=list(data["loss_history"]),
     )
 

@@ -16,6 +16,21 @@ CORPUS_YEAR_MIN = 2003
 CORPUS_YEAR_MAX = 2020
 
 
+def as_text(value) -> str:
+    """`value` if it is a string, else a TypeError: a decoded JSON field that should
+    hold text may hold a number, a list or null."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+def as_flag(value) -> bool:
+    """`value` if it is a bool, else a TypeError (no truthiness: "no" is not True)."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
 class RoleLabel(Enum):
     """Three-level author-role taxonomy, ordered by hierarchy rank."""
 
@@ -30,7 +45,7 @@ class RoleLabel(Enum):
     @classmethod
     def from_string(cls, text: str) -> "RoleLabel":
         try:
-            return _ROLE_BY_KEY[text.strip().lower().replace("_", " ")]
+            return _ROLE_BY_KEY[as_text(text).strip().lower().replace("_", " ")]
         except KeyError:
             raise ValueError(f"unknown role label: {text!r}") from None
 
@@ -54,7 +69,7 @@ class BinaryRole(Enum):
     @classmethod
     def from_string(cls, text: str) -> "BinaryRole":
         try:
-            return _BINARY_BY_KEY[text.strip().lower()]
+            return _BINARY_BY_KEY[as_text(text).strip().lower()]
         except KeyError:
             raise ValueError(f"unknown binary role: {text!r}") from None
 
@@ -99,7 +114,7 @@ class UnknownJournal(PipelineError, ValueError):
 
 def parse_journal(name: str) -> Journal:
     """Normalize a journal string to the canonical enum; unknown names are rejected."""
-    key = " ".join(name.strip().lower().split())
+    key = " ".join(as_text(name).strip().lower().split())
     try:
         return _JOURNAL_ALIASES[key]
     except KeyError:

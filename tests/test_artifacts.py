@@ -175,6 +175,12 @@ def drop_model_param(path: Path, name: str) -> None:
     path.write_text(json.dumps(model, indent=2))
 
 
+def set_model_param(path: Path, name: str, value) -> None:
+    model = json.loads(path.read_text())
+    model["params"][name] = value
+    path.write_text(json.dumps(model, indent=2))
+
+
 def set_csv_field(path: Path, number: int, name: str, value: str) -> None:
     lines = path.read_text().split("\n")
     header = lines[0].split(",")
@@ -197,9 +203,19 @@ def set_csv_field(path: Path, number: int, name: str, value: str) -> None:
          "journal"),
         ("evaluate", "model.json", lambda p: drop_model_param(p, "W2"), 1, "params.W2"),
         ("featurize", "cache/works.jsonl", lambda p: set_field(p, 2, "body", None), 2, "body"),
+        ("lratio", "labels_rule.jsonl", lambda p: set_field(p, 2, "label", 5), 2, "label"),
+        ("label-rule", "corpus.jsonl", lambda p: set_field(p, 3, "statement", 7), 3,
+         "statement"),
+        ("featurize", "corpus.jsonl", lambda p: set_field(p, 3, "statement", 7), 3,
+         "statement"),
+        ("label-rule", "corpus.jsonl", lambda p: set_field(p, 5, "is_corresponding", "no"), 5,
+         "is_corresponding"),
+        ("evaluate", "model.json", lambda p: set_model_param(p, "W2", [[1.0]]), 1, "params.W2"),
     ],
     ids=["read_examples", "read_corpus", "read_outcomes-missing", "read_outcomes-bad",
-         "read_corpus-journal", "load_model", "cache_load"],
+         "read_corpus-journal", "load_model", "cache_load", "read_outcomes-label-type",
+         "read_corpus-statement-type", "featurize-statement-type", "read_corpus-flag-type",
+         "load_model-shape"],
 )
 def test_bad_field_exits_1_naming_path_line_and_field(
     stage_dir, tmp_path, capsys, stage, name, damage, line, field
@@ -329,3 +345,26 @@ def test_guard_sees_writes():
         "json.dump(d, fh)\ncsv.writer(fh)\nshutil.copyfile(a, b)\np.write_text(s)\n"
     )
     assert sorted(line for line, _ in _writes(tree)) == [1, 2, 3, 6, 7, 8, 9]
+
+
+def _sibling_imports(tree: ast.AST):
+    """Names a module imports from its own package (`from . import x`, `from .x import y`)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                yield node.module.split(".")[0]
+            else:
+                yield from (alias.name for alias in node.names)
+
+
+def test_every_module_is_reached_from_the_cli():
+    """A module no stage imports, directly or through another module, is dead code."""
+    modules = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
+    reached, todo = set(), ["cli"]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            tree = ast.parse((SRC / f"{name}.py").read_text(), filename=name)
+            todo += [m for m in _sibling_imports(tree) if m in modules]
+    assert sorted(modules - reached) == []

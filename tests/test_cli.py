@@ -221,6 +221,31 @@ def test_bad_config_file_exit_code(tmp_path):
     assert run("ingest", "--input", "x.csv", "--config", str(bad)) == 2
 
 
+@pytest.mark.parametrize(
+    "stage, user_config",
+    [
+        ("split", {"split_ratio": 2}),
+        ("train", {"train": {"epochs": 0}}),
+        ("train", {"train": {"hidden_sizes": [64]}}),
+        ("explain", {"explain": {"n_baseline_samples": -1}}),
+        ("label-llm", {"backend": {"temperature": -1}}),
+        ("sample", {"sampling": {"per_journal": 0}}),
+    ],
+    ids=["split_ratio", "epochs", "hidden_sizes", "n_baseline_samples", "temperature",
+         "per_journal"],
+)
+def test_out_of_range_config_value_exits_2(pipeline_dir, tmp_path, capsys, stage, user_config):
+    for name in ("corpus.jsonl", "features.csv", "train.csv", "test.csv", "model.json"):
+        shutil.copyfile(pipeline_dir / name, tmp_path / name)
+    (tmp_path / "config.json").write_text(json.dumps(user_config))
+    capsys.readouterr()
+    code = run(stage, "--config", str(tmp_path / "config.json"), "--output-dir", str(tmp_path))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_config_file_with_flag_override(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"output_dir": str(tmp_path / "from_config"),
