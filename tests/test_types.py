@@ -73,6 +73,9 @@ def test_role_serialization_round_trip():
         RoleLabel.from_string("Boss")
     with pytest.raises(ValueError, match=r"^unknown binary role: 'Leadership_'$"):
         BinaryRole.from_string("Leadership_")  # only the three-level parser reads _ as a space
+    for parse in (RoleLabel.from_string, BinaryRole.from_string, parse_journal):
+        with pytest.raises(TypeError, match=r"^expected a string, got 5$"):
+            parse(5)
 
 
 @pytest.mark.parametrize(
@@ -83,6 +86,7 @@ def test_role_serialization_round_trip():
         ("PLoS ONE", Journal.PLOS_ONE),
         ("PLOS One", Journal.PLOS_ONE),
         ("  Science ", Journal.SCIENCE),
+        ("PLoS  One", Journal.PLOS_ONE),
     ],
 )
 def test_parse_journal_aliases(name, expected):
