@@ -59,8 +59,8 @@ def write_text(path, text: str) -> None:
         fh.write(text)
 
 
-def write_json(path, data, indent=2) -> None:
-    write_text(path, json.dumps(data, indent=indent, sort_keys=True))
+def write_json(path, data) -> None:
+    write_text(path, json.dumps(data, indent=2, sort_keys=True))
 
 
 def write_jsonl(path, rows: Iterable[dict]) -> None:

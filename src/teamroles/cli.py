@@ -92,6 +92,16 @@ def _config_values(section: str):
         raise ConfigError(f"{section}: {exc}") from exc
 
 
+def _seed(config: dict) -> int:
+    """The pipeline seed, checked once for every stage that uses it: numpy's
+    generators, which train and explain seed, take no negative seed."""
+    with _config_values("seed"):
+        seed = int(config["seed"])
+        if seed < 0:
+            raise ValueError(f"must be >= 0, got {seed}")
+    return seed
+
+
 def _out(config: dict, key: str) -> Path:
     return Path(config["output_dir"]) / ARTIFACTS[key]
 
@@ -151,7 +161,7 @@ def cmd_sample(args, config) -> int:
             per_journal=config["sampling"]["per_journal"],
             min_team=config["sampling"]["min_team"],
             max_team=config["sampling"]["max_team"],
-            seed=int(config["seed"]),
+            seed=_seed(config),
         )
     selected = ingest.sample_papers(papers, plan)
     rows = [rec for paper in selected for rec in paper.authors]
@@ -292,7 +302,7 @@ def cmd_split(args, config) -> int:
     result = dataset.stratified_split(
         examples,
         ratio=ratio,
-        seed=int(config["seed"]),
+        seed=_seed(config),
         group_by_author=bool(args.group_by_author),
     )
     dataset.write_examples(result.train, _out(config, "train"))
@@ -310,7 +320,7 @@ def cmd_train(args, config) -> int:
             batch_size=int(config["train"]["batch_size"]),
             learning_rate=float(config["train"]["learning_rate"]),
             hidden_sizes=tuple(config["train"]["hidden_sizes"]),
-            seed=int(config["seed"]),
+            seed=_seed(config),
         )
     model = mlp.train(examples, train_cfg)
     mlp.save_model(model, _out(config, "model"))
@@ -335,7 +345,7 @@ def cmd_explain(args, config) -> int:
     train_examples = dataset.read_examples(_require("explain", _out(config, "train")))
     test_examples = dataset.read_examples(_require("explain", _out(config, "test")))
 
-    rng = np.random.default_rng(int(config["seed"]))
+    rng = np.random.default_rng(_seed(config))
     with _config_values("explain"):
         n_samples = int(config["explain"]["n_baseline_samples"])
         if n_samples < 0:

@@ -258,9 +258,7 @@ class SummaryRow:
     sign_consistency: float
 
 
-def shap_summary(
-    attributions: Sequence[Attribution], feature_names: Sequence[str] = FEATURE_NAMES
-) -> List[SummaryRow]:
+def shap_summary(attributions: Sequence[Attribution]) -> List[SummaryRow]:
     """Feature-importance ranking by mean |phi|, stable tie-break by index."""
     if not attributions:
         raise EmptyInput("no attributions to summarize")
@@ -269,7 +267,7 @@ def shap_summary(
     mean = phis.mean(axis=0)
 
     rows = []
-    for i, name in enumerate(feature_names):
+    for i, name in enumerate(FEATURE_NAMES):
         dominant = np.sign(mean[i])
         if dominant == 0:
             consistency = 1.0
@@ -281,12 +279,9 @@ def shap_summary(
 
 
 def write_attributions(
-    attributions: Sequence[Attribution],
-    example_ids: Sequence[str],
-    path,
-    feature_names: Sequence[str] = FEATURE_NAMES,
+    attributions: Sequence[Attribution], example_ids: Sequence[str], path
 ) -> None:
-    header = ["example_id", *[f"phi_{n}" for n in feature_names], "base_value", "prediction"]
+    header = ["example_id", *[f"phi_{n}" for n in FEATURE_NAMES], "base_value", "prediction"]
     rows = (
         [ex_id, *[repr(float(v)) for v in attr.phi], repr(float(attr.base_value)),
          repr(float(attr.prediction))]

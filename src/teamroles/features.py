@@ -147,7 +147,14 @@ class NormalizationRanges:
 
     @classmethod
     def from_dict(cls, data: dict) -> "NormalizationRanges":
-        return cls(tuple(float(v) for v in data["mins"]), tuple(float(v) for v in data["maxs"]))
+        """The ranges to_dict wrote for a whole feature vector: one (min, max) per feature."""
+        return cls(_per_feature(data["mins"]), _per_feature(data["maxs"]))
+
+
+def _per_feature(values) -> Tuple[float, ...]:
+    if len(values) != len(FEATURE_NAMES):
+        raise ValueError(f"{len(values)} values, expected one per feature ({len(FEATURE_NAMES)})")
+    return tuple(float(v) for v in values)
 
 
 def fit_normalization(matrix: Sequence[FeatureVector]) -> NormalizationRanges:

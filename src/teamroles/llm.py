@@ -4,6 +4,11 @@ The backend is a single `complete(prompt, config) -> text` operation.
 Two implementations ship: a generic HTTPS chat-completion client and a
 deterministic mock that delegates to the keyword classifier, so the whole
 pipeline runs offline.
+
+Every backend gets the same prompt, as in the paper: the role definitions,
+the few-shot examples and the instruction are module constants, and the
+prompt head they make, with the characters it leaves for the statement
+within CHAR_BUDGET, is rendered once at import.
 """
 from __future__ import annotations
 
@@ -12,16 +17,17 @@ import os
 import re
 import time
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, List, Optional, Tuple
 
 from . import artifacts
 from .errors import PipelineError
-from .rules import KeywordTaxonomy, NoKeywordMatch, classify_statement
-from .types import ROLE_ORDER, ContributionRecord, RoleLabel, as_text
+from .rules import NoKeywordMatch, classify_statement
+from .types import ContributionRecord, RoleLabel, as_text
 
 TRUNCATION_MARKER = " ...[statement truncated]"
 RETRY_BACKOFF_S = 1.0  # first wait after a TransportFailure; doubled per attempt
+HTTP_TIMEOUT_S = 30.0
+CHAR_BUDGET = 8000  # characters of a whole prompt; a longer statement is cut to fit
 
 
 class EmptyStatement(PipelineError):
@@ -60,34 +66,13 @@ DEFAULT_FEW_SHOT: Tuple[Tuple[str, RoleLabel], ...] = (
 
 _TAIL_FORMAT = '\nStatement: "{stmt}"\nRole:'
 
-
-@dataclass(frozen=True)
-class PromptTemplate:
-    role_definitions: str = DEFAULT_ROLE_DEFINITIONS
-    few_shot_examples: Tuple[Tuple[str, RoleLabel], ...] = DEFAULT_FEW_SHOT
-    instruction: str = DEFAULT_INSTRUCTION
-    char_budget: int = 8000
-
-    def __post_init__(self):
-        covered = {label for _, label in self.few_shot_examples}
-        missing = set(ROLE_ORDER) - covered
-        if missing:
-            raise ValueError(
-                f"few-shot examples must cover every role; missing {sorted(m.value for m in missing)}"
-            )
-
-    @cached_property
-    def _head(self) -> Tuple[str, int]:
-        """The fixed head of every prompt (definitions, examples, instruction) and the
-        characters it leaves for the statement, rendered once per template."""
-        parts = [self.role_definitions, "", "Examples:"]
-        for example_statement, label in self.few_shot_examples:
-            parts.append(f'Statement: "{example_statement}"')
-            parts.append(f"Role: {label.value}")
-        parts.append("")
-        parts.append(self.instruction)
-        head = "\n".join(parts)
-        return head, self.char_budget - len(head) - len(_TAIL_FORMAT.format(stmt=""))
+# the fixed head of every prompt, and the characters it leaves for the statement
+_HEAD = "\n".join([
+    DEFAULT_ROLE_DEFINITIONS, "", "Examples:",
+    *(f'Statement: "{text}"\nRole: {label.value}' for text, label in DEFAULT_FEW_SHOT),
+    "", DEFAULT_INSTRUCTION,
+])
+_STATEMENT_BUDGET = CHAR_BUDGET - len(_HEAD) - len(_TAIL_FORMAT.format(stmt=""))
 
 
 @dataclass(frozen=True)
@@ -96,7 +81,6 @@ class BackendConfig:
     model_name: str = "mock"
     temperature: float = 0.01
     max_retries: int = 2
-    timeout: float = 30.0
     api_key_env: str = "TEAMROLES_API_KEY"
 
     def __post_init__(self):
@@ -106,16 +90,15 @@ class BackendConfig:
             raise ValueError("max_retries must be >= 0")
 
 
-def build_prompt(record: ContributionRecord, template: PromptTemplate = PromptTemplate()) -> str:
+def build_prompt(record: ContributionRecord) -> str:
     """Render the deterministic few-shot prompt for one record."""
     statement = record.statement.strip()
     if not statement:
         raise EmptyStatement(f"record {record.record_id} has an empty statement")
 
-    head, budget = template._head
-    if len(statement) > budget:
-        statement = statement[: max(0, budget - len(TRUNCATION_MARKER))] + TRUNCATION_MARKER
-    return head + _TAIL_FORMAT.format(stmt=statement)
+    if len(statement) > _STATEMENT_BUDGET:
+        statement = statement[: _STATEMENT_BUDGET - len(TRUNCATION_MARKER)] + TRUNCATION_MARKER
+    return _HEAD + _TAIL_FORMAT.format(stmt=statement)
 
 
 _ROLE_PATTERNS = [
@@ -152,9 +135,6 @@ class MockBackend(ChatBackend):
     the parser reports as UnparseableResponse.
     """
 
-    def __init__(self, taxonomy: KeywordTaxonomy = KeywordTaxonomy()):
-        self.taxonomy = taxonomy
-
     def complete(self, prompt: str, config: BackendConfig) -> str:
         marker = 'Statement: "'
         start = prompt.rfind(marker)
@@ -163,7 +143,7 @@ class MockBackend(ChatBackend):
             return "I cannot find a statement to classify."
         statement = prompt[start + len(marker) : end]
         try:
-            label = classify_statement(statement, self.taxonomy)
+            label = classify_statement(statement)
         except NoKeywordMatch:
             return "I cannot determine this."
         return label.value
@@ -186,7 +166,7 @@ class HttpBackend(ChatBackend):
         }
         try:
             resp = requests.post(
-                config.endpoint_url, json=body, headers=headers, timeout=config.timeout
+                config.endpoint_url, json=body, headers=headers, timeout=HTTP_TIMEOUT_S
             )
             resp.raise_for_status()
             data = resp.json()
@@ -212,12 +192,11 @@ class BatchOutcome:
 def _classify_one(
     record: ContributionRecord,
     backend: ChatBackend,
-    template: PromptTemplate,
     config: BackendConfig,
     sleep: Callable[[float], None],
 ) -> BatchOutcome:
     try:
-        prompt = build_prompt(record, template)
+        prompt = build_prompt(record)
     except EmptyStatement as exc:
         return BatchOutcome(record.record_id, None, f"EmptyStatement: {exc}", None)
 
@@ -242,7 +221,6 @@ def _classify_one(
 def classify_batch(
     records: List[ContributionRecord],
     backend: ChatBackend,
-    template: PromptTemplate = PromptTemplate(),
     config: BackendConfig = BackendConfig(),
     sleep: Callable[[float], None] = time.sleep,
 ) -> List[BatchOutcome]:
@@ -250,7 +228,7 @@ def classify_batch(
 
     Results preserve input order.
     """
-    return [_classify_one(r, backend, template, config, sleep) for r in records]
+    return [_classify_one(r, backend, config, sleep) for r in records]
 
 
 def write_outcomes(outcomes: List[BatchOutcome], path) -> None:

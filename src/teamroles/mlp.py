@@ -56,6 +56,8 @@ class TrainConfig:
             raise ValueError("hidden sizes must be >= 1")
         if len(set(self.feature_indices)) != len(self.feature_indices):
             raise ValueError("feature_indices must be distinct")
+        if not all(0 <= i < len(FEATURE_NAMES) for i in self.feature_indices):
+            raise ValueError(f"feature_indices must lie in 0..{len(FEATURE_NAMES) - 1}")
 
 
 @dataclass
@@ -235,16 +237,16 @@ def model_input(model: TrainedModel, features: FeatureVector) -> np.ndarray:
     return model_inputs(model, [features])[0]
 
 
-def predict_batch(model: TrainedModel, X: np.ndarray, threshold: float = 0.5) -> List[BinaryRole]:
+def predict_batch(model: TrainedModel, X: np.ndarray) -> List[BinaryRole]:
     """Predicted role for each row of a model input matrix (see model_inputs)."""
     return [
-        BinaryRole.LEADERSHIP if y >= threshold else BinaryRole.SUPPORT
+        BinaryRole.LEADERSHIP if y >= 0.5 else BinaryRole.SUPPORT
         for y in forward_batch(model.params, X)
     ]
 
 
-def predict(model: TrainedModel, features: FeatureVector, threshold: float = 0.5) -> BinaryRole:
-    return predict_batch(model, model_inputs(model, [features]), threshold)[0]
+def predict(model: TrainedModel, features: FeatureVector) -> BinaryRole:
+    return predict_batch(model, model_inputs(model, [features]))[0]
 
 
 def save_model(model: TrainedModel, path) -> None:
@@ -286,7 +288,7 @@ def model_from_json(data: dict) -> TrainedModel:
     """The model a save_model file holds; each weight array must have the shape
     that the config's feature count and hidden sizes give it."""
     cfg = data["config"]
-    config = TrainConfig(
+    fields = dict(
         epochs=cfg["epochs"],
         batch_size=cfg["batch_size"],
         learning_rate=cfg["learning_rate"],
@@ -295,6 +297,8 @@ def model_from_json(data: dict) -> TrainedModel:
         feature_indices=tuple(cfg["feature_indices"]),
         class_weights=tuple(cfg["class_weights"]) if cfg.get("class_weights") else None,
     )
+    data["config"]  # read last, so a failed TrainConfig check is named `config`, not its last key
+    config = TrainConfig(**fields)
     h1, h2 = config.hidden_sizes
     d = len(config.feature_indices)
     p = data["params"]

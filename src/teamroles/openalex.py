@@ -24,6 +24,7 @@ from .errors import FileUnwritable, PipelineError, TruncatedLine
 from .types import AuthorProfile, WorkEntry
 
 PAGE_SIZE = 200
+MAX_REQUESTS_PER_SECOND = 8.0
 
 log = logging.getLogger(__name__)
 
@@ -64,7 +65,6 @@ class AmbiguousMatch(PipelineError):
 class ClientConfig:
     base_url: str = "https://api.openalex.org"
     mailto: Optional[str] = None
-    max_requests_per_second: float = 8.0
     cache_dir: Path = Path(".openalex-cache")
     offline: bool = False
 
@@ -93,8 +93,6 @@ class TokenBucket:
         self._lock = threading.Lock()
 
     def acquire(self) -> None:
-        if self.rate <= 0:
-            return
         with self._lock:
             while True:
                 now = self.clock()
@@ -286,7 +284,7 @@ class OpenAlexClient:
                  sleep: Callable[[float], None] = time.sleep):
         self.config = config
         self.cache = JsonLinesCache(config.cache_dir)
-        self.limiter = TokenBucket(config.max_requests_per_second, clock=clock, sleep=sleep)
+        self.limiter = TokenBucket(MAX_REQUESTS_PER_SECOND, clock=clock, sleep=sleep)
 
     def _request(self, kind: str, url: str) -> dict:
         cached = self.cache.get(kind, url)

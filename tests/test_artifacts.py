@@ -175,9 +175,16 @@ def drop_model_param(path: Path, name: str) -> None:
     path.write_text(json.dumps(model, indent=2))
 
 
-def set_model_param(path: Path, name: str, value) -> None:
+def set_model_field(path: Path, section: str, name: str, value) -> None:
     model = json.loads(path.read_text())
-    model["params"][name] = value
+    model[section][name] = value
+    path.write_text(json.dumps(model, indent=2))
+
+
+def drop_last_feature_range(path: Path) -> None:
+    model = json.loads(path.read_text())
+    for side in ("mins", "maxs"):
+        model["ranges"][side].pop()
     path.write_text(json.dumps(model, indent=2))
 
 
@@ -210,12 +217,20 @@ def set_csv_field(path: Path, number: int, name: str, value: str) -> None:
          "statement"),
         ("label-rule", "corpus.jsonl", lambda p: set_field(p, 5, "is_corresponding", "no"), 5,
          "is_corresponding"),
-        ("evaluate", "model.json", lambda p: set_model_param(p, "W2", [[1.0]]), 1, "params.W2"),
+        ("evaluate", "model.json", lambda p: set_model_field(p, "params", "W2", [[1.0]]), 1,
+         "params.W2"),
+        ("evaluate", "model.json",
+         lambda p: set_model_field(p, "config", "feature_indices", [*range(9), 99]), 1, "config"),
+        ("evaluate", "model.json", drop_last_feature_range, 1, "ranges.mins"),
+        ("explain", "model.json", drop_last_feature_range, 1, "ranges.mins"),
+        ("evaluate", "model.json", lambda p: set_model_field(p, "config", "epochs", 0), 1,
+         "config"),
     ],
     ids=["read_examples", "read_corpus", "read_outcomes-missing", "read_outcomes-bad",
          "read_corpus-journal", "load_model", "cache_load", "read_outcomes-label-type",
          "read_corpus-statement-type", "featurize-statement-type", "read_corpus-flag-type",
-         "load_model-shape"],
+         "load_model-shape", "load_model-feature-index", "load_model-ranges",
+         "explain-load_model-ranges", "load_model-epochs"],
 )
 def test_bad_field_exits_1_naming_path_line_and_field(
     stage_dir, tmp_path, capsys, stage, name, damage, line, field

@@ -230,9 +230,12 @@ def test_bad_config_file_exit_code(tmp_path):
         ("explain", {"explain": {"n_baseline_samples": -1}}),
         ("label-llm", {"backend": {"temperature": -1}}),
         ("sample", {"sampling": {"per_journal": 0}}),
+        *((stage, {"seed": seed}) for seed in ("x", -1)
+          for stage in ("sample", "split", "train", "explain")),
     ],
     ids=["split_ratio", "epochs", "hidden_sizes", "n_baseline_samples", "temperature",
-         "per_journal"],
+         "per_journal", *(f"seed-{seed}-{stage}" for seed in ("x", "negative")
+                          for stage in ("sample", "split", "train", "explain"))],
 )
 def test_out_of_range_config_value_exits_2(pipeline_dir, tmp_path, capsys, stage, user_config):
     for name in ("corpus.jsonl", "features.csv", "train.csv", "test.csv", "model.json"):
@@ -244,6 +247,8 @@ def test_out_of_range_config_value_exits_2(pipeline_dir, tmp_path, capsys, stage
     assert code == 2
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    if "seed" in user_config:
+        assert err.startswith("config error: seed: ")
 
 
 def test_config_file_with_flag_override(tmp_path):

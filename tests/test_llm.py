@@ -1,12 +1,15 @@
 import pytest
 
 from teamroles.llm import (
+    CHAR_BUDGET,
+    DEFAULT_FEW_SHOT,
+    DEFAULT_INSTRUCTION,
+    DEFAULT_ROLE_DEFINITIONS,
     TRUNCATION_MARKER,
     BackendConfig,
     ChatBackend,
     EmptyStatement,
     MockBackend,
-    PromptTemplate,
     TransportFailure,
     UnparseableResponse,
     build_prompt,
@@ -16,7 +19,7 @@ from teamroles.llm import (
     write_outcomes,
 )
 from teamroles.rules import classify_statement
-from teamroles.types import ContributionRecord, Journal, RoleLabel
+from teamroles.types import ROLE_ORDER, ContributionRecord, Journal, RoleLabel
 
 
 def make_record(statement, position=1, paper="W1"):
@@ -40,49 +43,51 @@ def test_build_prompt_empty_statement():
 
 
 def test_build_prompt_truncates_to_budget():
-    template = PromptTemplate(char_budget=1500)
-    prompt = build_prompt(make_record("x" * 5000), template)
-    assert len(prompt) <= 1500
+    prompt = build_prompt(make_record("x" * (2 * CHAR_BUDGET)))
+    assert len(prompt) <= CHAR_BUDGET
     assert TRUNCATION_MARKER in prompt
 
 
-def build_prompt_reference(statement, template):
-    """The prompt rendered whole for each record, as before the head was cached per template."""
-    parts = [template.role_definitions, "", "Examples:"]
-    for example_statement, label in template.few_shot_examples:
+TAIL_FORMAT = '\nStatement: "{stmt}"\nRole:'
+
+
+def reference_head():
+    parts = [DEFAULT_ROLE_DEFINITIONS, "", "Examples:"]
+    for example_statement, label in DEFAULT_FEW_SHOT:
         parts.append(f'Statement: "{example_statement}"')
         parts.append(f"Role: {label.value}")
-    parts += ["", template.instruction]
-    head = "\n".join(parts)
-    tail_format = '\nStatement: "{stmt}"\nRole:'
-    budget = template.char_budget - len(head) - len(tail_format.format(stmt=""))
+    parts += ["", DEFAULT_INSTRUCTION]
+    return "\n".join(parts)
+
+
+def reference_budget():
+    """The characters a prompt leaves for its statement."""
+    return CHAR_BUDGET - len(reference_head()) - len(TAIL_FORMAT.format(stmt=""))
+
+
+def build_prompt_reference(statement):
+    """The prompt rendered whole for each record, as before its head was rendered once."""
+    budget = reference_budget()
     if len(statement) > budget:
         statement = statement[: max(0, budget - len(TRUNCATION_MARKER))] + TRUNCATION_MARKER
-    return head + tail_format.format(stmt=statement)
+    return reference_head() + TAIL_FORMAT.format(stmt=statement)
 
 
 def test_build_prompt_equals_the_reference_rendering():
-    custom = PromptTemplate(
-        role_definitions="Pick a role.",
-        few_shot_examples=(("led it", RoleLabel.LEADERSHIP), ("did it", RoleLabel.DIRECT_SUPPORT),
-                           ("saw it", RoleLabel.INDIRECT_SUPPORT)),
-        instruction="One word.",
-        char_budget=150,
-    )
-    tiny = PromptTemplate(char_budget=10)  # no room for the statement at all
-    templates = (PromptTemplate(), custom, PromptTemplate(char_budget=1500), tiny)
-    statements = ["designed the study", "x" * 89, "y" * 90, "z" * 5000]
-    for _ in range(2):  # the second round reuses each template's cached head
-        for template in templates:
-            for statement in statements:
-                prompt = build_prompt(make_record(f"  {statement} "), template)
-                assert prompt.encode() == build_prompt_reference(statement, template).encode()
-    assert build_prompt(make_record("z" * 5000), custom).endswith(TRUNCATION_MARKER + '"\nRole:')
+    budget = reference_budget()
+    lengths = (budget - 1, budget, budget + 1, 2 * CHAR_BUDGET)
+    statements = ["designed the study", *("x" * n for n in lengths)]
+    for statement in statements:
+        prompt = build_prompt(make_record(f"  {statement} "))
+        assert prompt.encode() == build_prompt_reference(statement).encode()
+    assert len(build_prompt(make_record("x" * budget))) == CHAR_BUDGET
+    assert TRUNCATION_MARKER not in build_prompt(make_record("x" * budget))
+    assert build_prompt(make_record("x" * (budget + 1))).endswith(TRUNCATION_MARKER + '"\nRole:')
 
 
 def test_template_requires_all_roles():
-    with pytest.raises(ValueError):
-        PromptTemplate(few_shot_examples=(("designed", RoleLabel.LEADERSHIP),))
+    """The few-shot examples show the model every role."""
+    assert {label for _, label in DEFAULT_FEW_SHOT} == set(ROLE_ORDER)
 
 
 def test_parse_response_examples():

@@ -136,6 +136,9 @@ def test_train_config_validation():
         TrainConfig(hidden_sizes=(0, 4))
     with pytest.raises(ValueError):
         TrainConfig(feature_indices=(1, 1, 2))
+    for index in (-1, 10):
+        with pytest.raises(ValueError, match="feature_indices"):
+            TrainConfig(feature_indices=(0, index))
 
 
 def test_train_loss_decreases():
@@ -185,14 +188,6 @@ def test_feature_subset_model():
     x = model_input(model, examples[0].features)
     assert x.shape == (8,)
     assert 0.0 < forward(model.params, x) < 1.0
-
-
-def test_predict_threshold():
-    examples = synthetic_examples()
-    model = train(examples, TrainConfig(seed=0, learning_rate=0.1))
-    fv = examples[0].features
-    assert predict(model, fv, threshold=0.0) is BinaryRole.LEADERSHIP
-    assert predict(model, fv, threshold=1.0) is BinaryRole.SUPPORT
 
 
 def test_model_input_is_normalized():

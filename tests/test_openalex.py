@@ -1,3 +1,4 @@
+import itertools
 import json
 import logging
 import shutil
@@ -320,9 +321,9 @@ def online(tmp_path, monkeypatch):
         return reply
 
     monkeypatch.setattr(requests, "get", fake_get)
-    client = OpenAlexClient(
-        ClientConfig(cache_dir=tmp_path / "cache", max_requests_per_second=0), sleep=sleeps.append
-    )
+    # a second passes between any two readings, so the limiter never has to wait
+    client = OpenAlexClient(ClientConfig(cache_dir=tmp_path / "cache"),
+                            clock=itertools.count().__next__, sleep=sleeps.append)
     return client, replies, calls, sleeps
 
 
