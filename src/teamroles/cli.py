@@ -358,8 +358,8 @@ def cmd_explain(args, config) -> int:
     X = mlp.model_inputs(model, [ex.features for ex in test_examples])
     attributions = explain.exact_shapley_batch(model, X, baselines)
     ids = [f"{ex.paper_id}:{ex.author_id}" for ex in test_examples]
-    explain.write_attributions(attributions, ids, _out(config, "attributions"))
-    rows = explain.shap_summary(attributions)
+    explain.write_attributions(attributions, ids, model.input_names, _out(config, "attributions"))
+    rows = explain.shap_summary(attributions, model.input_names)
     explain.write_summary(rows, _out(config, "shap_summary"))
     if config["explain"].get("svg"):
         explain.write_summary_svg(rows, Path(config["output_dir"]) / "shap_summary.svg")

@@ -3,14 +3,15 @@
 f(S) is concretized by baseline substitution: coordinates in S come from
 the explained point, the rest from the baseline. Exact enumeration is
 tractable for our 10 features (1024 coalitions per point and baseline).
-`exact_shapley_batch` is the path the CLI uses: it evaluates the network
-on every coalition with the first layer factored into a baseline term and
-a per-feature term, in per-thread buffers of bounded size, with the rows
-shared out over every CPU the process may run on. `exact_shapley` is the
-same enumeration over any scalar function. The gradient-path sampler
-`gradient_shap` is kept as a library estimator and is checked against the
-exact values. The explained quantity is the pre-threshold probability,
-not the class label.
+`exact_shapley_batch` is the path the CLI uses: for each point and
+baseline it evaluates the network only on the coalitions of the features
+where the two differ, with the first layer factored into a per-feature
+term and a baseline term and every bias folded into a matmul, in
+per-thread buffers of bounded size, with the rows shared out over every
+CPU the process may run on. `exact_shapley` is the same enumeration over
+any scalar function. The gradient-path sampler `gradient_shap` is kept as
+a library estimator and is checked against the exact values. The
+explained quantity is the pre-threshold probability, not the class label.
 """
 from __future__ import annotations
 
@@ -29,21 +30,27 @@ from .mlp import (
     TrainedModel,
     _check_finite,
     _probability,
-    _upper_layers,
     forward,
     input_gradient_batch,
 )
-from .types import FEATURE_NAMES
 
 MAX_EXACT_FEATURES = 16
 # Coalitions per pass through the network in exact_shapley_batch. Each
-# thread allocates its buffers once per call, so their size (the widest is
-# 512 x 64 hidden units x 8 B = 256 KiB, twice glibc's default 128 KiB mmap
-# threshold) maps no fresh pages per block. On the fixture with two threads,
-# 1024-row blocks made explain about 20 % faster but grew the peak RSS by
-# 2.1 MB against 1.4 MB, and 256-row blocks gained almost nothing from the
-# second thread, whose shorter numpy calls contend for the GIL.
+# thread allocates its buffers once per call, so their size maps no fresh
+# pages per block. With 64 and 32 hidden units and 10 features they hold
+# about 640 KiB: the two layer buffers 512 x 65 and 512 x 33 (260 and
+# 132 KiB; the extra unit carries the next layer's bias), and per baseline
+# group the first-layer rows (45 KiB), the reduced values, their flat
+# index and the expanded values (64, 64 and 72 KiB). On the fixture with
+# two threads, 1024-row blocks made explain about 20 % faster but grew the
+# peak RSS by 2.1 MB against 1.4 MB, and 256-row blocks gained almost
+# nothing from the second thread, whose shorter numpy calls contend for
+# the GIL.
 _BLOCK_ROWS = 512
+# Baselines whose coalition values a thread holds at once. Groups of 16
+# made the fixture's explain about 5 % faster than groups of 8 (33
+# baselines, two threads) but grew the peak RSS by about 0.7 MB more.
+_BASELINE_GROUP = 8
 
 
 class TooManyFeatures(PipelineError):
@@ -64,7 +71,9 @@ class Attribution:
 
 
 class _Coalitions(NamedTuple):
-    member: np.ndarray  # (2^m, m) of 0.0 and 1.0: row k holds the bits of coalition k
+    # (2^m, m + 1) of 0.0 and 1.0: row k holds the bits of coalition k, then a 1.0
+    # that picks up a bias or an offset as the last row of a matmul
+    member: np.ndarray
     without: np.ndarray  # (2^(m-1), m) int: coalitions S that leave feature i out
     joined: np.ndarray  # (2^(m-1), m) int: S with feature i added
     weight: np.ndarray  # (2^(m-1), m): |S|! (m - |S| - 1)! / m!
@@ -80,7 +89,8 @@ def _coalitions(m: int) -> _Coalitions:
     fact = [math.factorial(k) for k in range(m + 1)]
     weights = np.array([fact[s] * fact[m - s - 1] / fact[m] for s in range(m)])
     weight = weights[bits.sum(axis=1)[without]]
-    member = bits.astype(float)
+    member = np.ones((len(masks), m + 1))
+    member[:, :m] = bits
     for array in (member, without, joined, weight):
         array.setflags(write=False)
     return _Coalitions(member, without, joined, weight)
@@ -109,7 +119,7 @@ def exact_shapley(
         raise TooManyFeatures(m)
 
     # one evaluation per coalition bitmask
-    hybrids = np.where(_coalitions(m).member, x, baseline)
+    hybrids = np.where(_coalitions(m).member[:, :m] == 1.0, x, baseline)
     values = np.fromiter((model_fn(h) for h in hybrids), dtype=float, count=len(hybrids))
     return _attribution(values, m)
 
@@ -123,17 +133,30 @@ def exact_shapley_batch(
     so each row's phi is the mean of its per-baseline exact_shapley and
     base_value is the mean baseline output.
 
-    No hybrid point is built: for coalition S and baseline b the first
-    layer is factored as Z1 = (W1 b + b1) + member_S @ ((x - b) * W1^T),
-    where the baseline term is computed once per baseline. Coalitions run
-    through the network _BLOCK_ROWS at a time, in buffers each thread
-    allocates once (about 400 KiB with 64 and 32 hidden units), so memory
-    stays bounded whatever the number of rows and baselines. The rows are
-    shared out between the calling thread and one worker thread for every
-    further CPU in the process's affinity set, so no thread is started on
-    one CPU; numpy releases the GIL inside each block. A row is computed
-    whole by one thread in a fixed order, so the result is the same bytes
-    whatever the thread count.
+    A feature with x_i == b_i changes no coalition value for that
+    baseline, so only the 2^k coalitions of the k features that differ
+    are evaluated (two features at least, see the loop), and one np.take
+    spreads them over all 2^m coalitions by each coalition's bits on those
+    k features. No hybrid point is built: the first layer is factored as
+    Z1 = member_S @ ((x - b) * W1^T) + (W1 b + b1), with the baseline term
+    as the last row of the matmul, which the coalition matrix's column of
+    ones picks up. Each hidden layer gets a constant-1 unit that carries
+    the next layer's bias, so a block of coalitions is matmul, ReLU,
+    matmul, ReLU, matmul. The terms left out are exact zeros and each bias
+    stays the last term of its sum, so with OpenBLAS the result has the
+    same bytes as evaluating all 2^m coalitions and adding each bias after
+    its matmul.
+
+    Coalitions run _BLOCK_ROWS at a time and baselines _BASELINE_GROUP at
+    a time, in buffers each thread allocates once (about 640 KiB with 64
+    and 32 hidden units, plus (m + 1) x 9 B per baseline), so memory does
+    not grow with the number of rows. The output probabilities and the sum
+    over baselines, in baseline order, are taken once per group. The rows
+    are shared out between the calling thread and one worker thread for
+    every further CPU in the process's affinity set, so no thread is
+    started on one CPU; numpy releases the GIL inside each block. A row is
+    computed whole by one thread in a fixed order, so the result is the
+    same bytes whatever the thread count.
     """
     if len(baselines) == 0:
         raise EmptyBaselines("at least one baseline required")
@@ -148,33 +171,73 @@ def exact_shapley_batch(
     _check_finite(bases)
 
     params = model.params
-    base_z1 = bases @ params.W1.T + params.b1
+    h1, h2 = len(params.b1), len(params.b2)
+    # per baseline, the first layer's last row: W1 b + b1, then the constant-1 unit
+    bias_rows = np.ones((len(bases), h1 + 1))
+    bias_rows[:, :h1] = bases @ params.W1.T + params.b1
+    # layers 2 and 3 with their bias as the last input row; W2's last column
+    # keeps the constant-1 unit at 1
+    W2 = np.zeros((h1 + 1, h2 + 1))
+    W2[:h1, :h2] = params.W2.T
+    W2[h1, :h2] = params.b2
+    W2[h1, h2] = 1.0
+    W3 = np.append(params.W3, params.b3)
     member = _coalitions(m).member
-    block = min(_BLOCK_ROWS, len(member))
+    n_coalitions = len(member)
+    block = min(_BLOCK_ROWS, n_coalitions)
+    group = min(_BASELINE_GROUP, len(bases))
     attributions: List[Optional[Attribution]] = [None] * len(X)
     next_row = iter(range(len(X)))
     lock = threading.Lock()
 
     def work() -> None:
-        scaled = np.empty((m, len(params.b1)))
-        Z1 = np.empty((block, len(params.b1)))
-        Z2 = np.empty((block, len(params.b2)))
-        z3 = np.empty(len(member))
+        # per baseline of a group: the (x - b)_i W1^T rows (0 into the constant
+        # unit), then its bias row
+        first = np.zeros((group, m + 1, h1 + 1))
+        kept = np.ones((len(bases), m + 1), dtype=bool)  # x_i != b_i, then the bias row
+        # per baseline: each kept feature's bit in the reduced coalition index,
+        # then where the baseline's reduced values start in its group
+        place = np.empty((len(bases), m + 1))
+        place[:, m] = np.arange(len(bases)) % group * n_coalitions
+        reduced = np.zeros((group, n_coalitions))
+        index = np.empty((group, n_coalitions), dtype=np.intp)
+        values = np.empty((group + 1, n_coalitions))  # row 0 carries the earlier groups' sum
+        Z1 = np.empty((block, h1 + 1))
+        Z2 = np.empty((block, h2 + 1))
         while True:
             with lock:
                 i = next(next_row, None)
             if i is None:
                 return
-            values = np.zeros(len(member))
-            for b, zb in zip(bases, base_z1):
-                np.multiply((X[i] - b)[:, None], params.W1.T, out=scaled)
-                for start in range(0, len(member), block):
-                    np.matmul(member[start : start + block], scaled, out=Z1)
-                    Z1 += zb
-                    _upper_layers(params, Z1, out=(Z1, Z2, Z2, z3[start : start + block]))
-                values += _probability(z3, out=z3)
-            values /= len(bases)
-            attributions[i] = _attribution(values, m)
+            diffs = X[i] - bases
+            np.not_equal(diffs, 0.0, out=kept[:, :m])
+            # keep two features at least, the first ones that agree if need be:
+            # OpenBLAS sums a matvec of fewer than 4 rows in another order, so
+            # 1 or 2 coalitions would change the last bits
+            count = kept[:, :m].sum(axis=1, keepdims=True)
+            kept[:, :m] |= np.cumsum(~kept[:, :m], axis=1) <= 2 - count
+            np.ldexp(kept[:, :m], np.cumsum(kept[:, :m], axis=1) - 1, out=place[:, :m], dtype=float)
+            values[0] = 0.0
+            for start in range(0, len(bases), group):
+                n = min(group, len(bases) - start)
+                np.multiply(diffs[start : start + n, :, None], params.W1.T, out=first[:n, :m, :h1])
+                first[:n, m] = bias_rows[start : start + n]
+                for j in range(n):
+                    rows = first[j][kept[start + j]]
+                    coalitions = _coalitions(len(rows) - 1).member
+                    for s in range(0, len(coalitions), block):
+                        C = coalitions[s : s + block]
+                        A1 = np.maximum(np.matmul(C, rows, out=Z1[: len(C)]), 0.0, out=Z1[: len(C)])
+                        A2 = np.maximum(np.matmul(A1, W2, out=Z2[: len(C)]), 0.0, out=Z2[: len(C)])
+                        np.matmul(A2, W3, out=reduced[j, s : s + len(C)])
+                _probability(reduced[:n], out=reduced[:n])
+                # the flat index of each coalition's reduced value, exact in floating point
+                np.matmul(place[start : start + n], member.T, out=values[1 : n + 1])
+                np.copyto(index[:n], values[1 : n + 1], casting="unsafe")
+                # every index is in range; mode="raise" would buffer the output
+                np.take(reduced, index[:n], out=values[1 : n + 1], mode="clip")
+                values[0] = values[: n + 1].sum(axis=0)
+            attributions[i] = _attribution(values[0] / len(bases), m)
 
     failures: List[BaseException] = []
 
@@ -258,8 +321,11 @@ class SummaryRow:
     sign_consistency: float
 
 
-def shap_summary(attributions: Sequence[Attribution]) -> List[SummaryRow]:
-    """Feature-importance ranking by mean |phi|, stable tie-break by index."""
+def shap_summary(attributions: Sequence[Attribution], names: Sequence[str]) -> List[SummaryRow]:
+    """Feature-importance ranking by mean |phi|, stable tie-break by index.
+
+    names[i] is the feature phi[i] belongs to (see TrainedModel.input_names).
+    """
     if not attributions:
         raise EmptyInput("no attributions to summarize")
     phis = np.array([a.phi for a in attributions])
@@ -267,7 +333,7 @@ def shap_summary(attributions: Sequence[Attribution]) -> List[SummaryRow]:
     mean = phis.mean(axis=0)
 
     rows = []
-    for i, name in enumerate(FEATURE_NAMES):
+    for i, name in enumerate(names):
         dominant = np.sign(mean[i])
         if dominant == 0:
             consistency = 1.0
@@ -279,9 +345,9 @@ def shap_summary(attributions: Sequence[Attribution]) -> List[SummaryRow]:
 
 
 def write_attributions(
-    attributions: Sequence[Attribution], example_ids: Sequence[str], path
+    attributions: Sequence[Attribution], example_ids: Sequence[str], names: Sequence[str], path
 ) -> None:
-    header = ["example_id", *[f"phi_{n}" for n in FEATURE_NAMES], "base_value", "prediction"]
+    header = ["example_id", *[f"phi_{n}" for n in names], "base_value", "prediction"]
     rows = (
         [ex_id, *[repr(float(v)) for v in attr.phi], repr(float(attr.base_value)),
          repr(float(attr.prediction))]

@@ -7,9 +7,8 @@ model. One layer function computes the pre- and post-activations of a
 matrix of rows, and one backward function propagates output gradients
 through the ReLU layers; `forward_batch`, the analytic input gradient
 (which feeds the gradient attribution estimator) and training all share
-them. The layers above the first are a function of their own, which the
-exact Shapley kernel in `explain` also runs, on first-layer
-pre-activations it computes in factored form and into buffers it reuses.
+them. The exact Shapley kernel in `explain` evaluates the same layers in
+its own factored form, with the biases folded into its matmuls.
 """
 from __future__ import annotations
 
@@ -81,6 +80,11 @@ class TrainedModel:
     config: TrainConfig
     loss_history: List[float]
 
+    @property
+    def input_names(self) -> Tuple[str, ...]:
+        """The feature name of each input column."""
+        return tuple(FEATURE_NAMES[i] for i in self.config.feature_indices)
+
 
 def init(config: TrainConfig) -> NetworkParams:
     """Seeded scaled-normal weights (scale sqrt(2/fan_in)), zero biases."""
@@ -116,31 +120,15 @@ def _check_finite(X: np.ndarray) -> None:
         raise NonFiniteInput("input matrix contains NaN or infinity")
 
 
-def _upper_layers(
-    params: NetworkParams, Z1: np.ndarray, out: Optional[Tuple[np.ndarray, ...]] = None
-) -> Tuple[np.ndarray, ...]:
-    """Post-activations (A1, Z2, A2, z3) of the layers above first-layer pre-activations Z1.
-
-    Given out=(A1, Z2, A2, z3) buffers, each result is written into its own,
-    so a caller that evaluates many blocks allocates nothing per block; A1 may
-    be Z1 and A2 may be Z2 itself, which makes those ReLUs in place.
-    """
-    A1, Z2, A2, z3 = out if out is not None else (None,) * 4
-    A1 = np.maximum(0.0, Z1, out=A1)
-    Z2 = np.matmul(A1, params.W2.T, out=Z2)
-    Z2 += params.b2
-    A2 = np.maximum(0.0, Z2, out=A2)
-    z3 = np.matmul(A2, params.W3, out=z3)
-    z3 += params.b3
-    return A1, Z2, A2, z3
-
-
 def _layers(params: NetworkParams, X: np.ndarray) -> Tuple[np.ndarray, ...]:
     """Pre- and post-activations (Z1, A1, Z2, A2, z3) for each row of X."""
     X = np.asarray(X, dtype=float)
     _check_finite(X)
     Z1 = X @ params.W1.T + params.b1
-    return (Z1, *_upper_layers(params, Z1))
+    A1 = np.maximum(0.0, Z1)
+    Z2 = A1 @ params.W2.T + params.b2
+    A2 = np.maximum(0.0, Z2)
+    return Z1, A1, Z2, A2, A2 @ params.W3 + params.b3
 
 
 def _backward(
@@ -281,12 +269,15 @@ def _array(value, shape: Tuple[int, ...]) -> np.ndarray:
     array = np.array(value, dtype=float)
     if array.shape != shape:
         raise ValueError(f"shape {array.shape}, expected {shape}")
+    if not np.all(np.isfinite(array)):
+        raise ValueError("not finite")
     return array
 
 
 def model_from_json(data: dict) -> TrainedModel:
     """The model a save_model file holds; each weight array must have the shape
-    that the config's feature count and hidden sizes give it."""
+    that the config's feature count and hidden sizes give it, and every
+    weight and bias must be finite."""
     cfg = data["config"]
     fields = dict(
         epochs=cfg["epochs"],
@@ -309,7 +300,7 @@ def model_from_json(data: dict) -> TrainedModel:
             W2=_array(p["W2"], (h2, h1)),
             b2=_array(p["b2"], (h2,)),
             W3=_array(p["W3"], (h2,)),
-            b3=float(p["b3"]),
+            b3=float(_array(p["b3"], ())),
         ),
         ranges=NormalizationRanges.from_dict(data["ranges"]),
         config=config,

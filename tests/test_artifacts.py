@@ -248,6 +248,31 @@ def test_bad_field_exits_1_naming_path_line_and_field(
     assert "Traceback" not in err
 
 
+def spoil_model_weights(path: Path, b3: bool, W2: bool) -> None:
+    """Set b3 to NaN and, or, one W2 weight to infinity (JSON's NaN and Infinity)."""
+    model = json.loads(path.read_text())
+    if b3:
+        model["params"]["b3"] = float("nan")
+    if W2:
+        model["params"]["W2"][3][5] = float("inf")
+    path.write_text(json.dumps(model, indent=2))
+
+
+@pytest.mark.parametrize("stage", ["evaluate", "explain"])
+@pytest.mark.parametrize(
+    "b3, W2, field", [(True, False, "params.b3"), (False, True, "params.W2"), (True, True, "params.W2")]
+)
+def test_non_finite_model_weight_exits_1(stage_dir, tmp_path, capsys, stage, b3, W2, field):
+    for artifact in ("train.csv", "test.csv", "model.json"):
+        shutil.copyfile(stage_dir / artifact, tmp_path / artifact)
+    spoil_model_weights(tmp_path / "model.json", b3, W2)
+    capsys.readouterr()
+    assert main([stage, "--output-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {tmp_path / 'model.json'} line 1: field {field}: not finite\n"
+    assert not (tmp_path / "metrics.json").exists() and not (tmp_path / "attributions.csv").exists()
+
+
 def test_decode_errors_become_format_errors(tmp_path):
     path = tmp_path / "rows.jsonl"
     path.write_text('{"n": "1"}\n{"n": "x"}\n')

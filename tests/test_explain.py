@@ -1,13 +1,15 @@
 import csv
 import itertools
+import json
 import os
+import shutil
 import sys
 import threading
 import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from teamroles import dataset, explain, metrics, mlp
@@ -137,16 +139,27 @@ def random_network(m, seed):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    m=st.integers(min_value=1, max_value=6),
+    m=st.integers(min_value=1, max_value=10),
     n_rows=st.integers(min_value=1, max_value=3),
-    n_bases=st.integers(min_value=1, max_value=4),
+    n_bases=st.integers(min_value=1, max_value=explain._BASELINE_GROUP + 3),
+    shared=st.sampled_from([0.0, 0.5, 0.9, 1.0]),
     seed=st.integers(min_value=0, max_value=2**16),
 )
-def test_exact_shapley_batch_is_mean_of_per_baseline_exact(m, n_rows, n_bases, seed):
+# ten differing features: one (row, baseline) pair spans two blocks of coalitions
+@example(m=10, n_rows=2, n_bases=explain._BASELINE_GROUP + 3, shared=0.0, seed=1)
+@example(m=10, n_rows=3, n_bases=explain._BASELINE_GROUP + 1, shared=0.5, seed=2)
+@example(m=10, n_rows=2, n_bases=3, shared=1.0, seed=3)
+def test_exact_shapley_batch_is_mean_of_per_baseline_exact(m, n_rows, n_bases, shared, seed):
     model = random_network(m, seed)
     rng = np.random.default_rng(seed + 1)
     X = rng.uniform(0.0, 1.0, size=(n_rows, m))
     bases = list(rng.uniform(0.0, 1.0, size=(n_bases, m)))
+    # each row takes about a `shared` part of its coordinates from a random
+    # baseline; at 1.0 it equals that baseline, so no feature differs
+    for x in X:
+        b = bases[rng.integers(n_bases)]
+        copied = rng.random(m) < shared
+        x[copied] = b[copied]
     fn = lambda v: forward(model.params, v)
 
     attrs = exact_shapley_batch(model, X, bases)
@@ -174,19 +187,28 @@ def test_exact_shapley_batch_validations():
 
 
 @pytest.fixture(scope="module")
-def fixture_explain(tmp_path_factory):
-    """The fixture pipeline's model, 12 of its test rows and 5 explain baselines."""
+def fixture_stages(tmp_path_factory):
+    """The offline pipeline run up to `train` on the fixture corpus."""
     out = tmp_path_factory.mktemp("explain")
     common = ["--output-dir", str(out), "--cache-dir", "tests/fixtures/cache", "--offline"]
     for stage in (["ingest", "--input", "tests/fixtures/corpus.csv"], ["label-rule"],
                   ["featurize"], ["split"], ["train"]):
         assert main(stage + common) == 0, stage
+    return out
+
+
+@pytest.fixture(scope="module")
+def fixture_explain(fixture_stages):
+    """The fixture pipeline's model, 12 of its test rows and 6 explain baselines,
+    the last of them equal to the first test row."""
+    out = fixture_stages
     model = mlp.load_model(out / "model.json")
     inputs = lambda name: mlp.model_inputs(
         model, [ex.features for ex in dataset.read_examples(out / name)]
     )
-    baselines = [np.zeros(len(FEATURE_NAMES)), *inputs("train.csv")[:4]]
-    return model, inputs("test.csv")[:12], baselines
+    X = inputs("test.csv")[:12]
+    baselines = [np.zeros(len(FEATURE_NAMES)), *inputs("train.csv")[:4], X[0].copy()]
+    return model, X, baselines
 
 
 @pytest.fixture
@@ -231,6 +253,37 @@ def test_exact_shapley_batch_same_bytes_whatever_the_thread_count(
         assert one.base_value == many.base_value
         assert one.prediction == many.prediction
         assert abs(one.phi.sum() - (one.prediction - one.base_value)) <= 1e-12
+
+
+def every_coalition(model, x, baselines):
+    """Mean coalition values of x over the baselines from all 2^m coalitions,
+    512 at a time, with each bias added after its matmul."""
+    p = model.params
+    member = explain._coalitions(len(x)).member[:, :-1]
+    values = np.zeros(len(member))
+    for b, zb in zip(baselines, np.asarray(baselines) @ p.W1.T + p.b1):
+        z3 = np.empty(len(member))
+        for start in range(0, len(member), 512):
+            Z1 = member[start : start + 512] @ ((x - b)[:, None] * p.W1.T)
+            Z1 += zb
+            Z2 = np.maximum(0.0, Z1) @ p.W2.T
+            Z2 += p.b2
+            z3[start : start + 512] = np.maximum(0.0, Z2) @ p.W3
+        z3 += p.b3
+        values += mlp._probability(z3)
+    return values / len(baselines)
+
+
+def test_exact_shapley_batch_same_bytes_as_evaluating_every_coalition(fixture_explain):
+    model, X, baselines = fixture_explain
+    # rows that differ from baselines[1] in 1, 2 and 3 features; X[0] is baselines[-1]
+    X = X[:6].copy()
+    for row, differing in zip(X[1:4], (1, 2, 3)):
+        row[differing:] = baselines[1][differing:]
+    for x, attr in zip(X, exact_shapley_batch(model, X, baselines)):
+        reference = explain._attribution(every_coalition(model, x, baselines), len(x))
+        assert attr.phi.tobytes() == reference.phi.tobytes()
+        assert (attr.base_value, attr.prediction) == (reference.base_value, reference.prediction)
 
 
 def test_exact_shapley_batch_raises_what_a_worker_thread_raised(fixture_explain, monkeypatch):
@@ -326,7 +379,7 @@ def make_attr(phi):
 
 def test_shap_summary_ranks_by_mean_abs():
     attrs = [make_attr([0.1] + [0.0] * 8 + [0.5]), make_attr([-0.3] + [0.0] * 8 + [0.4])]
-    rows = shap_summary(attrs)
+    rows = shap_summary(attrs, FEATURE_NAMES)
     assert rows[0].feature == FEATURE_NAMES[9]
     assert rows[0].mean_abs_phi == pytest.approx(0.45)
     assert rows[1].feature == FEATURE_NAMES[0]
@@ -339,13 +392,13 @@ def test_shap_summary_ranks_by_mean_abs():
 
 def test_shap_summary_empty():
     with pytest.raises(EmptyInput):
-        shap_summary([])
+        shap_summary([], FEATURE_NAMES)
 
 
 def test_write_attributions_and_summary(tmp_path):
     attrs = [make_attr(np.linspace(-0.2, 0.2, 10)), make_attr(np.zeros(10))]
     path = tmp_path / "attributions.csv"
-    write_attributions(attrs, ["W1#1", "W2#3"], path)
+    write_attributions(attrs, ["W1#1", "W2#3"], FEATURE_NAMES, path)
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [r["example_id"] for r in rows] == ["W1#1", "W2#3"]
@@ -354,7 +407,7 @@ def test_write_attributions_and_summary(tmp_path):
     assert float(rows[0]["prediction"]) == pytest.approx(attrs[0].prediction)
 
     summary_path = tmp_path / "summary.csv"
-    write_summary(shap_summary(attrs), summary_path)
+    write_summary(shap_summary(attrs, FEATURE_NAMES), summary_path)
     with open(summary_path, newline="") as fh:
         srows = list(csv.DictReader(fh))
     assert len(srows) == 10
@@ -362,7 +415,7 @@ def test_write_attributions_and_summary(tmp_path):
     assert srows[0]["feature"] == FEATURE_NAMES[0]
 
     svg_path = tmp_path / "summary.svg"
-    write_summary_svg(shap_summary(attrs), svg_path)
+    write_summary_svg(shap_summary(attrs, FEATURE_NAMES), svg_path)
     svg = svg_path.read_text()
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
     for name in FEATURE_NAMES:
@@ -372,6 +425,24 @@ def test_write_attributions_and_summary(tmp_path):
 def test_write_attributions_byte_deterministic(tmp_path):
     attrs = [make_attr(np.linspace(-0.1, 0.3, 10))]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_attributions(attrs, ["W1#1"], a)
-    write_attributions(attrs, ["W1#1"], b)
+    write_attributions(attrs, ["W1#1"], FEATURE_NAMES, a)
+    write_attributions(attrs, ["W1#1"], FEATURE_NAMES, b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_explain_names_the_columns_of_a_feature_subset_model(fixture_stages, tmp_path):
+    for name in ("train.csv", "test.csv"):
+        shutil.copyfile(fixture_stages / name, tmp_path / name)
+    model = json.loads((fixture_stages / "model.json").read_text())
+    model["params"]["W1"] = [row[:8] for row in model["params"]["W1"]]
+    model["config"]["feature_indices"] = list(range(8))
+    (tmp_path / "model.json").write_text(json.dumps(model))
+
+    assert main(["explain", "--output-dir", str(tmp_path)]) == 0
+    with open(tmp_path / "attributions.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header[1:-2] == [f"phi_{n}" for n in FEATURE_NAMES[:8]]
+    assert {len(row) for row in rows} == {len(header)}
+    with open(tmp_path / "shap_summary.csv", newline="") as fh:
+        summary = list(csv.DictReader(fh))
+    assert sorted(r["feature"] for r in summary) == sorted(FEATURE_NAMES[:8])
