@@ -19,7 +19,7 @@ import numpy as np
 
 from . import artifacts, dataset, explain, features, ingest, llm, metrics, mlp, openalex
 from .errors import ConfigError, PipelineError, UpstreamArtifactMissing
-from .types import BinaryRole, to_binary
+from .types import FEATURE_NAMES, BinaryRole, to_binary
 
 DEFAULT_CONFIG = {
     "output_dir": "out",
@@ -280,27 +280,34 @@ def cmd_featurize(args, config) -> int:
             print(f"featurize: skipping {rec.record_id}: {exc}", file=sys.stderr)
         skipped += len(rows)
 
-    examples = {}
+    # features go straight into one matrix, in the order the rows are computed,
+    # so no per-row Python floats are held while the metadata is still in memory
+    X = np.empty((len(records), len(FEATURE_NAMES)))
+    rows = {}
     for profile, group in _author_profiles(client, records, labels, skip):
         for rec, focal in group:
-            examples[rec.record_id] = dataset.LabeledExample(
-                author_id=profile.author_id,
-                paper_id=rec.paper_id,
-                features=features.extract_features(profile, focal),
-                label=to_binary(labels[rec.record_id]),
-            )
-    rows = [examples[rec.record_id] for rec in records if rec.record_id in examples]
-    dataset.write_examples(rows, _out(config, "features"))
-    print(f"featurize: {len(rows)} examples, {skipped} skipped")
+            index = len(rows)
+            X[index] = features.extract_features(profile, focal).to_list()
+            rows[rec.record_id] = (profile.author_id, rec.paper_id, index,
+                                   to_binary(labels[rec.record_id]))
+    kept = [rows[rec.record_id] for rec in records if rec.record_id in rows]
+    table = dataset.FeatureTable(
+        tuple(row[0] for row in kept),
+        tuple(row[1] for row in kept),
+        X[[row[2] for row in kept]],
+        tuple(row[3] for row in kept),
+    )
+    dataset.write_examples(table, _out(config, "features"))
+    print(f"featurize: {len(table)} examples, {skipped} skipped")
     return 0
 
 
 def cmd_split(args, config) -> int:
-    examples = dataset.read_examples(_require("split", _out(config, "features")))
+    table = dataset.read_examples(_require("split", _out(config, "features")))
     with _config_values("split_ratio"):
         ratio = dataset.check_ratio(float(config["split_ratio"]))
     result = dataset.stratified_split(
-        examples,
+        table,
         ratio=ratio,
         seed=_seed(config),
         group_by_author=bool(args.group_by_author),
@@ -313,7 +320,7 @@ def cmd_split(args, config) -> int:
 
 
 def cmd_train(args, config) -> int:
-    examples = dataset.read_examples(_require("train", _out(config, "train")))
+    table = dataset.read_examples(_require("train", _out(config, "train")))
     with _config_values("train"):
         train_cfg = mlp.TrainConfig(
             epochs=int(config["train"]["epochs"]),
@@ -322,42 +329,42 @@ def cmd_train(args, config) -> int:
             hidden_sizes=tuple(config["train"]["hidden_sizes"]),
             seed=_seed(config),
         )
-    model = mlp.train(examples, train_cfg)
+    model = mlp.train(table, train_cfg)
     mlp.save_model(model, _out(config, "model"))
-    print(f"train: {len(examples)} examples, final loss {model.loss_history[-1]:.4f}")
+    print(f"train: {len(table)} examples, final loss {model.loss_history[-1]:.4f}")
     return 0
 
 
 def cmd_evaluate(args, config) -> int:
     model = mlp.load_model(_require("evaluate", _out(config, "model")))
-    examples = dataset.read_examples(_require("evaluate", _out(config, "test")))
-    gold = [ex.label for ex in examples]
-    predicted = mlp.predict_batch(model, mlp.model_inputs(model, [ex.features for ex in examples]))
-    report = metrics.classification_report(gold, predicted, labels=list(BinaryRole))
+    table = dataset.read_examples(_require("evaluate", _out(config, "test")))
+    predicted = mlp.predict_batch(model, mlp.model_inputs(model, table.X))
+    report = metrics.classification_report(list(table.labels), predicted, labels=list(BinaryRole))
     metrics.save_report(report, _out(config, "metrics"))
     artifacts.write_text(_out(config, "metrics_text"), metrics.report_to_text(report) + "\n")
-    print(f"evaluate: macro F1 {report.macro_f1:.3f} on {len(examples)} test examples")
+    print(f"evaluate: macro F1 {report.macro_f1:.3f} on {len(table)} test examples")
     return 0
 
 
 def cmd_explain(args, config) -> int:
     model = mlp.load_model(_require("explain", _out(config, "model")))
-    train_examples = dataset.read_examples(_require("explain", _out(config, "train")))
-    test_examples = dataset.read_examples(_require("explain", _out(config, "test")))
+    train_table = dataset.read_examples(_require("explain", _out(config, "train")))
+    test_table = dataset.read_examples(_require("explain", _out(config, "test")))
 
     rng = np.random.default_rng(_seed(config))
     with _config_values("explain"):
         n_samples = int(config["explain"]["n_baseline_samples"])
         if n_samples < 0:
             raise ValueError(f"n_baseline_samples must be >= 0, got {n_samples}")
-    n_baselines = min(n_samples, len(train_examples))
-    picks = rng.choice(len(train_examples), size=n_baselines, replace=False)
+    n_baselines = min(n_samples, len(train_table))
+    picks = rng.choice(len(train_table), size=n_baselines, replace=False)
     baselines = [np.zeros(len(model.config.feature_indices))]
-    baselines += [mlp.model_input(model, train_examples[i].features) for i in picks]
+    baselines += list(mlp.model_inputs(model, train_table.X[picks]))
 
-    X = mlp.model_inputs(model, [ex.features for ex in test_examples])
+    X = mlp.model_inputs(model, test_table.X)
     attributions = explain.exact_shapley_batch(model, X, baselines)
-    ids = [f"{ex.paper_id}:{ex.author_id}" for ex in test_examples]
+    ids = [f"{paper}:{author}"
+           for paper, author in zip(test_table.paper_ids, test_table.author_ids)]
     explain.write_attributions(attributions, ids, model.input_names, _out(config, "attributions"))
     rows = explain.shap_summary(attributions, model.input_names)
     explain.write_summary(rows, _out(config, "shap_summary"))

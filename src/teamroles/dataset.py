@@ -1,14 +1,21 @@
-"""Labeled-example assembly and the stratified train/test split."""
+"""The labeled feature table, its CSV file and the stratified train/test split.
+
+After `featurize`, the rows travel as one FeatureTable: ids and labels
+per row and the raw features in one float matrix, which `train`,
+`evaluate` and `explain` use as it is.
+"""
 from __future__ import annotations
 
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, Iterable, List, Sequence, Tuple
+
+import numpy as np
 
 from . import artifacts
-from .errors import PipelineError
-from .types import FEATURE_NAMES, BinaryRole, FeatureVector
+from .errors import FormatError, PipelineError
+from .types import FEATURE_NAMES, RATIO_FEATURES, BinaryRole, feature_problem
 
 
 class ClassTooSmall(PipelineError):
@@ -17,18 +24,46 @@ class ClassTooSmall(PipelineError):
         self.label = label
 
 
-@dataclass(frozen=True)
-class LabeledExample:
-    author_id: str
-    paper_id: str
-    features: FeatureVector
-    label: BinaryRole
+@dataclass(frozen=True, eq=False)
+class FeatureTable:
+    """Labeled (author, paper) rows in one float matrix.
+
+    Row i is author_ids[i] on paper_ids[i], with raw (unnormalized)
+    features X[i] in FEATURE_NAMES order and label labels[i].
+    """
+
+    author_ids: Tuple[str, ...]
+    paper_ids: Tuple[str, ...]
+    X: np.ndarray  # (n, len(FEATURE_NAMES)) float64
+    labels: Tuple[BinaryRole, ...]
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    @classmethod
+    def from_rows(
+        cls, rows: Iterable[Tuple[str, str, Sequence[float], BinaryRole]]
+    ) -> "FeatureTable":
+        """The table of (author_id, paper_id, features, label) rows."""
+        rows = list(rows)
+        X = np.array([row[2] for row in rows], dtype=float).reshape(len(rows), len(FEATURE_NAMES))
+        return cls(tuple(row[0] for row in rows), tuple(row[1] for row in rows), X,
+                   tuple(row[3] for row in rows))
+
+    def take(self, indices: Sequence[int]) -> "FeatureTable":
+        """The rows at `indices`, in that order."""
+        return FeatureTable(
+            tuple(self.author_ids[i] for i in indices),
+            tuple(self.paper_ids[i] for i in indices),
+            self.X[np.asarray(indices, dtype=np.intp)],
+            tuple(self.labels[i] for i in indices),
+        )
 
 
 @dataclass(frozen=True)
 class SplitResult:
-    train: List[LabeledExample]
-    test: List[LabeledExample]
+    train: FeatureTable
+    test: FeatureTable
     seed: int
     ratio: float
 
@@ -41,90 +76,108 @@ def check_ratio(ratio: float) -> float:
 
 
 def stratified_split(
-    examples: Sequence[LabeledExample],
+    table: FeatureTable,
     ratio: float,
     seed: int,
     group_by_author: bool = False,
 ) -> SplitResult:
-    """Per-class split: the test partition gets round(ratio * class_count) examples.
+    """Per-class split: the test partition gets round(ratio * class_count) rows.
 
     `ratio` is the test fraction. With group_by_author=True whole authors
-    are assigned to one side, across classes, so no author has examples in
-    both train and test and every example is in exactly one of them.
+    are assigned to one side, across classes, so no author has rows in
+    both train and test and every row is in exactly one of them.
     Authors are visited in a seeded shuffle of their sorted ids, and an
-    author goes to test while each class it has examples of is still below
-    its test quota; since an author's examples move together, a class's test
+    author goes to test while each class it has rows of is still below
+    its test quota; since an author's rows move together, a class's test
     count can miss round(ratio * class_count). Off by default to match the
-    plain example-level split.
+    plain row-level split.
     """
     check_ratio(ratio)
 
     rng = random.Random(seed)
-    by_class: Dict[BinaryRole, List[LabeledExample]] = {}
-    for ex in examples:
-        by_class.setdefault(ex.label, []).append(ex)
+    labels = table.labels
+    by_class: Dict[BinaryRole, List[int]] = {}
+    for i, label in enumerate(labels):
+        by_class.setdefault(label, []).append(i)
     for label, members in by_class.items():
         if len(members) < 2:
             raise ClassTooSmall(label)
     n_test = {label: math.floor(ratio * len(members) + 0.5) for label, members in by_class.items()}
 
-    train: List[LabeledExample] = []
-    test: List[LabeledExample] = []
+    train: List[int] = []
+    test: List[int] = []
     if group_by_author:
-        groups: Dict[str, List[LabeledExample]] = {}
-        for ex in examples:
-            groups.setdefault(ex.author_id, []).append(ex)
+        groups: Dict[str, List[int]] = {}
+        for i, author in enumerate(table.author_ids):
+            groups.setdefault(author, []).append(i)
         keys = sorted(groups)
         rng.shuffle(keys)
         picked = dict.fromkeys(by_class, 0)
         for key in keys:
             group = groups[key]
-            if all(picked[ex.label] < n_test[ex.label] for ex in group):
+            if all(picked[labels[i]] < n_test[labels[i]] for i in group):
                 test.extend(group)
-                for ex in group:
-                    picked[ex.label] += 1
+                for i in group:
+                    picked[labels[i]] += 1
             else:
                 train.extend(group)
-        return SplitResult(train, test, seed, ratio)
-
-    for label in sorted(by_class, key=lambda b: b.value):
-        members = by_class[label]
-        order = list(range(len(members)))
-        rng.shuffle(order)
-        test.extend(members[i] for i in order[: n_test[label]])
-        train.extend(members[i] for i in order[n_test[label]:])
-    return SplitResult(train, test, seed, ratio)
+    else:
+        for label in sorted(by_class, key=lambda b: b.value):
+            members = by_class[label]
+            rng.shuffle(members)
+            test.extend(members[: n_test[label]])
+            train.extend(members[n_test[label]:])
+    return SplitResult(table.take(train), table.take(test), seed, ratio)
 
 
 FEATURE_TABLE_HEADER = ["author_id", "paper_id", *FEATURE_NAMES, "label"]
 
 
-def write_examples(examples: Sequence[LabeledExample], path) -> None:
-    rows = (
-        [ex.author_id, ex.paper_id, *[repr(v) for v in ex.features.to_list()], ex.label.value]
-        for ex in examples
+def write_examples(table: FeatureTable, path) -> None:
+    rows = (  # one row of X at a time: X.tolist() would hold every row's floats at once
+        [author_id, paper_id, *map(repr, values.tolist()), label.value]
+        for author_id, paper_id, values, label
+        in zip(table.author_ids, table.paper_ids, table.X, table.labels)
     )
     artifacts.write_csv(path, FEATURE_TABLE_HEADER, rows)
 
 
-def example_from_row(row: dict) -> LabeledExample:
-    return LabeledExample(
-        author_id=row["author_id"],
-        paper_id=row["paper_id"],
-        features=FeatureVector.from_list([float(row[n]) for n in FEATURE_NAMES]),
-        label=BinaryRole.from_string(row["label"]),
+def _decode_row(row: dict) -> tuple:
+    return (
+        row["author_id"],
+        row["paper_id"],
+        [float(row[name]) for name in FEATURE_NAMES],
+        BinaryRole.from_string(row["label"]),
     )
 
 
-def read_examples(path) -> List[LabeledExample]:
-    return [example for _, example in artifacts.read_csv(path, decode=example_from_row)]
+# per column: the largest valid value (1 for a ratio, no bound for a count)
+_COLUMN_MAX = np.array([1.0 if name in RATIO_FEATURES else np.inf for name in FEATURE_NAMES])
+
+
+def read_examples(path) -> FeatureTable:
+    """The table write_examples wrote. A cell that does not parse as a float,
+    or that is not finite, is negative or is a ratio above 1, raises
+    FormatError naming its line and column; parse errors come first, then
+    the first bad value in file order."""
+    numbered = list(artifacts.read_csv(path, decode=_decode_row))
+    table = FeatureTable.from_rows(row for _, row in numbered)
+    X = table.X
+    bad = ~np.isfinite(X) | (X < 0.0) | (X > _COLUMN_MAX)
+    if bad.any():
+        row = int(bad.any(axis=1).argmax())
+        column = int(bad[row].argmax())
+        name = FEATURE_NAMES[column]
+        problem = feature_problem(name, float(X[row, column]))
+        raise FormatError(path, numbered[row][0], f"field {name}: {problem}")
+    return table
 
 
 def write_split_manifest(result: SplitResult, path) -> None:
     counts = {"train": {}, "test": {}}
     for name, part in (("train", result.train), ("test", result.test)):
         for label in BinaryRole:
-            counts[name][label.value] = sum(1 for ex in part if ex.label is label)
+            counts[name][label.value] = part.labels.count(label)
     manifest = {
         "schema_version": 1,
         "seed": result.seed,

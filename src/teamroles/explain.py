@@ -15,12 +15,14 @@ explained quantity is the pre-threshold probability, not the class label.
 """
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, List, NamedTuple, Optional, Sequence
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -124,6 +126,39 @@ def exact_shapley(
     return _attribution(values, m)
 
 
+@lru_cache(maxsize=None)
+def _openblas_thread_count() -> Optional[Tuple[Callable[[], int], Callable[[int], None]]]:
+    """The get and set functions of the thread count of the OpenBLAS bundled
+    with numpy, or None if this numpy has no such library."""
+    try:
+        from numpy._core import _multiarray_umath  # linked against the bundled library
+
+        library = ctypes.CDLL(_multiarray_umath.__file__)
+        get = library.scipy_openblas_get_num_threads64_
+        set_ = library.scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread, then restore its count."""
+    functions = _openblas_thread_count()
+    if functions is None:
+        yield
+        return
+    get, set_ = functions
+    count = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(count)
+
+
 def exact_shapley_batch(
     model: TrainedModel, X: np.ndarray, baselines: Sequence[np.ndarray]
 ) -> List[Attribution]:
@@ -156,7 +191,9 @@ def exact_shapley_batch(
     every further CPU in the process's affinity set, so no thread is
     started on one CPU; numpy releases the GIL inside each block. A row is
     computed whole by one thread in a fixed order, so the result is the
-    same bytes whatever the thread count.
+    same bytes whatever the thread count. Meanwhile numpy's bundled
+    OpenBLAS runs on one thread, so its own threads do not compete with
+    these for the CPUs; its thread count is restored on the way out.
     """
     if len(baselines) == 0:
         raise EmptyBaselines("at least one baseline required")
@@ -250,13 +287,14 @@ def exact_shapley_batch(
     # plain threads: importing concurrent.futures alone adds about 0.3 MB of RSS
     helpers = min(len(os.sched_getaffinity(0)), len(X)) - 1
     threads = [threading.Thread(target=helper) for _ in range(helpers)]
-    for thread in threads:
-        thread.start()
-    try:
-        work()
-    finally:
+    with _one_blas_thread():
         for thread in threads:
-            thread.join()
+            thread.start()
+        try:
+            work()
+        finally:
+            for thread in threads:
+                thread.join()
     if failures:
         raise failures[0]
     return attributions

@@ -7,8 +7,9 @@ the focal year, so no feature sees post-publication information.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -154,14 +155,17 @@ class NormalizationRanges:
 def _per_feature(values) -> Tuple[float, ...]:
     if len(values) != len(FEATURE_NAMES):
         raise ValueError(f"{len(values)} values, expected one per feature ({len(FEATURE_NAMES)})")
-    return tuple(float(v) for v in values)
+    floats = tuple(float(v) for v in values)
+    if not all(map(math.isfinite, floats)):
+        raise ValueError("not finite")
+    return floats
 
 
-def fit_normalization(matrix: Sequence[FeatureVector]) -> NormalizationRanges:
-    if not matrix:
+def fit_normalization(X: np.ndarray) -> NormalizationRanges:
+    """The ranges of a raw feature matrix, one row per example."""
+    if len(X) == 0:
         raise UnfittedRanges("cannot fit normalization on an empty matrix")
-    arr = np.array([fv.to_list() for fv in matrix], dtype=float)
-    return NormalizationRanges(tuple(arr.min(axis=0)), tuple(arr.max(axis=0)))
+    return NormalizationRanges(tuple(X.min(axis=0)), tuple(X.max(axis=0)))
 
 
 def apply_normalization(vector: FeatureVector, ranges: NormalizationRanges) -> FeatureVector:

@@ -9,6 +9,8 @@ through the ReLU layers; `forward_batch`, the analytic input gradient
 (which feeds the gradient attribution estimator) and training all share
 them. The exact Shapley kernel in `explain` evaluates the same layers in
 its own factored form, with the biases folded into its matmuls.
+`train` takes a FeatureTable (see `dataset`) and uses its float matrix
+as it is.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import artifacts
-from .dataset import LabeledExample
+from .dataset import FeatureTable
 from .errors import PipelineError
 from .features import NormalizationRanges, fit_normalization, normalize_array
 from .types import FEATURE_NAMES, BinaryRole, FeatureVector
@@ -101,8 +103,12 @@ def init(config: TrainConfig) -> NetworkParams:
     )
 
 
+# np.clip and np.sum go through Python-level dispatch that costs more than
+# the arithmetic on a 32-row batch; np.maximum with np.minimum clips, and
+# np.add.reduce sums, to the same bits.
 def _sigmoid(z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    s = np.clip(z, -500.0, 500.0, out=out)
+    s = np.maximum(z, -500.0, out=out)
+    np.minimum(s, 500.0, out=s)
     np.negative(s, out=s)
     np.exp(s, out=s)
     s += 1.0
@@ -112,18 +118,20 @@ def _sigmoid(z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
 def _probability(z3: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Predicted probabilities from output pre-activations, kept off 0 and 1 for the loss."""
     y = _sigmoid(z3, out=out)
-    return np.clip(y, _EPS, 1.0 - _EPS, out=y)
+    np.maximum(y, _EPS, out=y)
+    return np.minimum(y, 1.0 - _EPS, out=y)
 
 
-def _check_finite(X: np.ndarray) -> None:
+def _check_finite(X) -> np.ndarray:
+    """X as a float array, or NonFiniteInput if it holds NaN or infinity."""
+    X = np.asarray(X, dtype=float)
     if not np.all(np.isfinite(X)):
         raise NonFiniteInput("input matrix contains NaN or infinity")
+    return X
 
 
 def _layers(params: NetworkParams, X: np.ndarray) -> Tuple[np.ndarray, ...]:
-    """Pre- and post-activations (Z1, A1, Z2, A2, z3) for each row of X."""
-    X = np.asarray(X, dtype=float)
-    _check_finite(X)
+    """Pre- and post-activations (Z1, A1, Z2, A2, z3) for each row of a finite float matrix X."""
     Z1 = X @ params.W1.T + params.b1
     A1 = np.maximum(0.0, Z1)
     Z2 = A1 @ params.W2.T + params.b2
@@ -142,7 +150,7 @@ def _backward(
 
 def forward_batch(params: NetworkParams, X: np.ndarray) -> np.ndarray:
     """Predicted probabilities for a whole matrix of points, one row each."""
-    return _probability(_layers(params, X)[-1])
+    return _probability(_layers(params, _check_finite(X))[-1])
 
 
 def forward(params: NetworkParams, x: np.ndarray) -> float:
@@ -152,26 +160,33 @@ def forward(params: NetworkParams, x: np.ndarray) -> float:
 
 def input_gradient_batch(params: NetworkParams, X: np.ndarray) -> np.ndarray:
     """Analytic input gradients for a whole matrix of points, one row each."""
-    Z1, _, Z2, _, z3 = _layers(params, X)
+    Z1, _, Z2, _, z3 = _layers(params, _check_finite(X))
     y = _sigmoid(z3)
     d1, _ = _backward(params, Z1, Z2, y * (1.0 - y))
     return d1 @ params.W1
 
 
-def _bce(y: np.ndarray, t: np.ndarray, weights: np.ndarray) -> float:
-    losses = -(t * np.log(y) + (1.0 - t) * np.log(1.0 - y))
-    return float(np.sum(weights * losses) / np.sum(weights))
+def _weighted_bce(y: np.ndarray, t: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Per-row binary cross-entropy of probabilities y against targets t, times its weight."""
+    return weights * -(t * np.log(y) + (1.0 - t) * np.log(1.0 - y))
 
 
-def train(examples: Sequence[LabeledExample], config: TrainConfig = TrainConfig()) -> TrainedModel:
-    """Minibatch gradient descent over `epochs` seeded-shuffled passes."""
-    labels = {ex.label for ex in examples}
-    if len(labels) < 2:
+def train(table: FeatureTable, config: TrainConfig = TrainConfig()) -> TrainedModel:
+    """Minibatch gradient descent over `epochs` seeded-shuffled passes.
+
+    Each epoch gathers the rows in its shuffled order once and takes the
+    batches as slices of that copy; each step updates the weights in
+    place. The step keeps its batch's probabilities in an epoch buffer,
+    and after the epoch each batch's weighted mean BCE is taken from
+    them, batch by batch; the epoch's loss is their row-weighted mean.
+    """
+    if len(set(table.labels)) < 2:
         raise DegenerateTrainingSet("training set must contain both classes")
 
-    ranges = fit_normalization([ex.features for ex in examples])
-    X = _inputs([ex.features for ex in examples], ranges, config.feature_indices)
-    t = np.array([1.0 if ex.label is BinaryRole.LEADERSHIP else 0.0 for ex in examples])
+    ranges = fit_normalization(table.X)
+    X = _inputs(table.X, ranges, config.feature_indices)
+    _check_finite(X)
+    t = np.array([label is BinaryRole.LEADERSHIP for label in table.labels], dtype=float)
     if config.class_weights is not None:
         w_support, w_lead = config.class_weights
         sample_w = np.where(t == 1.0, w_lead, w_support)
@@ -180,49 +195,53 @@ def train(examples: Sequence[LabeledExample], config: TrainConfig = TrainConfig(
 
     params = init(config)
     rng = np.random.default_rng(config.seed + 1)
-    n = len(examples)
+    n, size, lr = len(t), config.batch_size, config.learning_rate
+    batches = [slice(start, start + size) for start in range(0, n, size)]
+    Y = np.empty(n)  # the epoch's probabilities, in shuffled order
+    weight_sums = [0.0] * len(batches)
     loss_history: List[float] = []
     for _ in range(config.epochs):
         order = rng.permutation(n)
-        epoch_loss = 0.0
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            Xb, tb, wb = X[idx], t[idx], sample_w[idx]
-
+        Xe, te, we = X[order], t[order], sample_w[order]
+        for k, batch in enumerate(batches):
+            Xb, tb, wb = Xe[batch], te[batch], we[batch]
             Z1, A1, Z2, A2, z3 = _layers(params, Xb)
-            Y = _probability(z3)
-            epoch_loss += _bce(Y, tb, wb) * len(idx)
+            Yb = _probability(z3, out=Y[batch])
 
             # dL/dz3 for weighted mean BCE through the sigmoid
-            d3 = (wb * (Y - tb)) / np.sum(wb)
+            weight_sums[k] = np.add.reduce(wb)
+            d3 = (wb * (Yb - tb)) / weight_sums[k]
             d1, d2 = _backward(params, Z1, Z2, d3)
 
-            lr = config.learning_rate
-            params.W3 = params.W3 - lr * (d3 @ A2)
-            params.b3 = params.b3 - lr * float(np.sum(d3))
-            params.W2 = params.W2 - lr * (d2.T @ A1)
-            params.b2 = params.b2 - lr * d2.sum(axis=0)
-            params.W1 = params.W1 - lr * (d1.T @ Xb)
-            params.b1 = params.b1 - lr * d1.sum(axis=0)
+            params.W3 -= lr * (d3 @ A2)
+            params.b3 -= lr * float(np.add.reduce(d3))
+            params.W2 -= lr * (d2.T @ A1)
+            params.b2 -= lr * np.add.reduce(d2)
+            params.W1 -= lr * (d1.T @ Xb)
+            params.b1 -= lr * np.add.reduce(d1)
+
+        losses = _weighted_bce(Y, te, we)
+        epoch_loss = 0.0
+        for batch, weight_sum in zip(batches, weight_sums):
+            rows = losses[batch]
+            epoch_loss += float(np.add.reduce(rows) / weight_sum) * len(rows)
         loss_history.append(epoch_loss / n)
     return TrainedModel(params, ranges, config, loss_history)
 
 
-def _inputs(vectors: Sequence[FeatureVector], ranges: NormalizationRanges,
-            indices: Sequence[int]) -> np.ndarray:
-    """Normalize raw feature vectors and select the input columns, one row each."""
-    raw = np.array([fv.to_list() for fv in vectors], dtype=float)
-    return normalize_array(raw.reshape(len(vectors), len(FEATURE_NAMES)), ranges)[:, list(indices)]
+def _inputs(raw: np.ndarray, ranges: NormalizationRanges, indices: Sequence[int]) -> np.ndarray:
+    """Normalize a raw feature matrix and select the input columns."""
+    return normalize_array(raw, ranges)[:, list(indices)]
 
 
-def model_inputs(model: TrainedModel, vectors: Sequence[FeatureVector]) -> np.ndarray:
-    """The model's input matrix for raw feature vectors, one row each."""
-    return _inputs(vectors, model.ranges, model.config.feature_indices)
+def model_inputs(model: TrainedModel, raw: np.ndarray) -> np.ndarray:
+    """The model's input matrix for a raw feature matrix (such as FeatureTable.X)."""
+    return _inputs(raw, model.ranges, model.config.feature_indices)
 
 
 def model_input(model: TrainedModel, features: FeatureVector) -> np.ndarray:
     """Normalize a raw feature vector and select the model's input columns."""
-    return model_inputs(model, [features])[0]
+    return model_inputs(model, np.array([features.to_list()]))[0]
 
 
 def predict_batch(model: TrainedModel, X: np.ndarray) -> List[BinaryRole]:
@@ -234,7 +253,7 @@ def predict_batch(model: TrainedModel, X: np.ndarray) -> List[BinaryRole]:
 
 
 def predict(model: TrainedModel, features: FeatureVector) -> BinaryRole:
-    return predict_batch(model, model_inputs(model, [features]))[0]
+    return predict_batch(model, model_input(model, features)[None, :])[0]
 
 
 def save_model(model: TrainedModel, path) -> None:

@@ -212,7 +212,20 @@ FEATURE_NAMES = (
     "institutional_diversity",
 )
 
-_RATIO_FEATURES = frozenset(FEATURE_NAMES[:4])
+# The features that are shares, each in [0, 1]; the rest are counts, >= 0.
+RATIO_FEATURES = FEATURE_NAMES[:4]
+
+
+def feature_problem(name: str, value: float) -> Optional[str]:
+    """Why `value` cannot be feature `name`, or None if it can: every feature
+    is finite and >= 0, and a ratio is at most 1."""
+    if not math.isfinite(value):
+        return f"feature {name} is not finite: {value}"
+    if value < 0:
+        return f"feature {name} is negative: {value}"
+    if name in RATIO_FEATURES and value > 1.0:
+        return f"ratio feature {name} exceeds 1: {value}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -230,13 +243,9 @@ class FeatureVector:
 
     def __post_init__(self):
         for name in FEATURE_NAMES:
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"feature {name} is not finite: {value}")
-            if value < 0:
-                raise ValueError(f"feature {name} is negative: {value}")
-            if name in _RATIO_FEATURES and value > 1.0:
-                raise ValueError(f"ratio feature {name} exceeds 1: {value}")
+            problem = feature_problem(name, getattr(self, name))
+            if problem is not None:
+                raise ValueError(problem)
 
     def to_list(self) -> list:
         return [float(getattr(self, name)) for name in FEATURE_NAMES]

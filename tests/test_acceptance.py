@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from teamroles.cli import main as cli_main
-from teamroles.dataset import LabeledExample, read_examples, stratified_split
+from teamroles.dataset import FeatureTable, read_examples, stratified_split
 from teamroles.explain import exact_shapley, gradient_shap
 from teamroles.features import apply_normalization, fit_normalization
 from teamroles.ingest import CorpusFile, SamplingPlan, expected_rows, parse_corpus, sample_papers
@@ -249,7 +249,7 @@ def test_criterion_04_feature_oracle_equivalence(cache_dir, fixture_cache_raw):
             checked += 1
     assert checked >= 100  # the fixture bundle is ~50 authors x 60 papers
 
-    ranges = fit_normalization(matrix)
+    ranges = fit_normalization(np.array([fv.to_list() for fv in matrix]))
     normalized = np.array([apply_normalization(fv, ranges).to_list() for fv in matrix])
     assert np.all(normalized >= 0.0) and np.all(normalized <= 1.0)
     assert np.allclose(normalized.min(axis=0), 0.0)
@@ -292,13 +292,13 @@ def test_criterion_05_gradient_check():
 
 def _f1_leadership(model, examples):
     tp = fp = fn = 0
-    for ex in examples:
-        predicted = predict(model, ex.features)
-        if predicted is BinaryRole.LEADERSHIP and ex.label is BinaryRole.LEADERSHIP:
+    for x, label in zip(examples.X, examples.labels):
+        predicted = predict(model, FeatureVector.from_list(x))
+        if predicted is BinaryRole.LEADERSHIP and label is BinaryRole.LEADERSHIP:
             tp += 1
         elif predicted is BinaryRole.LEADERSHIP:
             fp += 1
-        elif ex.label is BinaryRole.LEADERSHIP:
+        elif label is BinaryRole.LEADERSHIP:
             fn += 1
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
@@ -307,23 +307,22 @@ def _f1_leadership(model, examples):
 
 def _separable_examples(seed, n=200, margin=1.0):
     rng = np.random.default_rng(seed)
-    examples = []
-    while len(examples) < n:
+    rows = []
+    while len(rows) < n:
         ratios = rng.uniform(0.0, 1.0, 4)
         counts = rng.uniform(0.0, 10.0, 6)
         signal = counts[0] + counts[1]
         if abs(signal - 10.0) < margin:
             continue
         label = BinaryRole.LEADERSHIP if signal > 10.0 else BinaryRole.SUPPORT
-        fv = FeatureVector.from_list(list(ratios) + list(counts))
-        examples.append(LabeledExample(f"A{len(examples)}", f"W{len(examples)}", fv, label))
-    return examples
+        rows.append((f"A{len(rows)}", f"W{len(rows)}", list(ratios) + list(counts), label))
+    return FeatureTable.from_rows(rows)
 
 
 def _signal_in_last_two(seed, n=300):
     """Features 8 and 9 carry label signal the first eight features lack."""
     rng = np.random.default_rng(seed)
-    examples = []
+    rows = []
     for i in range(n):
         ratios = rng.uniform(0.0, 1.0, 4)
         counts = rng.uniform(0.0, 10.0, 4)
@@ -333,9 +332,8 @@ def _signal_in_last_two(seed, n=300):
             if s8 + s9 + rng.normal(0.0, 1.0) > 10.0
             else BinaryRole.SUPPORT
         )
-        fv = FeatureVector.from_list(list(ratios) + list(counts) + [s8, s9])
-        examples.append(LabeledExample(f"A{i}", f"W{i}", fv, label))
-    return examples
+        rows.append((f"A{i}", f"W{i}", list(ratios) + list(counts) + [s8, s9], label))
+    return FeatureTable.from_rows(rows)
 
 
 def test_criterion_06_training_sanity_and_feature_margin():
@@ -408,10 +406,10 @@ def test_criterion_07_shapley_axioms_and_estimator(fixture_pipeline):
 
     # estimator agreement on the trained fixture model, single zero baseline
     model = load_model(fixture_pipeline / "model.json")
-    test_examples = read_examples(fixture_pipeline / "test.csv")
+    test_table = read_examples(fixture_pipeline / "test.csv")
     zero = np.zeros(10)
-    for i, ex in enumerate(test_examples[:5]):
-        point = model_input(model, ex.features)
+    for i, x in enumerate(test_table.X[:5]):
+        point = model_input(model, FeatureVector.from_list(x))
         exact = exact_shapley(lambda v: forward(model.params, v), point, zero)
         coarse = gradient_shap(model, point, [zero], n_samples=256, seed=i)
         fine = gradient_shap(model, point, [zero], n_samples=4096, seed=i)
@@ -428,18 +426,17 @@ def test_criterion_07_shapley_axioms_and_estimator(fixture_pipeline):
 
 def test_criterion_08_stratified_split():
     def build(n_lead, n_support):
-        examples = []
-        for i in range(n_lead + n_support):
-            label = BinaryRole.LEADERSHIP if i < n_lead else BinaryRole.SUPPORT
-            fv = FeatureVector.from_list([0.0] * 4 + [float(i)] * 6)
-            examples.append(LabeledExample(f"A{i}", f"W{i}", fv, label))
-        return examples
+        return FeatureTable.from_rows(
+            (f"A{i}", f"W{i}", [0.0] * 4 + [float(i)] * 6,
+             BinaryRole.LEADERSHIP if i < n_lead else BinaryRole.SUPPORT)
+            for i in range(n_lead + n_support)
+        )
 
     examples = build(100, 300)
     for seed in range(50):
         result = stratified_split(examples, ratio=0.2, seed=seed)
-        lead = sum(1 for e in result.test if e.label is BinaryRole.LEADERSHIP)
-        support = sum(1 for e in result.test if e.label is BinaryRole.SUPPORT)
+        lead = result.test.labels.count(BinaryRole.LEADERSHIP)
+        support = result.test.labels.count(BinaryRole.SUPPORT)
         assert (lead, support) == (20, 60)
         # per-class proportions within one example of the 0.2 target
         assert abs(lead - 0.2 * 100) <= 1

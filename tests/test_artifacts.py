@@ -188,6 +188,12 @@ def drop_last_feature_range(path: Path) -> None:
     path.write_text(json.dumps(model, indent=2))
 
 
+def set_feature_range(path: Path, side: str, index: int, value: float) -> None:
+    model = json.loads(path.read_text())
+    model["ranges"][side][index] = value
+    path.write_text(json.dumps(model, indent=2))
+
+
 def set_csv_field(path: Path, number: int, name: str, value: str) -> None:
     lines = path.read_text().split("\n")
     header = lines[0].split(",")
@@ -225,17 +231,30 @@ def set_csv_field(path: Path, number: int, name: str, value: str) -> None:
         ("explain", "model.json", drop_last_feature_range, 1, "ranges.mins"),
         ("evaluate", "model.json", lambda p: set_model_field(p, "config", "epochs", 0), 1,
          "config"),
+        ("split", "features.csv",
+         lambda p: set_csv_field(p, 4, "contribution_to_references", "nan"), 4,
+         "contribution_to_references"),
+        ("split", "features.csv", lambda p: set_csv_field(p, 5, "probability_of_leading", "1.5"),
+         5, "probability_of_leading"),
+        ("train", "train.csv", lambda p: set_csv_field(p, 3, "citation_count", "-2.0"), 3,
+         "citation_count"),
+        ("evaluate", "test.csv", lambda p: set_csv_field(p, 2, "label", "Boss"), 2, "label"),
+        ("evaluate", "model.json", lambda p: set_feature_range(p, "maxs", 2, float("nan")), 1,
+         "ranges.maxs"),
     ],
     ids=["read_examples", "read_corpus", "read_outcomes-missing", "read_outcomes-bad",
          "read_corpus-journal", "load_model", "cache_load", "read_outcomes-label-type",
          "read_corpus-statement-type", "featurize-statement-type", "read_corpus-flag-type",
          "load_model-shape", "load_model-feature-index", "load_model-ranges",
-         "explain-load_model-ranges", "load_model-epochs"],
+         "explain-load_model-ranges", "load_model-epochs", "read_examples-ratio-nan",
+         "read_examples-ratio-over-1", "read_examples-negative-count", "read_examples-label",
+         "load_model-ranges-nan"],
 )
 def test_bad_field_exits_1_naming_path_line_and_field(
     stage_dir, tmp_path, capsys, stage, name, damage, line, field
 ):
-    for artifact in ("corpus.jsonl", "labels_rule.jsonl", "train.csv", "test.csv", "model.json"):
+    for artifact in ("corpus.jsonl", "labels_rule.jsonl", "features.csv", "train.csv", "test.csv",
+                     "model.json"):
         shutil.copyfile(stage_dir / artifact, tmp_path / artifact)
     shutil.copytree("tests/fixtures/cache", tmp_path / "cache")
     damage(tmp_path / name)

@@ -6,7 +6,7 @@ import pytest
 
 from teamroles import dataset, metrics, mlp
 from teamroles.cli import ARTIFACTS, main
-from teamroles.types import BinaryRole
+from teamroles.types import BinaryRole, FeatureVector
 
 
 def run(*argv):
@@ -102,14 +102,13 @@ def test_evaluate_scores_the_test_set_in_one_forward_pass(pipeline_dir, tmp_path
 
     monkeypatch.setattr(mlp, "forward_batch", counted)
     assert run("evaluate", "--output-dir", str(tmp_path)) == 0
-    examples = dataset.read_examples(tmp_path / "test.csv")
-    assert calls == [len(examples)]
+    table = dataset.read_examples(tmp_path / "test.csv")
+    assert calls == [len(table)]
 
     model = mlp.load_model(tmp_path / "model.json")
-    predicted = [mlp.predict(model, ex.features) for ex in examples]  # one row at a time
-    report = metrics.classification_report(
-        [ex.label for ex in examples], predicted, labels=list(BinaryRole)
-    )
+    # one row at a time
+    predicted = [mlp.predict(model, FeatureVector.from_list(x)) for x in table.X]
+    report = metrics.classification_report(list(table.labels), predicted, labels=list(BinaryRole))
     metrics.save_report(report, tmp_path / "reference.json")
     assert (tmp_path / "metrics.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
     assert (tmp_path / "metrics.json").read_bytes() == (pipeline_dir / "metrics.json").read_bytes()

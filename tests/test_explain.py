@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from teamroles import dataset, explain, metrics, mlp
 from teamroles.cli import main
-from teamroles.dataset import LabeledExample
+from teamroles.dataset import FeatureTable
 from teamroles.explain import (
     Attribution,
     EmptyBaselines,
@@ -30,7 +30,7 @@ from teamroles.explain import (
 )
 from teamroles.features import NormalizationRanges
 from teamroles.mlp import NonFiniteInput, TrainConfig, TrainedModel, forward, init, train
-from teamroles.types import FEATURE_NAMES, BinaryRole, FeatureVector
+from teamroles.types import FEATURE_NAMES, BinaryRole
 
 
 def linear_fn(weights, bias=0.0):
@@ -55,15 +55,14 @@ def brute_force_shapley(model_fn, x, baseline):
 
 def small_model(seed=0):
     rng = np.random.default_rng(seed)
-    examples = []
+    rows = []
     for i in range(80):
         ratios = rng.uniform(0, 1, 4)
         counts = rng.uniform(0, 10, 6)
         label = BinaryRole.LEADERSHIP if counts[0] > 5 else BinaryRole.SUPPORT
-        examples.append(
-            LabeledExample(f"A{i}", f"W{i}", FeatureVector.from_list(list(ratios) + list(counts)), label)
-        )
-    return train(examples, TrainConfig(seed=seed, hidden_sizes=(8, 4), epochs=5, learning_rate=0.1))
+        rows.append((f"A{i}", f"W{i}", list(ratios) + list(counts), label))
+    config = TrainConfig(seed=seed, hidden_sizes=(8, 4), epochs=5, learning_rate=0.1)
+    return train(FeatureTable.from_rows(rows), config)
 
 
 def test_exact_shapley_linear_model_analytic():
@@ -203,9 +202,7 @@ def fixture_explain(fixture_stages):
     the last of them equal to the first test row."""
     out = fixture_stages
     model = mlp.load_model(out / "model.json")
-    inputs = lambda name: mlp.model_inputs(
-        model, [ex.features for ex in dataset.read_examples(out / name)]
-    )
+    inputs = lambda name: mlp.model_inputs(model, dataset.read_examples(out / name).X)
     X = inputs("test.csv")[:12]
     baselines = [np.zeros(len(FEATURE_NAMES)), *inputs("train.csv")[:4], X[0].copy()]
     return model, X, baselines
@@ -301,6 +298,58 @@ def test_exact_shapley_batch_raises_what_a_worker_thread_raised(fixture_explain,
     with pytest.raises(MemoryError, match="worker thread"):
         explain_on(2, monkeypatch, model, X, baselines)
     assert threading.active_count() == running
+
+
+@pytest.fixture
+def blas_threads():
+    """The get and set functions of numpy's OpenBLAS thread count, with the
+    count at 2 for the test and put back after it."""
+    functions = explain._openblas_thread_count()
+    if functions is None:
+        pytest.skip("numpy has no bundled OpenBLAS")
+    get, set_ = functions
+    before = get()
+    set_(2)
+    yield get, set_
+    set_(before)
+
+
+def test_exact_shapley_batch_runs_blas_on_one_thread_and_restores_it(
+    fixture_explain, monkeypatch, blas_threads
+):
+    get, set_ = blas_threads
+    model, X, baselines = fixture_explain
+    seen = []
+    attribution = explain._attribution
+    monkeypatch.setattr(explain, "_attribution", lambda *a: seen.append(get()) or attribution(*a))
+    from_two = explain_on(2, monkeypatch, model, X, baselines)
+    assert seen == [1] * len(X) and get() == 2
+
+    set_(1)
+    from_one = explain_on(2, monkeypatch, model, X, baselines)
+    assert get() == 1
+    for a, b in zip(from_two, from_one):
+        assert a.phi.tobytes() == b.phi.tobytes()
+        assert (a.base_value, a.prediction) == (b.base_value, b.prediction)
+
+
+def test_blas_thread_count_is_restored_after_a_worker_raises(
+    fixture_explain, monkeypatch, blas_threads
+):
+    get, _ = blas_threads
+    model, X, baselines = fixture_explain
+    attribution = explain._attribution
+
+    def fails_off_the_main_thread(values, m):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError("worker thread")
+        time.sleep(0.01)  # leave rows for the worker thread
+        return attribution(values, m)
+
+    monkeypatch.setattr(explain, "_attribution", fails_off_the_main_thread)
+    with pytest.raises(MemoryError, match="worker thread"):
+        explain_on(2, monkeypatch, model, X, baselines)
+    assert get() == 2
 
 
 def test_exact_shapley_batch_checks_the_baselines(fixture_explain):

@@ -277,7 +277,7 @@ def test_fit_then_apply_maps_columns_onto_unit_interval():
         )
         for _ in range(40)
     ]
-    ranges = fit_normalization(matrix)
+    ranges = fit_normalization(np.array([fv.to_list() for fv in matrix]))
     normalized = np.array([apply_normalization(fv, ranges).to_list() for fv in matrix])
     assert np.all(normalized >= 0.0) and np.all(normalized <= 1.0)
     assert np.allclose(normalized.min(axis=0), 0.0)
@@ -290,8 +290,9 @@ def test_normalize_array_matches_scalar_path():
         FeatureVector.from_list(list(rng.uniform(0, 1, 4)) + list(rng.uniform(0, 9, 6)))
         for _ in range(10)
     ]
-    ranges = fit_normalization(matrix)
-    arr = normalize_array(np.array([fv.to_list() for fv in matrix]), ranges)
+    raw = np.array([fv.to_list() for fv in matrix])
+    ranges = fit_normalization(raw)
+    arr = normalize_array(raw, ranges)
     scalar = np.array([apply_normalization(fv, ranges).to_list() for fv in matrix])
     assert np.array_equal(arr, scalar)
 

@@ -17,7 +17,7 @@ import pytest
 
 from teamroles import openalex
 from teamroles.cli import _read_labels, main
-from teamroles.dataset import LabeledExample, write_examples
+from teamroles.dataset import FeatureTable, read_examples, write_examples
 from teamroles.features import extract_features
 from teamroles.ingest import group_papers, read_corpus
 from teamroles.types import to_binary
@@ -37,7 +37,7 @@ def reference_featurize(records, labels, cache_dir):
         focal_by_paper[paper.paper_id] = dataclasses.replace(
             paper, referenced_work_ids=work.referenced_work_ids, topic_ids=work.topic_ids
         )
-    examples = []
+    rows = []
     for rec in records:
         role = labels.get(rec.record_id)
         if role is None:
@@ -45,8 +45,8 @@ def reference_featurize(records, labels, cache_dir):
         author_id = client.resolve_author(rec.author_name, rec.paper_id)
         profile = client.fetch_author_profile(author_id)
         features = extract_features(profile, focal_by_paper[rec.paper_id])
-        examples.append(LabeledExample(author_id, rec.paper_id, features, to_binary(role)))
-    return examples
+        rows.append((author_id, rec.paper_id, features.to_list(), to_binary(role)))
+    return FeatureTable.from_rows(rows)
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +84,13 @@ def test_featurize_matches_reference_on_shuffled_corpus(labeled_dir, tmp_path):
     assert (tmp_path / "features.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
     unshuffled = (labeled_dir / "features.csv").read_text().splitlines()
     assert sorted((tmp_path / "features.csv").read_text().splitlines()) == sorted(unshuffled)
+
+
+def test_feature_table_round_trips_byte_for_byte(labeled_dir, tmp_path):
+    table = read_examples(labeled_dir / "features.csv")
+    assert len(table) == 296 and table.X.shape == (296, 10)
+    write_examples(table, tmp_path / "features.csv")
+    assert (tmp_path / "features.csv").read_bytes() == (labeled_dir / "features.csv").read_bytes()
 
 
 @pytest.fixture

@@ -4,11 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from teamroles.dataset import LabeledExample
+from teamroles.cli import main
+from teamroles.dataset import FeatureTable, read_examples
+from teamroles.features import fit_normalization, normalize_array
 from teamroles.mlp import (
     DegenerateTrainingSet,
     NonFiniteInput,
     TrainConfig,
+    TrainedModel,
     forward,
     forward_batch,
     init,
@@ -29,15 +32,19 @@ def small_params(seed=0, d=10):
 def synthetic_examples(n=200, seed=0, noise=0.0):
     """Linearly separable set: label depends on features 4 and 5."""
     rng = np.random.default_rng(seed)
-    examples = []
+    rows = []
     for i in range(n):
         ratios = rng.uniform(0.0, 1.0, size=4)
         counts = rng.uniform(0.0, 20.0, size=6)
         signal = counts[0] + counts[1] - 20.0 + noise * rng.normal()
         label = BinaryRole.LEADERSHIP if signal > 0 else BinaryRole.SUPPORT
-        fv = FeatureVector.from_list(list(ratios) + list(counts))
-        examples.append(LabeledExample(f"A{i}", f"W{i}", fv, label))
-    return examples
+        rows.append((f"A{i}", f"W{i}", list(ratios) + list(counts), label))
+    return FeatureTable.from_rows(rows)
+
+
+def feature_rows(table):
+    """(FeatureVector, label) for each row of a table."""
+    return [(FeatureVector.from_list(x), label) for x, label in zip(table.X, table.labels)]
 
 
 def test_init_deterministic_and_shapes():
@@ -118,11 +125,9 @@ def test_input_gradient_finite(x):
 
 
 def test_train_rejects_single_class():
-    examples = [
-        LabeledExample(f"A{i}", f"W{i}", FeatureVector.from_list([0.0] * 4 + [float(i)] * 6),
-                       BinaryRole.SUPPORT)
-        for i in range(10)
-    ]
+    examples = FeatureTable.from_rows(
+        (f"A{i}", f"W{i}", [0.0] * 4 + [float(i)] * 6, BinaryRole.SUPPORT) for i in range(10)
+    )
     with pytest.raises(DegenerateTrainingSet):
         train(examples)
 
@@ -167,7 +172,7 @@ def test_train_seed_changes_model():
 def test_train_learns_separable_data():
     examples = synthetic_examples(seed=2)
     model = train(examples, TrainConfig(seed=0, learning_rate=0.5))
-    correct = sum(1 for ex in examples if predict(model, ex.features) is ex.label)
+    correct = sum(1 for fv, label in feature_rows(examples) if predict(model, fv) is label)
     assert correct / len(examples) >= 0.9
 
 
@@ -175,8 +180,9 @@ def test_class_weights_shift_decision():
     examples = synthetic_examples(seed=5)
     heavy_lead = train(examples, TrainConfig(seed=0, learning_rate=0.3, class_weights=(1.0, 50.0)))
     heavy_supp = train(examples, TrainConfig(seed=0, learning_rate=0.3, class_weights=(50.0, 1.0)))
-    n_lead_a = sum(1 for ex in examples if predict(heavy_lead, ex.features) is BinaryRole.LEADERSHIP)
-    n_lead_b = sum(1 for ex in examples if predict(heavy_supp, ex.features) is BinaryRole.LEADERSHIP)
+    rows = feature_rows(examples)
+    n_lead_a = sum(1 for fv, _ in rows if predict(heavy_lead, fv) is BinaryRole.LEADERSHIP)
+    n_lead_b = sum(1 for fv, _ in rows if predict(heavy_supp, fv) is BinaryRole.LEADERSHIP)
     assert n_lead_a > n_lead_b
 
 
@@ -185,7 +191,7 @@ def test_feature_subset_model():
     config = TrainConfig(seed=0, feature_indices=tuple(range(8)), learning_rate=0.1)
     model = train(examples, config)
     assert model.params.input_dim == 8
-    x = model_input(model, examples[0].features)
+    x = model_input(model, FeatureVector.from_list(examples.X[0]))
     assert x.shape == (8,)
     assert 0.0 < forward(model.params, x) < 1.0
 
@@ -193,8 +199,8 @@ def test_feature_subset_model():
 def test_model_input_is_normalized():
     examples = synthetic_examples()
     model = train(examples, TrainConfig(seed=0))
-    for ex in examples[:20]:
-        x = model_input(model, ex.features)
+    for fv, _ in feature_rows(examples)[:20]:
+        x = model_input(model, fv)
         assert np.all(x >= 0.0) and np.all(x <= 1.0)
 
 
@@ -208,9 +214,9 @@ def test_save_load_round_trip(tmp_path):
     assert loaded.config == model.config
     assert loaded.ranges == model.ranges
     assert loaded.loss_history == model.loss_history
-    for ex in examples[:10]:
-        assert forward(loaded.params, model_input(loaded, ex.features)) == forward(
-            model.params, model_input(model, ex.features)
+    for fv, _ in feature_rows(examples)[:10]:
+        assert forward(loaded.params, model_input(loaded, fv)) == forward(
+            model.params, model_input(model, fv)
         )
 
 
@@ -220,3 +226,110 @@ def test_save_model_byte_deterministic(tmp_path):
     save_model(model, a)
     save_model(model, b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def train_reference(table, config=TrainConfig()):
+    """The training loop `train` replaced, kept as its oracle: per step it
+    gathers the batch by fancy indexing, clips with np.clip, takes the
+    batch's loss before its update and rebinds every weight array."""
+    ranges = fit_normalization(table.X)
+    X = normalize_array(table.X, ranges)[:, list(config.feature_indices)]
+    t = np.array([1.0 if label is BinaryRole.LEADERSHIP else 0.0 for label in table.labels])
+    if config.class_weights is not None:
+        w_support, w_lead = config.class_weights
+        sample_w = np.where(t == 1.0, w_lead, w_support)
+    else:
+        sample_w = np.ones_like(t)
+
+    params = init(config)
+    rng = np.random.default_rng(config.seed + 1)
+    n = len(table)
+    loss_history = []
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        epoch_loss = 0.0
+        for start in range(0, n, config.batch_size):
+            idx = order[start : start + config.batch_size]
+            Xb, tb, wb = X[idx], t[idx], sample_w[idx]
+            assert np.all(np.isfinite(Xb))
+
+            Z1 = Xb @ params.W1.T + params.b1
+            A1 = np.maximum(0.0, Z1)
+            Z2 = A1 @ params.W2.T + params.b2
+            A2 = np.maximum(0.0, Z2)
+            z3 = A2 @ params.W3 + params.b3
+            Y = np.clip(1.0 / (1.0 + np.exp(-np.clip(z3, -500.0, 500.0))), 1e-12, 1.0 - 1e-12)
+            losses = -(tb * np.log(Y) + (1.0 - tb) * np.log(1.0 - Y))
+            epoch_loss += float(np.sum(wb * losses) / np.sum(wb)) * len(idx)
+
+            d3 = (wb * (Y - tb)) / np.sum(wb)
+            d2 = d3[:, None] * params.W3[None, :] * (Z2 > 0)
+            d1 = (d2 @ params.W2) * (Z1 > 0)
+            lr = config.learning_rate
+            params.W3 = params.W3 - lr * (d3 @ A2)
+            params.b3 = params.b3 - lr * float(np.sum(d3))
+            params.W2 = params.W2 - lr * (d2.T @ A1)
+            params.b2 = params.b2 - lr * d2.sum(axis=0)
+            params.W1 = params.W1 - lr * (d1.T @ Xb)
+            params.b1 = params.b1 - lr * d1.sum(axis=0)
+        loss_history.append(epoch_loss / n)
+    return TrainedModel(params, ranges, config, loss_history)
+
+
+def assert_same_model_file(table, config, tmp_path):
+    save_model(train(table, config), tmp_path / "model.json")
+    save_model(train_reference(table, config), tmp_path / "reference.json")
+    assert (tmp_path / "model.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def fixture_train(tmp_path_factory):
+    """The offline pipeline's train.csv on the fixture corpus, as a table."""
+    out = tmp_path_factory.mktemp("train")
+    common = ["--output-dir", str(out), "--cache-dir", "tests/fixtures/cache", "--offline"]
+    for stage in (["ingest", "--input", "tests/fixtures/corpus.csv"], ["label-rule"],
+                  ["featurize"], ["split"]):
+        assert main(stage + common) == 0, stage
+    return read_examples(out / "train.csv")
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        TrainConfig(),
+        TrainConfig(seed=3, learning_rate=0.05, class_weights=(1.0, 2.5)),
+        TrainConfig(seed=1, batch_size=7, epochs=4),
+        TrainConfig(seed=2, batch_size=1, epochs=2),
+        TrainConfig(seed=4, batch_size=10_000, epochs=6, feature_indices=(9, 0, 4)),
+    ],
+    ids=["defaults", "class-weights", "batch-not-dividing-n", "batch-1", "batch-over-n"],
+)
+def test_train_writes_the_reference_loops_model(fixture_train, config, tmp_path):
+    n = len(fixture_train)
+    assert n % 7 and n < 10_000  # so each case is what its id says
+    assert_same_model_file(fixture_train, config, tmp_path)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=50),
+    st.integers(min_value=1, max_value=60),
+    st.integers(min_value=1, max_value=3),
+    st.one_of(st.none(), st.tuples(st.floats(0.1, 5.0), st.floats(0.1, 5.0))),
+    st.sampled_from([0.3, 50.0]),  # 50 drives outputs to the clip at 1e-12 from 0 and 1
+    st.integers(min_value=0, max_value=1000),
+)
+def test_train_matches_the_reference_loop_on_random_sets(
+    tmp_path_factory, n, batch_size, epochs, class_weights, learning_rate, seed
+):
+    rng = np.random.default_rng(seed)
+    X = np.hstack([rng.uniform(0.0, 1.0, (n, 4)), rng.exponential(5.0, (n, 6))])
+    labels = [BinaryRole.LEADERSHIP, BinaryRole.SUPPORT]
+    labels += [BinaryRole.LEADERSHIP if u < 0.5 else BinaryRole.SUPPORT for u in rng.random(n - 2)]
+    table = FeatureTable.from_rows(
+        (f"A{i}", f"W{i}", x, label) for i, (x, label) in enumerate(zip(X.tolist(), labels))
+    )
+    config = TrainConfig(seed=seed, batch_size=batch_size, epochs=epochs,
+                         learning_rate=learning_rate, hidden_sizes=(6, 5),
+                         class_weights=class_weights)
+    assert_same_model_file(table, config, tmp_path_factory.mktemp("random"))
