@@ -63,10 +63,15 @@ def write_json(path, data) -> None:
     write_text(path, json.dumps(data, indent=2, sort_keys=True))
 
 
+# One encoder for every JSON-lines row, keys sorted: json.dumps with a keyword
+# argument builds a new JSONEncoder on every call.
+encode_row = json.JSONEncoder(sort_keys=True).encode
+
+
 def write_jsonl(path, rows: Iterable[dict]) -> None:
     with _writing(path) as fh:
         for row in rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+            fh.write(encode_row(row) + "\n")
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

@@ -285,9 +285,9 @@ def cmd_featurize(args, config) -> int:
     X = np.empty((len(records), len(FEATURE_NAMES)))
     rows = {}
     for profile, group in _author_profiles(client, records, labels, skip):
-        for rec, focal in group:
-            index = len(rows)
-            X[index] = features.extract_features(profile, focal).to_list()
+        start = len(rows)
+        X[start:start + len(group)] = features.author_features(profile, [f for _, f in group])
+        for index, (rec, _) in enumerate(group, start):
             rows[rec.record_id] = (profile.author_id, rec.paper_id, index,
                                    to_binary(labels[rec.record_id]))
     kept = [rows[rec.record_id] for rec in records if rec.record_id in rows]

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import artifacts
 from .errors import FormatError, PipelineError
-from .types import FEATURE_NAMES, RATIO_FEATURES, BinaryRole, feature_problem
+from .types import FEATURE_NAMES, BinaryRole, first_feature_problem
 
 
 class ClassTooSmall(PipelineError):
@@ -151,10 +151,6 @@ def _decode_row(row: dict) -> tuple:
     )
 
 
-# per column: the largest valid value (1 for a ratio, no bound for a count)
-_COLUMN_MAX = np.array([1.0 if name in RATIO_FEATURES else np.inf for name in FEATURE_NAMES])
-
-
 def read_examples(path) -> FeatureTable:
     """The table write_examples wrote. A cell that does not parse as a float,
     or that is not finite, is negative or is a ratio above 1, raises
@@ -162,13 +158,9 @@ def read_examples(path) -> FeatureTable:
     the first bad value in file order."""
     numbered = list(artifacts.read_csv(path, decode=_decode_row))
     table = FeatureTable.from_rows(row for _, row in numbered)
-    X = table.X
-    bad = ~np.isfinite(X) | (X < 0.0) | (X > _COLUMN_MAX)
-    if bad.any():
-        row = int(bad.any(axis=1).argmax())
-        column = int(bad[row].argmax())
-        name = FEATURE_NAMES[column]
-        problem = feature_problem(name, float(X[row, column]))
+    bad = first_feature_problem(table.X)
+    if bad is not None:
+        row, name, problem = bad
         raise FormatError(path, numbered[row][0], f"field {name}: {problem}")
     return table
 

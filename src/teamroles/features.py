@@ -1,20 +1,30 @@
 """The ten bibliometric features and min-max normalization.
 
-Each feature is a pure function of (author history, focal paper).
-extract_features restricts the profile to works published strictly before
-the focal year, so no feature sees post-publication information.
+Every feature of an (author, focal paper) pair reads only the author's
+works published strictly before the focal year, so no feature sees
+post-publication information. author_features computes them for all of
+an author's focal papers in one sweep over the year-sorted history; the
+ten single-feature functions below are its scalar reference, each a pure
+function of a history (profile.before(year)) and the focal paper.
 """
 from __future__ import annotations
 
 import logging
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from operator import attrgetter
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from .errors import PipelineError
-from .types import FEATURE_NAMES, AuthorProfile, FeatureVector, PaperRecord
+from .types import (
+    FEATURE_NAMES,
+    AuthorProfile,
+    FeatureVector,
+    PaperRecord,
+    first_feature_problem,
+)
 
 log = logging.getLogger(__name__)
 
@@ -25,6 +35,10 @@ class EmptyProfile(PipelineError):
 
 class UnfittedRanges(PipelineError):
     pass
+
+
+class InvalidFeatures(PipelineError):
+    """A computed feature is not finite, is negative, or is a ratio above 1."""
 
 
 def contribution_to_references(profile: AuthorProfile, focal: PaperRecord) -> float:
@@ -101,32 +115,60 @@ def institutional_diversity(profile: AuthorProfile) -> int:
     return len(institutions)
 
 
-def extract_features(profile: AuthorProfile, focal: PaperRecord) -> FeatureVector:
-    """All ten features in canonical index order.
+def author_features(profile: AuthorProfile, focals: Sequence[PaperRecord]) -> np.ndarray:
+    """The ten features of the profile's author on each focal paper: one row
+    per focal, in the given order and FEATURE_NAMES order.
 
-    Degenerate histories (no prior works) yield zeros rather than errors so
-    batch featurization never aborts on sparse authors.
+    One sweep: the works, sorted by year once, are added to running unions
+    and counts while the focals are visited in year order, so a row costs
+    only its two intersections with the focal's references and topics. A
+    focal with no works before its year gets zero features and a warning;
+    the warnings come in the given order. A row that fails the feature
+    checks raises InvalidFeatures naming the author and the paper.
     """
-    history = profile.before(focal.year)
-    if history.works:
-        age = career_age(history)
-        impact = citation_impact_per_year(history)
-    else:
-        log.warning("author %s has no history before %d; zero features", profile.author_id, focal.year)
-        age = 0
-        impact = 0.0
-    return FeatureVector(
-        contribution_to_references=contribution_to_references(history, focal),
-        contribution_to_topics=contribution_to_topics(history, focal),
-        probability_of_leading=probability_of_leading(history),
-        probability_of_leading_correspondence=probability_of_leading_correspondence(history),
-        career_age=float(age),
-        citation_count=float(citation_count(history)),
-        unique_topics=float(unique_topics(history)),
-        total_publications=float(total_publications(history)),
-        citation_impact_per_year=impact,
-        institutional_diversity=float(institutional_diversity(history)),
-    )
+    works = sorted(profile.works, key=attrgetter("year"))
+    X = np.empty((len(focals), len(FEATURE_NAMES)))
+    refs, topics, institutions = set(), set(), set()
+    n = first = corresponding = citations = 0
+    for i in sorted(range(len(focals)), key=lambda i: focals[i].year):
+        focal = focals[i]
+        while n < len(works) and works[n].year < focal.year:
+            work = works[n]
+            refs |= work.referenced_work_ids
+            topics |= work.topic_ids
+            institutions |= work.institution_ids
+            first += work.author_position == 1
+            corresponding += work.is_corresponding
+            citations += work.citation_count
+            n += 1
+        age = works[n - 1].year - works[0].year if n else 0
+        focal_refs, focal_topics = focal.referenced_work_ids, focal.topic_ids
+        X[i] = (
+            len(focal_refs & refs) / len(focal_refs) if focal_refs else 0.0,
+            len(focal_topics & topics) / len(focal_topics) if focal_topics else 0.0,
+            first / n if n else 0.0,
+            corresponding / n if n else 0.0,
+            age,
+            citations,
+            len(topics),
+            n,
+            citations / (age + 1),  # years active; a single-year career counts as one
+            len(institutions),
+        )
+    for focal in focals:
+        if not works or works[0].year >= focal.year:
+            log.warning("author %s has no history before %d; zero features",
+                        profile.author_id, focal.year)
+    bad = first_feature_problem(X)
+    if bad is not None:
+        row, _, problem = bad
+        raise InvalidFeatures(f"author {profile.author_id} on paper {focals[row].paper_id}: {problem}")
+    return X
+
+
+def extract_features(profile: AuthorProfile, focal: PaperRecord) -> FeatureVector:
+    """author_features for one focal paper."""
+    return FeatureVector.from_list(author_features(profile, [focal])[0])
 
 
 @dataclass(frozen=True)

@@ -156,7 +156,7 @@ class JsonLinesCache:
                         # drop the cut-short line, so this entry starts a line of its own
                         fh.truncate(self._path(kind).read_bytes().rfind(b"\n") + 1)
                         self._torn.discard(kind)
-                    fh.write(json.dumps(entry, sort_keys=True) + "\n")
+                    fh.write(artifacts.encode_row(entry) + "\n")
             except OSError as exc:
                 raise FileUnwritable(f"cannot append to {self._path(kind)}: {exc}") from exc
             self._entries.setdefault(kind, {})[key] = body
@@ -186,11 +186,18 @@ def _short_id(openalex_id: str) -> str:
     return openalex_id.rsplit("/", 1)[-1]
 
 
+# The largest count accepted: every integer up to it is exact as a float, and
+# the features divide counts and their sums as floats.
+_COUNT_MAX = 2 ** 53
+
+
 def _count(data: dict, name: str, default=None) -> int:
-    """A non-negative integer field; anything else is a malformed response."""
+    """A non-negative integer field of at most 2**53; anything else is a malformed response."""
     value = data.get(name, default)
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
         raise MalformedResponse(name, f"(got {value!r})")
+    if value > _COUNT_MAX:
+        raise MalformedResponse(name, f"(got an integer of {len(str(value))} digits, above 2**53)")
     return value
 
 

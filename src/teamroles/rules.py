@@ -11,11 +11,10 @@ distinct stem length instead of one prefix test per stem.
 from __future__ import annotations
 
 import re
-from functools import reduce
-from typing import Dict, FrozenSet, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, Set, Tuple
 
 from .errors import PipelineError
-from .types import RoleLabel, role_max
+from .types import RoleLabel
 
 # Stem-prefix matching so "designing"/"designed"/"design" all hit; the
 # alias table catches irregular past forms that do not share the stem.
@@ -42,11 +41,13 @@ class NoKeywordMatch(PipelineError):
 
 
 def _stem_tables(stems_by_role: Dict[RoleLabel, FrozenSet[str]]) -> list:
-    """(length, {stem: role}) pairs, shortest stems first; the stem sets must be disjoint."""
-    by_length: Dict[int, Dict[str, RoleLabel]] = {}
+    """(length, {stem: (rank, stem, role)}) pairs, shortest stems first; the stem
+    sets must be disjoint. The rank rides along so that classify_statement
+    compares ints, not RoleLabels (an Enum hashes in Python code)."""
+    by_length: Dict[int, Dict[str, Tuple[int, str, RoleLabel]]] = {}
     for role, stems in stems_by_role.items():
         for stem in stems:
-            by_length.setdefault(len(stem), {})[stem] = role
+            by_length.setdefault(len(stem), {})[stem] = (role.rank, stem, role)
     return sorted(by_length.items())
 
 
@@ -58,23 +59,28 @@ def _tokenize(statement: str) -> list:
     return _TOKEN_RE.findall(statement.lower())
 
 
-def match_stems(statement: str) -> Set[Tuple[str, RoleLabel]]:
-    """All (stem, role) pairs whose stem prefixes some word of the statement."""
-    matches = set()
+def _hits(statement: str) -> Iterator[Tuple[int, str, RoleLabel]]:
+    """(rank, stem, role) of every stem that prefixes a word of the statement,
+    once per distinct word."""
     for token in set(_tokenize(statement)):
         token = DEFAULT_ALIASES.get(token, token)
         for length, table in _STEM_TABLES:
             if length > len(token):
                 break
-            role = table.get(token[:length])
-            if role is not None:
-                matches.add((token[:length], role))
-    return matches
+            hit = table.get(token[:length])
+            if hit is not None:
+                yield hit
+
+
+def match_stems(statement: str) -> Set[Tuple[str, RoleLabel]]:
+    """All (stem, role) pairs whose stem prefixes some word of the statement."""
+    return {(stem, role) for _, stem, role in _hits(statement)}
 
 
 def classify_statement(statement: str) -> RoleLabel:
     """Highest-category-wins classification over all matched stems."""
-    matches = match_stems(statement)
-    if not matches:
+    # hits order by rank first; a stem has one role, so no two RoleLabels are ever ordered
+    best = max(_hits(statement), default=None)
+    if best is None:
         raise NoKeywordMatch(f"no taxonomy stem in statement: {statement[:80]!r}")
-    return reduce(role_max, (role for _, role in matches))
+    return best[2]

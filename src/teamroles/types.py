@@ -8,7 +8,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Optional, Tuple
+
+import numpy as np
 
 from .errors import IncompletePaper, PipelineError
 
@@ -226,6 +228,22 @@ def feature_problem(name: str, value: float) -> Optional[str]:
     if name in RATIO_FEATURES and value > 1.0:
         return f"ratio feature {name} exceeds 1: {value}"
     return None
+
+
+# per column: the largest valid value (1 for a ratio, no bound for a count)
+_COLUMN_MAX = np.array([1.0 if name in RATIO_FEATURES else np.inf for name in FEATURE_NAMES])
+
+
+def first_feature_problem(X: np.ndarray) -> Optional[Tuple[int, str, str]]:
+    """(row, feature name, feature_problem) of the first cell of a raw feature
+    matrix, in row-major order, that feature_problem rejects; None if there is none."""
+    bad = ~np.isfinite(X) | (X < 0.0) | (X > _COLUMN_MAX)
+    if not bad.any():
+        return None
+    row = int(bad.any(axis=1).argmax())
+    column = int(bad[row].argmax())
+    name = FEATURE_NAMES[column]
+    return row, name, feature_problem(name, float(X[row, column]))
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,7 @@
+import dataclasses
+import logging
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +9,10 @@ from hypothesis import strategies as st
 
 from teamroles.features import (
     EmptyProfile,
+    InvalidFeatures,
     NormalizationRanges,
     apply_normalization,
+    author_features,
     career_age,
     citation_count,
     citation_impact_per_year,
@@ -237,6 +243,91 @@ def test_ratio_features_bounded(profile, refs, topics):
         assert 0.0 <= getattr(fv, name) <= 1.0
     for name in FEATURE_NAMES[4:]:
         assert getattr(fv, name) >= 0.0
+
+
+def scalar_row(profile, focal):
+    """The ten single-feature functions on the history before the focal year, with
+    the zeros author_features gives an author who has none."""
+    history = profile.before(focal.year)
+    empty = not history.works
+    return [
+        contribution_to_references(history, focal),
+        contribution_to_topics(history, focal),
+        probability_of_leading(history),
+        probability_of_leading_correspondence(history),
+        float(0 if empty else career_age(history)),
+        float(citation_count(history)),
+        float(unique_topics(history)),
+        float(total_publications(history)),
+        0.0 if empty else citation_impact_per_year(history),
+        float(institutional_diversity(history)),
+    ]
+
+
+REFS = [f"R{i}" for i in range(12)]
+TOPICS = [f"T{i}" for i in range(6)]
+
+
+@st.composite
+def histories_and_focals(draw):
+    """An unsorted history with repeated years and possibly empty reference and
+    topic sets, and focal papers in any order whose years fall before, on and
+    after the works' years."""
+    years = st.integers(min_value=2000, max_value=2006)
+    works_ = tuple(
+        work(
+            work_id=f"H{k}",
+            year=draw(years),
+            position=draw(st.integers(min_value=1, max_value=4)),
+            corresponding=draw(st.booleans()),
+            refs=draw(st.sets(st.sampled_from(REFS), max_size=6)),
+            topics=draw(st.sets(st.sampled_from(TOPICS), max_size=3)),
+            # sums of large counts pass 2**53, where float(sum) / years is not sum / years
+            citations=draw(st.one_of(st.integers(min_value=0, max_value=500),
+                                     st.integers(min_value=2 ** 52, max_value=2 ** 53))),
+            institutions=draw(st.sets(st.sampled_from(["I1", "I2", "I3"]), max_size=2)),
+        )
+        for k in range(draw(st.integers(min_value=0, max_value=8)))
+    )
+    focal_years = st.integers(min_value=1999, max_value=2007)
+    if works_:
+        focal_years = st.one_of(focal_years, st.sampled_from([w.year for w in works_]))
+    focals = draw(st.lists(
+        st.builds(paper, st.sets(st.sampled_from(REFS), max_size=6),
+                  st.sets(st.sampled_from(TOPICS), max_size=3), focal_years),
+        max_size=8,
+    ))
+    return AuthorProfile("A1", works_), focals
+
+
+@given(histories_and_focals())
+def test_author_features_rows_are_the_scalar_features_bit_for_bit(case):
+    profile, focals = case
+    X = author_features(profile, focals)
+    expected = np.array([scalar_row(profile, focal) for focal in focals], dtype=float)
+    assert X.shape == (len(focals), len(FEATURE_NAMES))
+    assert X.tobytes() == expected.reshape(X.shape).tobytes()
+
+
+def test_author_features_warns_in_focal_order_not_year_order(caplog):
+    profile = AuthorProfile("A1", (work(year=2010),))
+    focals = [paper(year=2009), paper(year=2012), paper(year=2005), paper(year=2010)]
+    with caplog.at_level(logging.WARNING, logger="teamroles.features"):
+        author_features(profile, focals)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"author A1 has no history before {year}; zero features" for year in (2009, 2005, 2010)
+    ]
+
+
+def test_bad_feature_is_a_typed_error_naming_author_and_paper():
+    profile = AuthorProfile("A7", (work(year=2005, citations=1),
+                                   work(work_id="H2", year=2010, citations=math.inf)))
+    later = dataclasses.replace(paper(year=2015), paper_id="W2")
+    message = "author A7 on paper W2: feature citation_count is not finite: inf"
+    with pytest.raises(InvalidFeatures, match=message):
+        author_features(profile, [paper(year=2008), later])
+    with pytest.raises(InvalidFeatures, match=message):
+        extract_features(profile, later)
 
 
 def test_contribution_monotone_in_overlap():

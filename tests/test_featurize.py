@@ -167,7 +167,11 @@ def test_partly_rejected_paper_is_skipped_not_a_traceback(labeled_dir, tmp_path,
     assert message in capsys.readouterr().err
 
 
-def test_malformed_profile_work_skips_only_that_authors_rows(labeled_dir, tmp_path, capsys):
+def assert_bad_citations_skip_only_that_authors_rows(labeled_dir, tmp_path, capsys,
+                                                      cited_by_count, reason):
+    """Featurize the fixture with `cited_by_count` in the first work of the first
+    profile page of W1001's first author: exactly that author's rows are skipped,
+    each with `reason`."""
     cache = tmp_path / "cache"
     shutil.copytree(CACHE, cache)
     client = openalex.OpenAlexClient(openalex.ClientConfig(cache_dir=cache, offline=True))
@@ -177,7 +181,7 @@ def test_malformed_profile_work_skips_only_that_authors_rows(labeled_dir, tmp_pa
         entry = json.loads(line)
         if f"author.id%3A{author_id}&" in entry["request_url"]:
             page = json.loads(entry["body"])
-            page["results"][0]["cited_by_count"] = -1
+            page["results"][0]["cited_by_count"] = cited_by_count
             entry["body"] = json.dumps(page)
             lines[i] = json.dumps(entry, sort_keys=True)
             break
@@ -192,7 +196,19 @@ def test_malformed_profile_work_skips_only_that_authors_rows(labeled_dir, tmp_pa
     full = features_rows(labeled_dir / "features.csv")
     lost = [row for row in full if row["author_id"] == author_id]
     assert lost
-    assert err.count("missing or malformed field: cited_by_count (got -1)") == len(lost)
+    assert err.count(f"missing or malformed field: cited_by_count {reason}") == len(lost)
     assert features_rows(tmp_path / "features.csv") == [
         row for row in full if row["author_id"] != author_id
     ]
+
+
+def test_malformed_profile_work_skips_only_that_authors_rows(labeled_dir, tmp_path, capsys):
+    assert_bad_citations_skip_only_that_authors_rows(labeled_dir, tmp_path, capsys,
+                                                     -1, "(got -1)")
+
+
+def test_citation_count_above_2_53_skips_only_that_authors_rows(labeled_dir, tmp_path, capsys):
+    """A count no float holds exactly is malformed, not an OverflowError in the features."""
+    assert_bad_citations_skip_only_that_authors_rows(
+        labeled_dir, tmp_path, capsys, 10 ** 400, "(got an integer of 401 digits, above 2**53)"
+    )

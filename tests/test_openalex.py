@@ -223,6 +223,7 @@ def test_resolve_author_is_fetch_work_plus_match_author(cache_dir):
         ("cited_by_count", "7"),
         ("cited_by_count", None),
         ("cited_by_count", True),
+        ("cited_by_count", 2 ** 53 + 1),
         ("publication_year", -2010),
         ("publication_year", 2010.5),
         ("publication_year", "2010"),
