@@ -9,17 +9,15 @@ is echoed into the output directory.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-import numpy as np
-
-from . import artifacts, dataset, explain, features, ingest, llm, metrics, mlp, openalex
+# Each stage runs in its own process, so the modules a stage needs are
+# imported by its handler and a stage loads only what it runs.
+from . import artifacts
 from .errors import ConfigError, PipelineError, UpstreamArtifactMissing
-from .types import FEATURE_NAMES, BinaryRole, to_binary
 
 DEFAULT_CONFIG = {
     "output_dir": "out",
@@ -60,6 +58,8 @@ ARTIFACTS = {
 
 
 def load_config(args) -> dict:
+    from .types import as_text
+
     config = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     if args.config:
         try:
@@ -79,13 +79,16 @@ def load_config(args) -> dict:
             config[name] = value
     if getattr(args, "offline", False):
         config["offline"] = True
+    with _config_values("output_dir"):
+        as_text(config["output_dir"])
     return config
 
 
 @contextmanager
 def _config_values(section: str):
     """Turn a config value that a stage's settings reject (a TypeError or
-    ValueError while they are built) into a ConfigError naming the section."""
+    ValueError while they are built) into a ConfigError naming the section
+    or the setting."""
     try:
         yield
     except (TypeError, ValueError) as exc:
@@ -95,8 +98,10 @@ def _config_values(section: str):
 def _seed(config: dict) -> int:
     """The pipeline seed, checked once for every stage that uses it: numpy's
     generators, which train and explain seed, take no negative seed."""
+    from .types import as_int
+
     with _config_values("seed"):
-        seed = int(config["seed"])
+        seed = as_int(config["seed"])
         if seed < 0:
             raise ValueError(f"must be >= 0, got {seed}")
     return seed
@@ -118,15 +123,18 @@ def _echo_config(config: dict) -> None:
     artifacts.write_json(out_dir / "config_used.json", {"schema_version": 1, **config})
 
 
-def _client(config: dict) -> openalex.OpenAlexClient:
-    if not config.get("cache_dir"):
+def _client(config: dict):
+    from . import openalex
+    from .types import as_flag, as_text
+
+    if config["cache_dir"] in (None, ""):
         raise ConfigError("cache_dir is required for OpenAlex-backed stages")
+    with _config_values("cache_dir"):
+        cache_dir = Path(as_text(config["cache_dir"]))
+    with _config_values("offline"):
+        offline = as_flag(config["offline"])
     return openalex.OpenAlexClient(
-        openalex.ClientConfig(
-            mailto=config.get("mailto"),
-            cache_dir=Path(config["cache_dir"]),
-            offline=bool(config["offline"]),
-        )
+        openalex.ClientConfig(mailto=config.get("mailto"), cache_dir=cache_dir, offline=offline)
     )
 
 
@@ -135,6 +143,8 @@ def _labels_path(args, config: dict) -> Path:
 
 
 def _read_labels(path: Path) -> dict:
+    from . import llm
+
     labels = {}
     for outcome in llm.read_outcomes(path):
         if outcome.label is not None:
@@ -143,6 +153,8 @@ def _read_labels(path: Path) -> dict:
 
 
 def cmd_ingest(args, config) -> int:
+    from . import ingest
+
     corpus_file = ingest.CorpusFile(
         path=Path(args.input), format=args.format, delimiter=args.delimiter
     )
@@ -154,13 +166,17 @@ def cmd_ingest(args, config) -> int:
 
 
 def cmd_sample(args, config) -> int:
+    from . import ingest
+    from .types import as_int
+
     records = ingest.read_corpus(_require("sample", _out(config, "corpus")))
     papers = ingest.group_papers(records)
     with _config_values("sampling"):
+        settings = config["sampling"]
         plan = ingest.SamplingPlan(
-            per_journal=config["sampling"]["per_journal"],
-            min_team=config["sampling"]["min_team"],
-            max_team=config["sampling"]["max_team"],
+            per_journal=as_int(settings["per_journal"]),
+            min_team=as_int(settings["min_team"]),
+            max_team=as_int(settings["max_team"]),
             seed=_seed(config),
         )
     selected = ingest.sample_papers(papers, plan)
@@ -171,6 +187,7 @@ def cmd_sample(args, config) -> int:
 
 
 def cmd_label_rule(args, config) -> int:
+    from . import ingest, llm
     from .rules import NoKeywordMatch, classify_statement
 
     records = ingest.read_corpus(_require("label-rule", _out(config, "corpus")))
@@ -188,14 +205,18 @@ def cmd_label_rule(args, config) -> int:
 
 
 def cmd_label_llm(args, config) -> int:
+    from . import ingest, llm
+    from .types import as_int
+
     records = ingest.read_corpus(_require("label-llm", _out(config, "corpus")))
     with _config_values("backend"):
+        settings = config["backend"]
         backend_cfg = llm.BackendConfig(
-            endpoint_url=config["backend"]["endpoint_url"],
-            model_name=config["backend"]["model_name"],
-            temperature=config["backend"]["temperature"],
-            max_retries=config["backend"]["max_retries"],
-            api_key_env=config["backend"]["api_key_env"],
+            endpoint_url=settings["endpoint_url"],
+            model_name=settings["model_name"],
+            temperature=settings["temperature"],
+            max_retries=as_int(settings["max_retries"]),
+            api_key_env=settings["api_key_env"],
         )
     if args.backend == "http":
         backend = llm.HttpBackend()
@@ -217,6 +238,10 @@ def _author_profiles(client, records, wanted, skip):
     the previous one was consumed. Rows that cannot be resolved or profiled
     go to skip(rows, error), paper by paper and then author by author.
     """
+    import dataclasses
+
+    from . import ingest, openalex
+
     by_author = {}
     for paper_id, rows in ingest.rows_by_paper(records).items():
         wanted_rows = [rec for rec in rows if rec.record_id in wanted]
@@ -250,6 +275,8 @@ def _author_profiles(client, records, wanted, skip):
 
 
 def cmd_fetch(args, config) -> int:
+    from . import ingest
+
     records = ingest.read_corpus(_require("fetch", _out(config, "corpus")))
     client = _client(config)
     fetched, failed = 0, 0
@@ -267,6 +294,11 @@ def cmd_fetch(args, config) -> int:
 
 
 def cmd_featurize(args, config) -> int:
+    import numpy as np
+
+    from . import dataset, features, ingest
+    from .types import FEATURE_NAMES, to_binary
+
     corpus_path = _require("featurize", _out(config, "corpus"))
     labels_path = _require("featurize", _labels_path(args, config))
     records = ingest.read_corpus(corpus_path)
@@ -303,6 +335,8 @@ def cmd_featurize(args, config) -> int:
 
 
 def cmd_split(args, config) -> int:
+    from . import dataset
+
     table = dataset.read_examples(_require("split", _out(config, "features")))
     with _config_values("split_ratio"):
         ratio = dataset.check_ratio(float(config["split_ratio"]))
@@ -320,13 +354,17 @@ def cmd_split(args, config) -> int:
 
 
 def cmd_train(args, config) -> int:
+    from . import dataset, mlp
+    from .types import as_int
+
     table = dataset.read_examples(_require("train", _out(config, "train")))
     with _config_values("train"):
+        settings = config["train"]
         train_cfg = mlp.TrainConfig(
-            epochs=int(config["train"]["epochs"]),
-            batch_size=int(config["train"]["batch_size"]),
-            learning_rate=float(config["train"]["learning_rate"]),
-            hidden_sizes=tuple(config["train"]["hidden_sizes"]),
+            epochs=as_int(settings["epochs"]),
+            batch_size=as_int(settings["batch_size"]),
+            learning_rate=float(settings["learning_rate"]),
+            hidden_sizes=tuple(map(as_int, settings["hidden_sizes"])),
             seed=_seed(config),
         )
     model = mlp.train(table, train_cfg)
@@ -336,6 +374,9 @@ def cmd_train(args, config) -> int:
 
 
 def cmd_evaluate(args, config) -> int:
+    from . import dataset, metrics, mlp
+    from .types import BinaryRole
+
     model = mlp.load_model(_require("evaluate", _out(config, "model")))
     table = dataset.read_examples(_require("evaluate", _out(config, "test")))
     predicted = mlp.predict_batch(model, mlp.model_inputs(model, table.X))
@@ -347,15 +388,22 @@ def cmd_evaluate(args, config) -> int:
 
 
 def cmd_explain(args, config) -> int:
+    import numpy as np
+
+    from . import dataset, explain, mlp
+    from .types import as_flag, as_int
+
     model = mlp.load_model(_require("explain", _out(config, "model")))
     train_table = dataset.read_examples(_require("explain", _out(config, "train")))
     test_table = dataset.read_examples(_require("explain", _out(config, "test")))
 
     rng = np.random.default_rng(_seed(config))
     with _config_values("explain"):
-        n_samples = int(config["explain"]["n_baseline_samples"])
+        n_samples = as_int(config["explain"]["n_baseline_samples"])
         if n_samples < 0:
             raise ValueError(f"n_baseline_samples must be >= 0, got {n_samples}")
+    with _config_values("explain.svg"):
+        svg = as_flag(config["explain"]["svg"])
     n_baselines = min(n_samples, len(train_table))
     picks = rng.choice(len(train_table), size=n_baselines, replace=False)
     baselines = [np.zeros(len(model.config.feature_indices))]
@@ -368,13 +416,15 @@ def cmd_explain(args, config) -> int:
     explain.write_attributions(attributions, ids, model.input_names, _out(config, "attributions"))
     rows = explain.shap_summary(attributions, model.input_names)
     explain.write_summary(rows, _out(config, "shap_summary"))
-    if config["explain"].get("svg"):
+    if svg:
         explain.write_summary_svg(rows, Path(config["output_dir"]) / "shap_summary.svg")
     print(f"explain: {len(attributions)} attributions, top feature {rows[0].feature}")
     return 0
 
 
 def cmd_lratio(args, config) -> int:
+    from . import ingest, metrics
+
     records = ingest.read_corpus(_require("lratio", _out(config, "corpus")))
     labels = _read_labels(_require("lratio", _labels_path(args, config)))
 
@@ -390,6 +440,8 @@ def cmd_lratio(args, config) -> int:
 
 
 def cmd_report(args, config) -> int:
+    from . import metrics
+
     report_dir = Path(config["output_dir"]) / "report"
     artifacts.make_dir(report_dir)
     for key in ("metrics", "shap_summary"):

@@ -15,7 +15,8 @@ import numpy as np
 
 from . import artifacts
 from .errors import FormatError, PipelineError
-from .types import FEATURE_NAMES, BinaryRole, first_feature_problem
+from .features import first_feature_problem
+from .types import FEATURE_NAMES, BinaryRole
 
 
 class ClassTooSmall(PipelineError):

@@ -1,4 +1,5 @@
-"""The ten bibliometric features and min-max normalization.
+"""The ten bibliometric features, the check every feature matrix must pass,
+and min-max normalization.
 
 Every feature of an (author, focal paper) pair reads only the author's
 works published strictly before the focal year, so no feature sees
@@ -13,17 +14,18 @@ import logging
 import math
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import PipelineError
 from .types import (
     FEATURE_NAMES,
+    RATIO_FEATURES,
     AuthorProfile,
     FeatureVector,
     PaperRecord,
-    first_feature_problem,
+    feature_problem,
 )
 
 log = logging.getLogger(__name__)
@@ -39,6 +41,22 @@ class UnfittedRanges(PipelineError):
 
 class InvalidFeatures(PipelineError):
     """A computed feature is not finite, is negative, or is a ratio above 1."""
+
+
+# per column: the largest valid value (1 for a ratio, no bound for a count)
+_COLUMN_MAX = np.array([1.0 if name in RATIO_FEATURES else np.inf for name in FEATURE_NAMES])
+
+
+def first_feature_problem(X: np.ndarray) -> Optional[Tuple[int, str, str]]:
+    """(row, feature name, feature_problem) of the first cell of a raw feature
+    matrix, in row-major order, that feature_problem rejects; None if there is none."""
+    bad = ~np.isfinite(X) | (X < 0.0) | (X > _COLUMN_MAX)
+    if not bad.any():
+        return None
+    row = int(bad.any(axis=1).argmax())
+    column = int(bad[row].argmax())
+    name = FEATURE_NAMES[column]
+    return row, name, feature_problem(name, float(X[row, column]))
 
 
 def contribution_to_references(profile: AuthorProfile, focal: PaperRecord) -> float:

@@ -51,6 +51,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if not 0.0 < self.learning_rate < float("inf"):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if len(self.hidden_sizes) != 2:
             raise ValueError("hidden_sizes must give the widths of two layers")
         if any(h < 1 for h in self.hidden_sizes):

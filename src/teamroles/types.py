@@ -8,9 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Tuple
-
-import numpy as np
+from typing import Optional
 
 from .errors import IncompletePaper, PipelineError
 
@@ -30,6 +28,14 @@ def as_flag(value) -> bool:
     """`value` if it is a bool, else a TypeError (no truthiness: "no" is not True)."""
     if not isinstance(value, bool):
         raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+def as_int(value) -> int:
+    """`value` if it is an int, else a TypeError: no bool, and no float that int()
+    would truncate (2.5 is not 2)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
     return value
 
 
@@ -228,22 +234,6 @@ def feature_problem(name: str, value: float) -> Optional[str]:
     if name in RATIO_FEATURES and value > 1.0:
         return f"ratio feature {name} exceeds 1: {value}"
     return None
-
-
-# per column: the largest valid value (1 for a ratio, no bound for a count)
-_COLUMN_MAX = np.array([1.0 if name in RATIO_FEATURES else np.inf for name in FEATURE_NAMES])
-
-
-def first_feature_problem(X: np.ndarray) -> Optional[Tuple[int, str, str]]:
-    """(row, feature name, feature_problem) of the first cell of a raw feature
-    matrix, in row-major order, that feature_problem rejects; None if there is none."""
-    bad = ~np.isfinite(X) | (X < 0.0) | (X > _COLUMN_MAX)
-    if not bad.any():
-        return None
-    row = int(bad.any(axis=1).argmax())
-    column = int(bad[row].argmax())
-    name = FEATURE_NAMES[column]
-    return row, name, feature_problem(name, float(X[row, column]))
 
 
 @dataclass(frozen=True)

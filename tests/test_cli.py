@@ -1,6 +1,10 @@
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,29 +13,37 @@ from teamroles.cli import ARTIFACTS, main
 from teamroles.types import BinaryRole, FeatureVector
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+# the ten stages of the offline pipeline, in order, as README's quick start runs them
+QUICK_START = [
+    ["ingest", "--input", "tests/fixtures/corpus.csv"],
+    ["label-rule"],
+    ["label-llm"],
+    ["featurize"],
+    ["split"],
+    ["train"],
+    ["evaluate"],
+    ["explain"],
+    ["lratio"],
+    ["report"],
+]
+
+
 def run(*argv):
     return main(list(argv))
+
+
+def offline(out):
+    return ["--output-dir", str(out), "--cache-dir", "tests/fixtures/cache", "--offline"]
 
 
 @pytest.fixture(scope="module")
 def pipeline_dir(tmp_path_factory):
     """One full offline pipeline run over the fixture corpus, shared by tests."""
     out = tmp_path_factory.mktemp("pipeline")
-    common = ["--output-dir", str(out), "--cache-dir", "tests/fixtures/cache", "--offline"]
-    stages = [
-        ["ingest", "--input", "tests/fixtures/corpus.csv"],
-        ["label-rule"],
-        ["label-llm"],
-        ["featurize"],
-        ["split"],
-        ["train"],
-        ["evaluate"],
-        ["explain"],
-        ["lratio"],
-        ["report"],
-    ]
-    for stage in stages:
-        assert run(*stage, *common) == 0, stage
+    for stage in QUICK_START:
+        assert run(*stage, *offline(out)) == 0, stage
     return out
 
 
@@ -221,33 +233,59 @@ def test_bad_config_file_exit_code(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "stage, user_config",
+    "stage, user_config, key",
     [
-        ("split", {"split_ratio": 2}),
-        ("train", {"train": {"epochs": 0}}),
-        ("train", {"train": {"hidden_sizes": [64]}}),
-        ("explain", {"explain": {"n_baseline_samples": -1}}),
-        ("label-llm", {"backend": {"temperature": -1}}),
-        ("sample", {"sampling": {"per_journal": 0}}),
-        *((stage, {"seed": seed}) for seed in ("x", -1)
+        ("split", {"split_ratio": 2}, "split_ratio"),
+        ("train", {"train": {"epochs": 0}}, "train"),
+        ("train", {"train": {"hidden_sizes": [64]}}, "train"),
+        ("explain", {"explain": {"n_baseline_samples": -1}}, "explain"),
+        ("label-llm", {"backend": {"temperature": -1}}, "backend"),
+        ("sample", {"sampling": {"per_journal": 0}}, "sampling"),
+        *((stage, {"seed": seed}, "seed") for seed in ("x", -1)
           for stage in ("sample", "split", "train", "explain")),
+        ("ingest", {"output_dir": 5}, "output_dir"),
+        ("featurize", {"cache_dir": 5}, "cache_dir"),
+        ("featurize", {"cache_dir": "tests/fixtures/cache", "offline": "no"}, "offline"),
+        ("explain", {"explain": {"svg": "no"}}, "explain.svg"),
+        ("sample", {"seed": 1.9}, "seed"),
+        ("train", {"seed": True}, "seed"),
+        ("train", {"train": {"epochs": 2.5}}, "train"),
+        ("train", {"train": {"hidden_sizes": [64.5, 32]}}, "train"),
+        ("train", {"train": {"learning_rate": "nan"}}, "train"),
+        ("train", {"train": {"learning_rate": -1}}, "train"),
+        ("explain", {"explain": {"n_baseline_samples": 3.7}}, "explain"),
+        ("sample", {"sampling": {"per_journal": 2.5}}, "sampling"),
+        ("label-llm", {"backend": {"max_retries": 1.5}}, "backend"),
     ],
     ids=["split_ratio", "epochs", "hidden_sizes", "n_baseline_samples", "temperature",
          "per_journal", *(f"seed-{seed}-{stage}" for seed in ("x", "negative")
-                          for stage in ("sample", "split", "train", "explain"))],
+                          for stage in ("sample", "split", "train", "explain")),
+         "output_dir-int", "cache_dir-int", "offline-string", "svg-string", "seed-float",
+         "seed-bool", "epochs-float", "hidden_sizes-float", "learning_rate-nan",
+         "learning_rate-negative", "n_baseline_samples-float", "per_journal-float",
+         "max_retries-float"],
 )
-def test_out_of_range_config_value_exits_2(pipeline_dir, tmp_path, capsys, stage, user_config):
-    for name in ("corpus.jsonl", "features.csv", "train.csv", "test.csv", "model.json"):
+def test_out_of_range_config_value_exits_2(pipeline_dir, tmp_path, capsys, stage, user_config, key):
+    """A setting the stage rejects ends it before it writes anything, with one line
+    naming the setting or its section. A path must be a string, a flag true or
+    false, an integer setting an int (no bool, no float to truncate) and a learning
+    rate finite and > 0."""
+    for name in ("corpus.jsonl", "labels_rule.jsonl", "features.csv", "train.csv", "test.csv",
+                 "model.json"):
         shutil.copyfile(pipeline_dir / name, tmp_path / name)
-    (tmp_path / "config.json").write_text(json.dumps(user_config))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"output_dir": str(tmp_path), **user_config}))
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
     capsys.readouterr()
-    code = run(stage, "--config", str(tmp_path / "config.json"), "--output-dir", str(tmp_path))
+    argv = ["--input", "tests/fixtures/corpus.csv"] if stage == "ingest" else []
+    code = run(stage, *argv, "--config", str(config))
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert err.startswith(f"config error: {key}: ") and err.count("\n") == 1
     assert "Traceback" not in err
-    if "seed" in user_config:
-        assert err.startswith("config error: seed: ")
+    after = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    after.pop("config_used.json", None)
+    assert after == before
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -284,3 +322,41 @@ def test_sample_stage(tmp_path):
     assert run("sample", "--config", str(config_path), "--output-dir", str(out)) == 0
     rows = [json.loads(l) for l in (out / "corpus_sampled.jsonl").read_text().splitlines()]
     assert len({r["paper_id"] for r in rows}) == 20  # 5 papers x 4 journals
+
+
+# the stages that never import numpy; the other five do
+NUMPY_FREE = {"ingest", "label-rule", "label-llm", "lratio", "report"}
+
+
+def fresh_interpreter(*argv):
+    """Run python -X importtime with argv from the repository root; return the
+    finished process and the names of the modules it imported."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-X", "importtime", *argv], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    imported = {line.rsplit("|", 1)[-1].strip()
+                for line in done.stderr.splitlines() if line.startswith("import time:")}
+    return done, imported
+
+
+def test_bare_cli_import_loads_no_numpy_and_no_stage_module():
+    done, imported = fresh_interpreter("-c", "import teamroles.cli")
+    assert done.returncode == 0, done.stderr
+    assert "numpy" not in imported
+    assert {m for m in imported if m.startswith("teamroles")} == {
+        "teamroles", "teamroles.cli", "teamroles.artifacts", "teamroles.errors"}
+
+
+def test_quick_start_in_fresh_interpreters(pipeline_dir, tmp_path):
+    """One process per stage, as README runs them: the same artifacts as the
+    in-process run, and numpy only in the stages that compute with it."""
+    without_numpy = set()
+    for stage in QUICK_START:
+        done, imported = fresh_interpreter("-m", "teamroles.cli", *stage, *offline(tmp_path))
+        assert done.returncode == 0, (stage, done.stderr[-2000:])
+        if "numpy" not in imported:
+            without_numpy.add(stage[0])
+    assert without_numpy == NUMPY_FREE
+    for name in ("features.csv", "model.json", "attributions.csv"):
+        assert (tmp_path / name).read_bytes() == (pipeline_dir / name).read_bytes(), name

@@ -144,6 +144,9 @@ def test_train_config_validation():
     for index in (-1, 10):
         with pytest.raises(ValueError, match="feature_indices"):
             TrainConfig(feature_indices=(0, index))
+    for rate in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(learning_rate=rate)
 
 
 def test_train_loss_decreases():

@@ -15,10 +15,18 @@ from teamroles.types import (
     PaperRecord,
     RoleLabel,
     UnknownJournal,
+    as_int,
     parse_journal,
     role_max,
     to_binary,
 )
+
+
+def test_as_int_takes_an_int_and_no_bool_or_float():
+    assert as_int(3) == 3 and as_int(-2) == -2
+    for value in (True, 2.0, 2.5, "3", None):
+        with pytest.raises(TypeError, match="expected an integer"):
+            as_int(value)
 
 
 def test_to_binary_mapping():
