@@ -8,7 +8,11 @@ translation, JSON keys are sorted, and CSV uses the csv module's default dialect
 A write or a directory that cannot be made raises FileUnwritable. Readers
 raise FileUnreadable when a file cannot be read and FormatError(path, line,
 message) when it does not parse; a JSON-lines line cut short at the end of a
-file raises its subclass TruncatedLine. The row readers, and read_json for a
+file raises its subclass TruncatedLine. The row readers stream: they read
+line by line and hold one row at a time, so a bad line raises only when the
+caller reaches it. read_csv_rows gives the header and then each row as a
+list of cells, for a caller that picks its columns by position; read_csv
+keys each row by the header. The row readers, and read_json for a
 file that holds one JSON object, take an optional `decode` that turns each row
 into a value; a KeyError, ValueError or TypeError it raises becomes
 FormatError(path, line, "field <name>: ..."), naming the field the decoder
@@ -105,9 +109,14 @@ def read_json(path, decode: Optional[Callable[[dict], Any]] = None) -> Any:
         data = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise FormatError(path, exc.lineno, f"bad JSON: {exc.msg} at column {exc.colno}") from exc
-    if decode is not None and not isinstance(data, dict):
+    if decode is None:
+        return data
+    if not isinstance(data, dict):
         raise FormatError(path, 1, "not a JSON object")
-    return _decoded(path, 1, data, decode)
+    try:
+        return decode(data)
+    except (KeyError, ValueError, TypeError) as exc:
+        raise _field_error(path, 1, data, decode, exc) from exc
 
 
 class _Row(dict):
@@ -135,53 +144,82 @@ class _Row(dict):
         return self._nested(super().get(key, default))
 
 
-def _decoded(path, number: int, row: dict, decode: Optional[Callable[[dict], Any]]) -> Any:
-    if decode is None:
-        return row
+def _field_error(path, number: int, row: dict, decode: Callable[[dict], Any],
+                 exc: Exception) -> FormatError:
+    """The FormatError for a row that `decode` failed on with `exc`."""
+    # decode again on a row that tracks its reads (slower, so only on failure)
+    # to name the field that failed
+    tracked = _Row(row)
     try:
-        return decode(row)
-    except (KeyError, ValueError, TypeError) as exc:
-        # decode again on a row that tracks its reads (slower, so only on failure)
-        # to name the field that failed
-        tracked = _Row(row)
-        try:
-            decode(tracked)
-        except (KeyError, ValueError, TypeError):
-            pass
-        reason = "missing" if isinstance(exc, KeyError) else exc
-        raise FormatError(path, number, f"field {tracked.field}: {reason}") from exc
+        decode(tracked)
+    except (KeyError, ValueError, TypeError):
+        pass
+    reason = "missing" if isinstance(exc, KeyError) else exc
+    return FormatError(path, number, f"field {tracked.field}: {reason}")
+
+
+# The C scanner behind json.loads, called directly: json.loads spends about as
+# long again in Python-level checks around it as the scan takes on a short row.
+_scan_json = json.JSONDecoder().scan_once
 
 
 def read_jsonl(path, decode: Optional[Callable[[dict], Any]] = None) -> Iterator[Tuple[int, Any]]:
     """(line number, object or decode(object)) for each non-blank line of a JSON-lines file."""
     for number, line in _lines(path):
-        if not line.strip():
-            continue
         try:
-            row = json.loads(line)
-        except json.JSONDecodeError as exc:
-            # only the last line of a file can lack its newline
-            error = FormatError if line.endswith("\n") else TruncatedLine
-            raise error(path, number, f"bad JSON: {exc.msg} at column {exc.colno}") from exc
+            row, end = _scan_json(line, 0)
+            exact = line[end:] in ("\n", "")  # else json.loads decides: spaces, junk, a BOM
+        except (StopIteration, ValueError):
+            exact = False
+        if not exact:
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                # only the last line of a file can lack its newline
+                error = FormatError if line.endswith("\n") else TruncatedLine
+                raise error(path, number, f"bad JSON: {exc.msg} at column {exc.colno}") from exc
         if not isinstance(row, dict):
             raise FormatError(path, number, "row is not a JSON object")
-        yield number, _decoded(path, number, row, decode)
+        if decode is not None:
+            try:
+                row = decode(row)
+            except (KeyError, ValueError, TypeError) as exc:
+                raise _field_error(path, number, row, decode, exc) from exc
+        yield number, row
+
+
+def read_csv_rows(path, delimiter: str = ",") -> Iterator[Tuple[int, list]]:
+    """(line number, cells) for the header and then for each non-blank CSV row;
+    a row whose width is not the header's raises FormatError."""
+    reader = csv.reader((line for _, line in _lines(path)), delimiter=delimiter)
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise FormatError(path, 1, "empty file, header row required")
+        yield reader.line_num, header
+        width = len(header)
+        for values in filter(None, reader):
+            if len(values) != width:
+                message = f"{len(values)} columns, the header has {width}"
+                raise FormatError(path, reader.line_num, message)
+            yield reader.line_num, values
+    except csv.Error as exc:
+        raise FormatError(path, reader.line_num, str(exc)) from exc
 
 
 def read_csv(
     path, delimiter: str = ",", decode: Optional[Callable[[dict], Any]] = None
 ) -> Iterator[Tuple[int, Any]]:
     """(line number, row keyed by the header or decode(row)) for each non-blank CSV row."""
-    reader = csv.reader((line for _, line in _lines(path)), delimiter=delimiter)
-    try:
-        header = next(reader, None)
-        if header is None:
-            raise FormatError(path, 1, "empty file, header row required")
-        for values in filter(None, reader):
-            if len(values) != len(header):
-                message = f"{len(values)} columns, the header has {len(header)}"
-                raise FormatError(path, reader.line_num, message)
-            row = dict(zip(header, values))
-            yield reader.line_num, _decoded(path, reader.line_num, row, decode)
-    except csv.Error as exc:
-        raise FormatError(path, reader.line_num, str(exc)) from exc
+    rows = read_csv_rows(path, delimiter)
+    _, header = next(rows)
+    for number, values in rows:
+        row = dict(zip(header, values))
+        if decode is not None:
+            try:
+                row = decode(row)
+            except (KeyError, ValueError, TypeError) as exc:
+                raise _field_error(path, number, row, decode, exc) from exc
+        yield number, row

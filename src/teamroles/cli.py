@@ -3,8 +3,9 @@
 Stage artifacts are plain files in --output-dir so every stage can be
 inspected and re-run independently; re-running a stage over unchanged
 inputs produces identical bytes. Configuration comes from a JSON file
-(--config) with every field overridable by a flag; the effective config
-is echoed into the output directory.
+(--config) with every field overridable by a flag; a stage that completes
+echoes its effective config into the output directory (config_used.json),
+and one that fails leaves the file as it was.
 """
 from __future__ import annotations
 
@@ -115,12 +116,6 @@ def _require(stage: str, path: Path) -> Path:
     if not path.exists():
         raise UpstreamArtifactMissing(stage, str(path))
     return path
-
-
-def _echo_config(config: dict) -> None:
-    out_dir = Path(config["output_dir"])
-    artifacts.make_dir(out_dir)
-    artifacts.write_json(out_dir / "config_used.json", {"schema_version": 1, **config})
 
 
 def _client(config: dict):
@@ -502,8 +497,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args)
-        _echo_config(config)
-        return STAGES[args.command][0](args, config)
+        out_dir = Path(config["output_dir"])
+        artifacts.make_dir(out_dir)
+        code = STAGES[args.command][0](args, config)
+        # only now: a stage that stops on a setting leaves the previous run's record
+        artifacts.write_json(out_dir / "config_used.json", {"schema_version": 1, **config})
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

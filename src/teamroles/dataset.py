@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import islice
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -152,17 +153,53 @@ def _decode_row(row: dict) -> tuple:
     )
 
 
+# Rows parsed per block: bounds the cell strings held at once to about a
+# megabyte while each column's cells still go to numpy in one call.
+_BLOCK_ROWS = 1024
+
+
+def _read_columns(path) -> FeatureTable:
+    """The table of a feature CSV, its cells parsed a block of rows at a time,
+    column by column; a bad cell raises KeyError or ValueError with no line."""
+    rows = artifacts.read_csv_rows(path)
+    _, header = next(rows)
+    column = {name: i for i, name in enumerate(header)}
+    author_ids: List[str] = []
+    paper_ids: List[str] = []
+    labels: List[BinaryRole] = []
+    blocks = [np.empty((0, len(FEATURE_NAMES)))]  # so a file with no rows gives n = 0
+    while True:
+        block = [values for _, values in islice(rows, _BLOCK_ROWS)]
+        if not block:
+            break
+        columns = list(zip(*block))
+        author_ids += columns[column["author_id"]]
+        paper_ids += columns[column["paper_id"]]
+        # np.array converts each string with float(), as the row decoder does
+        features = [columns[column[name]] for name in FEATURE_NAMES]
+        blocks.append(np.array(features, dtype=float).T)
+        labels += map(BinaryRole.from_string, columns[column["label"]])
+    return FeatureTable(tuple(author_ids), tuple(paper_ids), np.concatenate(blocks),
+                        tuple(labels))
+
+
 def read_examples(path) -> FeatureTable:
     """The table write_examples wrote. A cell that does not parse as a float,
     or that is not finite, is negative or is a ratio above 1, raises
     FormatError naming its line and column; parse errors come first, then
     the first bad value in file order."""
-    numbered = list(artifacts.read_csv(path, decode=_decode_row))
-    table = FeatureTable.from_rows(row for _, row in numbered)
+    try:
+        table = _read_columns(path)
+    except (FormatError, KeyError, ValueError):
+        # the row decoder raises the first error in file order, naming its line and field
+        for _ in artifacts.read_csv(path, decode=_decode_row):
+            pass
+        raise
     bad = first_feature_problem(table.X)
     if bad is not None:
         row, name, problem = bad
-        raise FormatError(path, numbered[row][0], f"field {name}: {problem}")
+        number, _ = next(islice(artifacts.read_csv(path), row, None))
+        raise FormatError(path, number, f"field {name}: {problem}")
     return table
 
 

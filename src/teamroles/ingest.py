@@ -245,17 +245,15 @@ def record_to_json(rec: ContributionRecord) -> dict:
 
 
 def record_from_json(data: dict) -> ContributionRecord:
-    return ContributionRecord(
-        paper_id=as_text(data["paper_id"]),
-        journal=parse_journal(data["journal"]),
-        year=int(data["year"]),
-        author_name=as_text(data["author_name"]),
-        author_position=int(data["author_position"]),
-        is_corresponding=as_flag(data["is_corresponding"]),
-        statement=as_text(data["statement"]),
-        gold_role=(
-            None if data.get("gold_role") is None else RoleLabel.from_string(data["gold_role"])
-        ),
+    return ContributionRecord(  # positional, in field order: keywords cost a third more
+        as_text(data["paper_id"]),
+        parse_journal(data["journal"]),
+        int(data["year"]),
+        as_text(data["author_name"]),
+        int(data["author_position"]),
+        as_flag(data["is_corresponding"]),
+        as_text(data["statement"]),
+        None if data.get("gold_role") is None else RoleLabel.from_string(data["gold_role"]),
     )
 
 

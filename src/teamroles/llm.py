@@ -17,7 +17,7 @@ import os
 import re
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from . import artifacts
 from .errors import PipelineError
@@ -177,8 +177,13 @@ class HttpBackend(ChatBackend):
             raise TransportFailure(f"malformed completion response: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class BatchOutcome:
+class BatchOutcome(NamedTuple):
+    """One record's labeling result: a label, or the error that prevented one.
+
+    A tuple, not a frozen dataclass: a label stage builds one per corpus row,
+    and a tuple costs a third as much to build and is as immutable.
+    """
+
     record_id: str
     label: Optional[RoleLabel]
     error: Optional[str]
@@ -246,10 +251,10 @@ def write_outcomes(outcomes: List[BatchOutcome], path) -> None:
 
 def outcome_from_json(data: dict) -> BatchOutcome:
     return BatchOutcome(
-        record_id=as_text(data["record_id"]),
-        label=None if data.get("label") is None else RoleLabel.from_string(data["label"]),
-        error=data.get("error"),
-        raw_response_hash=data.get("raw_response_hash"),
+        as_text(data["record_id"]),
+        None if data.get("label") is None else RoleLabel.from_string(data["label"]),
+        data.get("error"),
+        data.get("raw_response_hash"),
     )
 
 

@@ -3,6 +3,11 @@
 The cache is one JSON-lines file per entity kind, keyed by normalized
 request URL; with offline=True no network call is ever made, so a
 complete fixture cache makes the downstream pipeline byte-reproducible.
+
+A focal work goes through parse_work, which builds every authorship for
+name matching. A work on an author's profile page is checked the same way,
+down to every authorship's author id, but only the profile author's own
+authorship is built, since a history entry reads nothing else of it.
 """
 from __future__ import annotations
 
@@ -201,39 +206,88 @@ def _count(data: dict, name: str, default=None) -> int:
     return value
 
 
-def parse_work(data: dict) -> RawWork:
+def _year_and_citations(data: dict) -> Tuple[int, int]:
+    """A work's publication year and citation count, after checking that it has
+    an id, a year and an authorship list."""
     for name in ("id", "publication_year", "authorships"):
         if data.get(name) is None:
             raise MalformedResponse(name)
-    year = _count(data, "publication_year")
-    citation_count = _count(data, "cited_by_count", 0)
-    authorships = []
+    return _count(data, "publication_year"), _count(data, "cited_by_count", 0)
+
+
+def _author_ids(data: dict) -> List[str]:
+    """The short author id of each authorship of a work, in position order; an
+    authorship without one is a malformed response."""
+    ids = []
     for i, auth in enumerate(data["authorships"]):
         author = auth.get("author") or {}
         if not author.get("id"):
             raise MalformedResponse("authorships.author.id", f"(position {i + 1})")
-        authorships.append(
-            Authorship(
-                author_id=_short_id(author["id"]),
-                display_name=author.get("display_name", ""),
-                position=i + 1,
-                is_corresponding=bool(auth.get("is_corresponding", False)),
-                institution_ids=frozenset(
-                    _short_id(inst["id"]) for inst in auth.get("institutions", []) if inst.get("id")
-                ),
-            )
-        )
+        ids.append(_short_id(author["id"]))
+    return ids
+
+
+def _institution_ids(auth: dict) -> frozenset:
+    return frozenset(
+        _short_id(inst["id"]) for inst in auth.get("institutions", []) if inst.get("id")
+    )
+
+
+def _topic_and_reference_ids(data: dict) -> Tuple[frozenset, frozenset]:
     # topics read from the concept id list as delivered by the API
     topic_ids = frozenset(
         _short_id(c["id"]) for c in data.get("concepts") or data.get("topics") or [] if c.get("id")
     )
+    return topic_ids, frozenset(_short_id(w) for w in data.get("referenced_works", []))
+
+
+def parse_work(data: dict) -> RawWork:
+    year, citation_count = _year_and_citations(data)
+    authorships = tuple(
+        Authorship(
+            author_id=author_id,
+            display_name=auth["author"].get("display_name", ""),
+            position=position,
+            is_corresponding=bool(auth.get("is_corresponding", False)),
+            institution_ids=_institution_ids(auth),
+        )
+        for position, (author_id, auth) in enumerate(
+            zip(_author_ids(data), data["authorships"]), start=1
+        )
+    )
+    topic_ids, referenced_work_ids = _topic_and_reference_ids(data)
     return RawWork(
         work_id=_short_id(data["id"]),
         year=year,
         citation_count=citation_count,
-        referenced_work_ids=frozenset(_short_id(w) for w in data.get("referenced_works", [])),
+        referenced_work_ids=referenced_work_ids,
         topic_ids=topic_ids,
-        authorships=tuple(authorships),
+        authorships=authorships,
+    )
+
+
+def _profile_entry(data: dict, author_id: str) -> Optional[WorkEntry]:
+    """A work of `author_id`'s profile as an entry of their history, or None if
+    they are not among its authors. It checks what parse_work checks, every
+    authorship's author id included, but builds only the author's own
+    authorship: a profile reads nothing of the co-authors."""
+    year, citation_count = _year_and_citations(data)
+    ids = _author_ids(data)
+    topic_ids, referenced_work_ids = _topic_and_reference_ids(data)
+    work_id = _short_id(data["id"])
+    if author_id not in ids:
+        return None
+    position = ids.index(author_id) + 1
+    auth = data["authorships"][position - 1]
+    return WorkEntry(
+        work_id=work_id,
+        year=year,
+        author_position=position,
+        is_corresponding=bool(auth.get("is_corresponding", False)),
+        referenced_work_ids=referenced_work_ids,
+        topic_ids=topic_ids,
+        citation_count=citation_count,
+        institution_ids=_institution_ids(auth),
     )
 
 
@@ -346,25 +400,11 @@ class OpenAlexClient:
             if "results" not in page:
                 raise MalformedResponse("results")
             for raw in page["results"]:
-                work = parse_work(raw)
-                if work.work_id in seen:
+                entry = _profile_entry(raw, author_id)
+                if entry is None or entry.work_id in seen:
                     continue
-                mine = [a for a in work.authorships if a.author_id == author_id]
-                if not mine:
-                    continue
-                seen.add(work.work_id)
-                entries.append(
-                    WorkEntry(
-                        work_id=work.work_id,
-                        year=work.year,
-                        author_position=mine[0].position,
-                        is_corresponding=mine[0].is_corresponding,
-                        referenced_work_ids=work.referenced_work_ids,
-                        topic_ids=work.topic_ids,
-                        citation_count=work.citation_count,
-                        institution_ids=mine[0].institution_ids,
-                    )
-                )
+                seen.add(entry.work_id)
+                entries.append(entry)
             cursor = (page.get("meta") or {}).get("next_cursor")
         return AuthorProfile(author_id, tuple(entries))
 

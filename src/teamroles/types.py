@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import IncompletePaper, PipelineError
 
@@ -53,11 +53,16 @@ class RoleLabel(Enum):
     @classmethod
     def from_string(cls, text: str) -> "RoleLabel":
         try:
+            return _ROLE_BY_VALUE[text]  # as the stages write it
+        except (KeyError, TypeError):
+            pass
+        try:
             return _ROLE_BY_KEY[as_text(text).strip().lower().replace("_", " ")]
         except KeyError:
             raise ValueError(f"unknown role label: {text!r}") from None
 
 
+_ROLE_BY_VALUE = {label.value: label for label in RoleLabel}
 _ROLE_BY_KEY = {label.value.lower(): label for label in RoleLabel}
 
 _ROLE_RANK = {
@@ -77,11 +82,16 @@ class BinaryRole(Enum):
     @classmethod
     def from_string(cls, text: str) -> "BinaryRole":
         try:
+            return _BINARY_BY_VALUE[text]  # as the stages write it
+        except (KeyError, TypeError):
+            pass
+        try:
             return _BINARY_BY_KEY[as_text(text).strip().lower()]
         except KeyError:
             raise ValueError(f"unknown binary role: {text!r}") from None
 
 
+_BINARY_BY_VALUE = {label.value: label for label in BinaryRole}
 _BINARY_BY_KEY = {label.value.lower(): label for label in BinaryRole}
 
 
@@ -120,8 +130,15 @@ class UnknownJournal(PipelineError, ValueError):
     meets one reports the field."""
 
 
+_JOURNAL_BY_VALUE = {journal.value: journal for journal in Journal}
+
+
 def parse_journal(name: str) -> Journal:
     """Normalize a journal string to the canonical enum; unknown names are rejected."""
+    try:
+        return _JOURNAL_BY_VALUE[name]  # as corpus.jsonl holds it
+    except (KeyError, TypeError):
+        pass
     key = " ".join(as_text(name).strip().lower().split())
     try:
         return _JOURNAL_ALIASES[key]
@@ -129,10 +146,7 @@ def parse_journal(name: str) -> Journal:
         raise UnknownJournal(f"unknown journal: {name!r}") from None
 
 
-@dataclass(frozen=True)
-class ContributionRecord:
-    """One author's self-reported statement on one paper."""
-
+class _ContributionFields(NamedTuple):
     paper_id: str
     journal: Journal
     year: int
@@ -142,9 +156,26 @@ class ContributionRecord:
     statement: str
     gold_role: Optional[RoleLabel] = None
 
-    def __post_init__(self):
-        if self.author_position < 1:
-            raise ValueError(f"author_position must be >= 1, got {self.author_position}")
+
+class ContributionRecord(_ContributionFields):
+    """One author's self-reported statement on one paper.
+
+    A tuple, because every stage builds one per corpus row and a tuple costs
+    a third of a frozen dataclass to build; like one, it is immutable and
+    checked when built.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, paper_id, journal, year, author_name, author_position, is_corresponding,
+                statement, gold_role=None):
+        if author_position < 1:
+            raise ValueError(f"author_position must be >= 1, got {author_position}")
+        return tuple.__new__(cls, (paper_id, journal, year, author_name, author_position,
+                                   is_corresponding, statement, gold_role))
+
+    # _replace builds through _make, which would skip the check in __new__
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def record_id(self) -> str:

@@ -87,6 +87,27 @@ def test_unparseable_files_raise_format_error(tmp_path, content, read, error, li
     assert str(excinfo.value).startswith(f"{path} line {line}: ")
 
 
+@pytest.mark.parametrize(
+    "read, content, first",
+    [
+        (artifacts.read_jsonl, b'{"a": 1}\n{"a": 2}\nnot JSON\n', (1, {"a": 1})),
+        (artifacts.read_csv, b"a,b\n1,2\n3\n", (2, {"a": "1", "b": "2"})),
+        (artifacts.read_csv_rows, b"a,b\n1,2\n3\n", (1, ["a", "b"])),
+    ],
+    ids=["jsonl", "csv", "csv_rows"],
+)
+def test_readers_stream_and_fail_only_on_reaching_the_bad_line(tmp_path, read, content, first):
+    """A reader holds one line at a time: it returns the first row of a file
+    whose third line is garbage, and raises only when it reaches that line."""
+    path = tmp_path / "rows"
+    path.write_bytes(content)
+    rows = read(path)
+    assert next(rows) == first
+    with pytest.raises(FormatError, match="line 3: "):
+        for number, _ in rows:
+            assert number < 3
+
+
 def test_unreadable_files_raise_file_unreadable(tmp_path):
     for read in (read_jsonl, read_csv):
         with pytest.raises(FileUnreadable):

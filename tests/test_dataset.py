@@ -7,14 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from teamroles import artifacts
 from teamroles.dataset import (
     ClassTooSmall,
     FeatureTable,
+    _decode_row,
     read_examples,
     stratified_split,
     write_examples,
     write_split_manifest,
 )
+from teamroles.errors import FormatError
+from teamroles.features import first_feature_problem
 from teamroles.types import BinaryRole
 
 
@@ -194,6 +198,102 @@ def test_examples_round_trip(tmp_path):
     assert table.paper_ids == examples.paper_ids
     assert table.labels == examples.labels
     assert table.X.dtype == np.float64 and np.array_equal(table.X, examples.X)
+
+
+def read_examples_reference(path) -> FeatureTable:
+    """The row-by-row reader read_examples replaced, kept as its oracle: one dict
+    per row through the row decoder, then the value check over the table."""
+    numbered = list(artifacts.read_csv(path, decode=_decode_row))
+    table = FeatureTable.from_rows(row for _, row in numbered)
+    bad = first_feature_problem(table.X)
+    if bad is not None:
+        row, name, problem = bad
+        raise FormatError(path, numbered[row][0], f"field {name}: {problem}")
+    return table
+
+
+def set_cell(row, name, text):
+    return lambda rows: rows[row + 1].__setitem__(rows[0].index(name), text)
+
+
+def set_row(row, cells):
+    return lambda rows: rows.__setitem__(row + 1, cells)
+
+
+def drop_column(name):
+    def damage(rows):
+        index = rows[0].index(name)
+        for cells in rows:
+            del cells[index]
+    return damage
+
+
+def swap_columns(a, b):
+    def damage(rows):
+        i, j = rows[0].index(a), rows[0].index(b)
+        for cells in rows:
+            cells[i], cells[j] = cells[j], cells[i]
+    return damage
+
+
+def insert_blank_rows(*rows):
+    return lambda table: [table.insert(row + 1, []) for row in sorted(rows, reverse=True)]
+
+
+@pytest.mark.parametrize(
+    "damages, error",
+    [
+        ([], None),
+        ([swap_columns("label", "career_age"), swap_columns("author_id", "paper_id")], None),
+        ([set_cell(2000, "career_age", "abc"), set_cell(1500, "label", "Boss")],
+         "line 1502: field label: unknown binary role"),
+        ([set_cell(5, "label", "Boss"), set_cell(5, "citation_count", "abc")],
+         "line 7: field citation_count: could not convert"),
+        ([set_cell(100, "career_age", "x"), set_row(900, ["a", "b"])],
+         "line 102: field career_age: could not convert"),
+        ([set_row(100, ["a", "b"]), set_cell(900, "career_age", "x")],
+         "line 102: 2 columns, the header has 13"),
+        ([set_cell(10, "contribution_to_references", "nan"),
+          set_cell(2400, "citation_count", "abc")],
+         "line 2402: field citation_count: could not convert"),
+        ([set_cell(2450, "probability_of_leading", "1.5"), insert_blank_rows(3, 1200)],
+         "line 2454: field probability_of_leading: ratio feature"),
+        ([drop_column("label")], "line 2: field label: missing"),
+    ],
+    ids=["clean", "columns-reordered", "label-before-float", "float-before-label-in-a-row",
+         "float-before-short-row", "short-row-before-float", "parse-before-value",
+         "value-after-blank-lines", "missing-column"],
+)
+def test_read_examples_matches_the_row_by_row_reference(tmp_path, damages, error):
+    """On a table longer than two of read_examples' blocks, with damage placed on
+    both sides of a block boundary, read_examples returns the reference's table or
+    raises its error, text and line alike."""
+    rng = np.random.default_rng(3)
+    n = 2500
+    X = np.hstack([rng.uniform(0.0, 1.0, (n, 4)), rng.exponential(5.0, (n, 6))])
+    labels = [BinaryRole.LEADERSHIP if u < 0.4 else BinaryRole.SUPPORT for u in rng.random(n)]
+    path = tmp_path / "features.csv"
+    write_examples(FeatureTable.from_rows(
+        (f"A{i % 97}", f"W{i}", x, label) for i, (x, label) in enumerate(zip(X.tolist(), labels))
+    ), path)
+    rows = [line.split(",") if line else [] for line in path.read_bytes().decode().split("\r\n")[:-1]]
+    for damage in damages:
+        damage(rows)
+    path.write_bytes("".join(",".join(cells) + "\r\n" for cells in rows).encode())
+
+    def outcome(read):
+        try:
+            table = read(path)
+        except FormatError as exc:
+            return str(exc)
+        return table.author_ids, table.paper_ids, table.X.tobytes(), table.labels
+
+    got = outcome(read_examples)
+    assert got == outcome(read_examples_reference)
+    if error is None:
+        assert not isinstance(got, str) and got[2] == X.tobytes()
+    else:
+        assert f"{path} {error}" in got
 
 
 def test_examples_csv_byte_deterministic(tmp_path):

@@ -167,11 +167,10 @@ def test_partly_rejected_paper_is_skipped_not_a_traceback(labeled_dir, tmp_path,
     assert message in capsys.readouterr().err
 
 
-def assert_bad_citations_skip_only_that_authors_rows(labeled_dir, tmp_path, capsys,
-                                                      cited_by_count, reason):
-    """Featurize the fixture with `cited_by_count` in the first work of the first
-    profile page of W1001's first author: exactly that author's rows are skipped,
-    each with `reason`."""
+def assert_bad_profile_work_skips_only_that_authors_rows(labeled_dir, tmp_path, capsys, spoil):
+    """Featurize the fixture after `spoil(page, author_id)` damaged the first profile
+    page of W1001's first author and returned the error it expects: exactly that
+    author's rows are skipped, each with that error."""
     cache = tmp_path / "cache"
     shutil.copytree(CACHE, cache)
     client = openalex.OpenAlexClient(openalex.ClientConfig(cache_dir=cache, offline=True))
@@ -181,7 +180,7 @@ def assert_bad_citations_skip_only_that_authors_rows(labeled_dir, tmp_path, caps
         entry = json.loads(line)
         if f"author.id%3A{author_id}&" in entry["request_url"]:
             page = json.loads(entry["body"])
-            page["results"][0]["cited_by_count"] = cited_by_count
+            message = spoil(page, author_id)
             entry["body"] = json.dumps(page)
             lines[i] = json.dumps(entry, sort_keys=True)
             break
@@ -196,19 +195,48 @@ def assert_bad_citations_skip_only_that_authors_rows(labeled_dir, tmp_path, caps
     full = features_rows(labeled_dir / "features.csv")
     lost = [row for row in full if row["author_id"] == author_id]
     assert lost
-    assert err.count(f"missing or malformed field: cited_by_count {reason}") == len(lost)
+    assert err.count(message) == len(lost)
     assert features_rows(tmp_path / "features.csv") == [
         row for row in full if row["author_id"] != author_id
     ]
 
 
+def citation_count(value, reason):
+    """A spoil that sets the first work's citation count to `value`."""
+    def spoil(page, author_id):
+        page["results"][0]["cited_by_count"] = value
+        return f"missing or malformed field: cited_by_count {reason}"
+    return spoil
+
+
 def test_malformed_profile_work_skips_only_that_authors_rows(labeled_dir, tmp_path, capsys):
-    assert_bad_citations_skip_only_that_authors_rows(labeled_dir, tmp_path, capsys,
-                                                     -1, "(got -1)")
+    assert_bad_profile_work_skips_only_that_authors_rows(
+        labeled_dir, tmp_path, capsys, citation_count(-1, "(got -1)")
+    )
 
 
 def test_citation_count_above_2_53_skips_only_that_authors_rows(labeled_dir, tmp_path, capsys):
     """A count no float holds exactly is malformed, not an OverflowError in the features."""
-    assert_bad_citations_skip_only_that_authors_rows(
-        labeled_dir, tmp_path, capsys, 10 ** 400, "(got an integer of 401 digits, above 2**53)"
+    assert_bad_profile_work_skips_only_that_authors_rows(
+        labeled_dir, tmp_path, capsys,
+        citation_count(10 ** 400, "(got an integer of 401 digits, above 2**53)"),
+    )
+
+
+def test_coauthor_without_id_after_the_profile_author_skips_their_rows(
+    labeled_dir, tmp_path, capsys
+):
+    """A profile builds only its own author's authorship, yet a co-author listed
+    after that author with no id still makes the page malformed."""
+    def drop_next_coauthors_id(page, author_id):
+        for work in page["results"]:
+            ids = [auth["author"]["id"].rsplit("/", 1)[-1] for auth in work["authorships"]]
+            position = ids.index(author_id) + 2  # of the co-author right after
+            if position <= len(ids):
+                del work["authorships"][position - 1]["author"]["id"]
+                return f"missing or malformed field: authorships.author.id (position {position})"
+        pytest.fail(f"no profile work of {author_id} lists a co-author after them")
+
+    assert_bad_profile_work_skips_only_that_authors_rows(
+        labeled_dir, tmp_path, capsys, drop_next_coauthors_id
     )

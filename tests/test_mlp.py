@@ -304,8 +304,11 @@ def fixture_train(tmp_path_factory):
         TrainConfig(seed=1, batch_size=7, epochs=4),
         TrainConfig(seed=2, batch_size=1, epochs=2),
         TrainConfig(seed=4, batch_size=10_000, epochs=6, feature_indices=(9, 0, 4)),
+        TrainConfig(seed=5, epochs=5, feature_indices=tuple(range(8))),
+        TrainConfig(seed=6, epochs=5, learning_rate=0.05, hidden_sizes=(5, 3)),
     ],
-    ids=["defaults", "class-weights", "batch-not-dividing-n", "batch-1", "batch-over-n"],
+    ids=["defaults", "class-weights", "batch-not-dividing-n", "batch-1", "batch-over-n",
+         "eight-features", "hidden-5-3"],
 )
 def test_train_writes_the_reference_loops_model(fixture_train, config, tmp_path):
     n = len(fixture_train)
@@ -321,9 +324,12 @@ def test_train_writes_the_reference_loops_model(fixture_train, config, tmp_path)
     st.one_of(st.none(), st.tuples(st.floats(0.1, 5.0), st.floats(0.1, 5.0))),
     st.sampled_from([0.3, 50.0]),  # 50 drives outputs to the clip at 1e-12 from 0 and 1
     st.integers(min_value=0, max_value=1000),
+    st.sampled_from([tuple(range(10)), tuple(range(8))]),
+    st.sampled_from([(6, 5), (5, 3)]),
 )
 def test_train_matches_the_reference_loop_on_random_sets(
-    tmp_path_factory, n, batch_size, epochs, class_weights, learning_rate, seed
+    tmp_path_factory, n, batch_size, epochs, class_weights, learning_rate, seed,
+    feature_indices, hidden_sizes
 ):
     rng = np.random.default_rng(seed)
     X = np.hstack([rng.uniform(0.0, 1.0, (n, 4)), rng.exponential(5.0, (n, 6))])
@@ -333,6 +339,6 @@ def test_train_matches_the_reference_loop_on_random_sets(
         (f"A{i}", f"W{i}", x, label) for i, (x, label) in enumerate(zip(X.tolist(), labels))
     )
     config = TrainConfig(seed=seed, batch_size=batch_size, epochs=epochs,
-                         learning_rate=learning_rate, hidden_sizes=(6, 5),
-                         class_weights=class_weights)
+                         learning_rate=learning_rate, hidden_sizes=hidden_sizes,
+                         feature_indices=feature_indices, class_weights=class_weights)
     assert_same_model_file(table, config, tmp_path_factory.mktemp("random"))

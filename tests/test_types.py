@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from teamroles.llm import BatchOutcome
 from teamroles.types import (
     FEATURE_NAMES,
     ROLE_ORDER,
@@ -109,6 +110,19 @@ def test_parse_journal_rejects_unknown():
 def test_contribution_record_position_validated():
     with pytest.raises(ValueError):
         ContributionRecord("W1", Journal.PNAS, 2010, "A", 0, False, "designed")
+
+
+def test_records_are_immutable_and_checked_however_built():
+    rec = ContributionRecord("W1", Journal.PNAS, 2010, "A", 1, False, "designed")
+    outcome = BatchOutcome("W1#1", RoleLabel.LEADERSHIP, None, None)
+    for value, name in ((rec, "author_position"), (outcome, "label")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+    with pytest.raises(ValueError):
+        rec._replace(author_position=0)
+    with pytest.raises(ValueError):
+        ContributionRecord(paper_id="W1", journal=Journal.PNAS, year=2010, author_name="A",
+                           author_position=0, is_corresponding=False, statement="designed")
 
 
 def test_paper_record_position_within_team():
