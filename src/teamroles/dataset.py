@@ -10,7 +10,7 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import islice
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -41,16 +41,6 @@ class FeatureTable:
 
     def __len__(self) -> int:
         return len(self.labels)
-
-    @classmethod
-    def from_rows(
-        cls, rows: Iterable[Tuple[str, str, Sequence[float], BinaryRole]]
-    ) -> "FeatureTable":
-        """The table of (author_id, paper_id, features, label) rows."""
-        rows = list(rows)
-        X = np.array([row[2] for row in rows], dtype=float).reshape(len(rows), len(FEATURE_NAMES))
-        return cls(tuple(row[0] for row in rows), tuple(row[1] for row in rows), X,
-                   tuple(row[3] for row in rows))
 
     def take(self, indices: Sequence[int]) -> "FeatureTable":
         """The rows at `indices`, in that order."""

@@ -4,9 +4,7 @@ and min-max normalization.
 Every feature of an (author, focal paper) pair reads only the author's
 works published strictly before the focal year, so no feature sees
 post-publication information. author_features computes them for all of
-an author's focal papers in one sweep over the year-sorted history; the
-ten single-feature functions below are its scalar reference, each a pure
-function of a history (profile.before(year)) and the focal paper.
+an author's focal papers in one sweep over the year-sorted history.
 """
 from __future__ import annotations
 
@@ -31,10 +29,6 @@ from .types import (
 log = logging.getLogger(__name__)
 
 
-class EmptyProfile(PipelineError):
-    pass
-
-
 class UnfittedRanges(PipelineError):
     pass
 
@@ -57,80 +51,6 @@ def first_feature_problem(X: np.ndarray) -> Optional[Tuple[int, str, str]]:
     column = int(bad[row].argmax())
     name = FEATURE_NAMES[column]
     return row, name, feature_problem(name, float(X[row, column]))
-
-
-def contribution_to_references(profile: AuthorProfile, focal: PaperRecord) -> float:
-    """Share of the focal paper's references that appear in the author's history."""
-    if not focal.referenced_work_ids:
-        return 0.0
-    history_refs = set()
-    for work in profile.works:
-        history_refs |= work.referenced_work_ids
-    overlap = focal.referenced_work_ids & history_refs
-    return len(overlap) / len(focal.referenced_work_ids)
-
-
-def contribution_to_topics(profile: AuthorProfile, focal: PaperRecord) -> float:
-    """Share of the focal paper's topics covered by the author's history."""
-    if not focal.topic_ids:
-        return 0.0
-    history_topics = set()
-    for work in profile.works:
-        history_topics |= work.topic_ids
-    overlap = focal.topic_ids & history_topics
-    return len(overlap) / len(focal.topic_ids)
-
-
-def probability_of_leading(profile: AuthorProfile) -> float:
-    if not profile.works:
-        return 0.0
-    first = sum(1 for w in profile.works if w.author_position == 1)
-    return first / len(profile.works)
-
-
-def probability_of_leading_correspondence(profile: AuthorProfile) -> float:
-    if not profile.works:
-        return 0.0
-    corresponding = sum(1 for w in profile.works if w.is_corresponding)
-    return corresponding / len(profile.works)
-
-
-def career_age(profile: AuthorProfile) -> int:
-    """Last publication year minus first publication year."""
-    if not profile.works:
-        raise EmptyProfile(profile.author_id)
-    years = [w.year for w in profile.works]
-    return max(years) - min(years)
-
-
-def citation_count(profile: AuthorProfile) -> int:
-    return sum(w.citation_count for w in profile.works)
-
-
-def unique_topics(profile: AuthorProfile) -> int:
-    topics = set()
-    for work in profile.works:
-        topics |= work.topic_ids
-    return len(topics)
-
-
-def total_publications(profile: AuthorProfile) -> int:
-    return len(profile.works)
-
-
-def citation_impact_per_year(profile: AuthorProfile) -> float:
-    """Total citations over active years; a single-year career counts as one year."""
-    if not profile.works:
-        raise EmptyProfile(profile.author_id)
-    years_active = career_age(profile) + 1
-    return citation_count(profile) / years_active
-
-
-def institutional_diversity(profile: AuthorProfile) -> int:
-    institutions = set()
-    for work in profile.works:
-        institutions |= work.institution_ids
-    return len(institutions)
 
 
 def author_features(profile: AuthorProfile, focals: Sequence[PaperRecord]) -> np.ndarray:

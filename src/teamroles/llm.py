@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from . import artifacts
-from .errors import PipelineError
+from .errors import FormatError, PipelineError
 from .rules import NoKeywordMatch, classify_statement
 from .types import ContributionRecord, RoleLabel, as_text
 
@@ -259,4 +259,11 @@ def outcome_from_json(data: dict) -> BatchOutcome:
 
 
 def read_outcomes(path) -> List[BatchOutcome]:
-    return [outcome for _, outcome in artifacts.read_jsonl(path, decode=outcome_from_json)]
+    """The outcomes of a labels file; a record id on a second line raises FormatError."""
+    outcomes, first_line = [], {}
+    for number, outcome in artifacts.read_jsonl(path, decode=outcome_from_json):
+        line = first_line.setdefault(outcome.record_id, number)
+        if line != number:
+            raise FormatError(path, number, f"record_id {outcome.record_id} repeats line {line}")
+        outcomes.append(outcome)
+    return outcomes

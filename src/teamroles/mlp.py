@@ -74,10 +74,6 @@ class NetworkParams:
     W3: np.ndarray  # shape (h2,)
     b3: float
 
-    @property
-    def input_dim(self) -> int:
-        return self.W1.shape[1]
-
 
 @dataclass
 class TrainedModel:

@@ -231,10 +231,6 @@ class AuthorProfile:
         if len(ids) != len(set(ids)):
             raise ValueError(f"profile {self.author_id} contains duplicate work ids")
 
-    def before(self, year: int) -> "AuthorProfile":
-        """Restrict the profile to works published strictly before `year`."""
-        return AuthorProfile(self.author_id, tuple(w for w in self.works if w.year < year))
-
 
 # Canonical feature order (index 0-9). Model input and attribution output
 # are both aligned to this order.

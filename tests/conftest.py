@@ -1,9 +1,21 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from teamroles.dataset import FeatureTable
+from teamroles.types import FEATURE_NAMES
+
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
+
+
+def feature_table(rows) -> FeatureTable:
+    """The FeatureTable of (author_id, paper_id, features, label) rows."""
+    rows = list(rows)
+    X = np.array([row[2] for row in rows], dtype=float).reshape(len(rows), len(FEATURE_NAMES))
+    return FeatureTable(tuple(row[0] for row in rows), tuple(row[1] for row in rows), X,
+                        tuple(row[3] for row in rows))
 
 
 @pytest.fixture(scope="session")

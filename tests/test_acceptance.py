@@ -11,8 +11,9 @@ import random
 import numpy as np
 import pytest
 
+from conftest import feature_table
 from teamroles.cli import main as cli_main
-from teamroles.dataset import FeatureTable, read_examples, stratified_split
+from teamroles.dataset import read_examples, stratified_split
 from teamroles.explain import exact_shapley, gradient_shap
 from teamroles.features import apply_normalization, fit_normalization
 from teamroles.ingest import CorpusFile, SamplingPlan, expected_rows, parse_corpus, sample_papers
@@ -316,7 +317,7 @@ def _separable_examples(seed, n=200, margin=1.0):
             continue
         label = BinaryRole.LEADERSHIP if signal > 10.0 else BinaryRole.SUPPORT
         rows.append((f"A{len(rows)}", f"W{len(rows)}", list(ratios) + list(counts), label))
-    return FeatureTable.from_rows(rows)
+    return feature_table(rows)
 
 
 def _signal_in_last_two(seed, n=300):
@@ -333,7 +334,7 @@ def _signal_in_last_two(seed, n=300):
             else BinaryRole.SUPPORT
         )
         rows.append((f"A{i}", f"W{i}", list(ratios) + list(counts) + [s8, s9], label))
-    return FeatureTable.from_rows(rows)
+    return feature_table(rows)
 
 
 def test_criterion_06_training_sanity_and_feature_margin():
@@ -426,7 +427,7 @@ def test_criterion_07_shapley_axioms_and_estimator(fixture_pipeline):
 
 def test_criterion_08_stratified_split():
     def build(n_lead, n_support):
-        return FeatureTable.from_rows(
+        return feature_table(
             (f"A{i}", f"W{i}", [0.0] * 4 + [float(i)] * 6,
              BinaryRole.LEADERSHIP if i < n_lead else BinaryRole.SUPPORT)
             for i in range(n_lead + n_support)

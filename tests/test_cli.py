@@ -1,3 +1,4 @@
+import collections
 import csv
 import json
 import os
@@ -91,6 +92,28 @@ def test_split_manifest_consistent_with_csvs(pipeline_dir):
     assert manifest["n_test"] == n_test
     features_rows = len((pipeline_dir / "features.csv").read_text().splitlines()) - 1
     assert n_train + n_test == features_rows
+
+
+def test_split_group_by_author_keeps_each_author_on_one_side(pipeline_dir, tmp_path):
+    shutil.copyfile(pipeline_dir / "features.csv", tmp_path / "features.csv")
+    assert run("split", "--group-by-author", "--output-dir", str(tmp_path)) == 0
+
+    def rows(name):
+        with open(tmp_path / name, newline="") as fh:
+            return list(csv.DictReader(fh))
+
+    def cells(part):
+        return sorted(tuple(row.values()) for row in part)
+
+    train, test = rows("train.csv"), rows("test.csv")
+    assert train and test
+    assert not {row["author_id"] for row in train} & {row["author_id"] for row in test}
+    assert cells(train + test) == cells(rows("features.csv"))
+    manifest = json.loads((tmp_path / "split_manifest.json").read_text())
+    assert (manifest["n_train"], manifest["n_test"]) == (len(train), len(test))
+    for side, part in (("train", train), ("test", test)):
+        counts = collections.Counter(row["label"] for row in part)
+        assert manifest["counts"][side] == dict(counts)
 
 
 def test_metrics_file_shape(pipeline_dir):
@@ -218,6 +241,23 @@ def test_missing_labels_flag_path_exit_code(labels_override_dir, capsys):
         assert run(stage, "--output-dir", str(out), "--cache-dir", "tests/fixtures/cache",
                    "--offline", "--labels", str(missing)) == 3, stage
         assert str(missing) in capsys.readouterr().err
+
+
+def test_repeated_record_id_in_labels_file_exits_1(labels_override_dir, capsys):
+    """A second line for a record would silently overwrite its first label."""
+    out = labels_override_dir
+    labels = out / "labels_llm.jsonl"
+    lines = labels.read_text().splitlines()
+    first = json.loads(lines[0])
+    with open(labels, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps({**first, "label": "Indirect Support"}) + "\n")
+    message = f"error: {labels} line {len(lines) + 1}: record_id {first['record_id']} repeats line 1\n"
+    for stage in ("featurize", "lratio", "report"):
+        assert run(stage, "--output-dir", str(out), "--cache-dir", "tests/fixtures/cache",
+                   "--offline", "--labels", str(labels)) == 1, stage
+        assert capsys.readouterr().err == message
+    for name in ("features.csv", "lratio.csv", "report/distribution.csv"):
+        assert not (out / name).exists(), name
 
 
 def test_missing_cache_dir_is_config_error(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import feature_table
 from teamroles import artifacts
 from teamroles.dataset import (
     ClassTooSmall,
@@ -23,14 +24,14 @@ from teamroles.types import BinaryRole
 
 
 def example(i, label, author=None):
-    """One (author_id, paper_id, features, label) row for FeatureTable.from_rows."""
+    """One (author_id, paper_id, features, label) row for feature_table."""
     return (author or f"A{i}", f"W{i}", [0.0] * 4 + [float(i)] * 6, label)
 
 
 def make_examples(n_lead, n_support):
     rows = [example(i, BinaryRole.LEADERSHIP) for i in range(n_lead)]
     rows += [example(n_lead + i, BinaryRole.SUPPORT) for i in range(n_support)]
-    return FeatureTable.from_rows(rows)
+    return feature_table(rows)
 
 
 def test_split_partition_and_sizes():
@@ -87,7 +88,7 @@ def test_split_group_by_author_no_leakage():
         label = BinaryRole.LEADERSHIP if i % 2 else BinaryRole.SUPPORT
         rows.append(example(2 * i, label, author=f"A{i}"))
         rows.append(example(2 * i + 1, label, author=f"A{i}"))
-    examples = FeatureTable.from_rows(rows)
+    examples = feature_table(rows)
     result = stratified_split(examples, ratio=0.3, seed=1, group_by_author=True)
     train_authors = set(result.train.author_ids)
     test_authors = set(result.test.author_ids)
@@ -107,7 +108,7 @@ def test_split_group_by_author_keeps_mixed_authors_on_one_side(authors, ratio, s
     for a, (n_lead, n_support) in enumerate(authors):
         for label, n in ((BinaryRole.LEADERSHIP, n_lead), (BinaryRole.SUPPORT, n_support)):
             rows += [example(len(rows), label, author=f"A{a}") for _ in range(n)]
-    examples = FeatureTable.from_rows(rows)
+    examples = feature_table(rows)
     result = stratified_split(examples, ratio=ratio, seed=seed, group_by_author=True)
     assert not (set(result.train.author_ids) & set(result.test.author_ids))
     assert sorted(result.train.paper_ids + result.test.paper_ids) == sorted(examples.paper_ids)
@@ -179,7 +180,7 @@ def test_split_matches_the_list_based_reference(authors_and_leads, ratio, seed, 
     n = len(rows)  # two more rows of each class, so neither class is too small
     rows += [example(n + i, label) for i, label in enumerate([BinaryRole.LEADERSHIP] * 2
                                                               + [BinaryRole.SUPPORT] * 2)]
-    result = stratified_split(FeatureTable.from_rows(rows), ratio, seed, group_by_author)
+    result = stratified_split(feature_table(rows), ratio, seed, group_by_author)
     assert (result.train.paper_ids, result.test.paper_ids) == split_reference(
         rows, ratio, seed, group_by_author
     )
@@ -204,7 +205,7 @@ def read_examples_reference(path) -> FeatureTable:
     """The row-by-row reader read_examples replaced, kept as its oracle: one dict
     per row through the row decoder, then the value check over the table."""
     numbered = list(artifacts.read_csv(path, decode=_decode_row))
-    table = FeatureTable.from_rows(row for _, row in numbered)
+    table = feature_table(row for _, row in numbered)
     bad = first_feature_problem(table.X)
     if bad is not None:
         row, name, problem = bad
@@ -273,7 +274,7 @@ def test_read_examples_matches_the_row_by_row_reference(tmp_path, damages, error
     X = np.hstack([rng.uniform(0.0, 1.0, (n, 4)), rng.exponential(5.0, (n, 6))])
     labels = [BinaryRole.LEADERSHIP if u < 0.4 else BinaryRole.SUPPORT for u in rng.random(n)]
     path = tmp_path / "features.csv"
-    write_examples(FeatureTable.from_rows(
+    write_examples(feature_table(
         (f"A{i % 97}", f"W{i}", x, label) for i, (x, label) in enumerate(zip(X.tolist(), labels))
     ), path)
     rows = [line.split(",") if line else [] for line in path.read_bytes().decode().split("\r\n")[:-1]]

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import feature_table
 from teamroles import dataset, explain, metrics, mlp
 from teamroles.cli import main
-from teamroles.dataset import FeatureTable
 from teamroles.explain import (
     Attribution,
     EmptyBaselines,
@@ -62,7 +62,7 @@ def small_model(seed=0):
         label = BinaryRole.LEADERSHIP if counts[0] > 5 else BinaryRole.SUPPORT
         rows.append((f"A{i}", f"W{i}", list(ratios) + list(counts), label))
     config = TrainConfig(seed=seed, hidden_sizes=(8, 4), epochs=5, learning_rate=0.1)
-    return train(FeatureTable.from_rows(rows), config)
+    return train(feature_table(rows), config)
 
 
 def test_exact_shapley_linear_model_analytic():

@@ -8,24 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teamroles.features import (
-    EmptyProfile,
     InvalidFeatures,
     NormalizationRanges,
     apply_normalization,
     author_features,
-    career_age,
-    citation_count,
-    citation_impact_per_year,
-    contribution_to_references,
-    contribution_to_topics,
     extract_features,
     fit_normalization,
-    institutional_diversity,
     normalize_array,
-    probability_of_leading,
-    probability_of_leading_correspondence,
-    total_publications,
-    unique_topics,
 )
 from teamroles.types import (
     FEATURE_NAMES,
@@ -61,12 +50,21 @@ def paper(refs=(), topics=(), year=2015):
 EMPTY = AuthorProfile("A0", ())
 
 
+# a focal paper published after every work of the profiles below
+LATER = paper(year=2030)
+
+
+def feature(name, profile, focal=LATER):
+    """Feature `name` of the profile's author on `focal`."""
+    return getattr(extract_features(profile, focal), name)
+
+
 def test_contribution_to_references():
     focal = paper(refs=[f"R{i}" for i in range(20)])
     profile = AuthorProfile("A1", (work(refs=["R0", "R1", "R2", "R3", "R4", "X1"]),))
-    assert contribution_to_references(profile, focal) == 0.25
-    assert contribution_to_references(EMPTY, focal) == 0.0
-    assert contribution_to_references(profile, paper(refs=[])) == 0.0
+    assert feature("contribution_to_references", profile, focal) == 0.25
+    assert feature("contribution_to_references", EMPTY, focal) == 0.0
+    assert feature("contribution_to_references", profile, paper(refs=[])) == 0.0
 
 
 def test_contribution_to_references_matches_brute_force():
@@ -85,73 +83,69 @@ def test_contribution_to_references_matches_brute_force():
             if any(ref in w.referenced_work_ids for w in works):
                 hits += 1
         expected = hits / len(focal_refs) if focal_refs else 0.0
-        assert contribution_to_references(profile, paper(refs=focal_refs)) == expected
+        assert feature("contribution_to_references", profile, paper(refs=focal_refs)) == expected
 
 
 def test_contribution_to_topics():
     focal = paper(topics=["A", "B", "C", "D"])
     profile = AuthorProfile("A1", (work(topics=["A"]), work(work_id="H2", topics=["C", "Z"])))
-    assert contribution_to_topics(profile, focal) == 0.5
+    assert feature("contribution_to_topics", profile, focal) == 0.5
     full = AuthorProfile("A1", (work(topics=["A", "B", "C", "D"]),))
-    assert contribution_to_topics(full, focal) == 1.0
+    assert feature("contribution_to_topics", full, focal) == 1.0
     disjoint = AuthorProfile("A1", (work(topics=["Z"]),))
-    assert contribution_to_topics(disjoint, focal) == 0.0
+    assert feature("contribution_to_topics", disjoint, focal) == 0.0
 
 
 def test_probability_of_leading():
     works = tuple(work(work_id=f"H{i}", position=1 if i < 3 else 2) for i in range(12))
-    assert probability_of_leading(AuthorProfile("A1", works)) == 0.25
+    assert feature("probability_of_leading", AuthorProfile("A1", works)) == 0.25
     all_first = tuple(work(work_id=f"H{i}", position=1) for i in range(5))
-    assert probability_of_leading(AuthorProfile("A1", all_first)) == 1.0
-    assert probability_of_leading(EMPTY) == 0.0
+    assert feature("probability_of_leading", AuthorProfile("A1", all_first)) == 1.0
+    assert feature("probability_of_leading", EMPTY) == 0.0
 
 
 def test_probability_of_leading_correspondence():
     works = tuple(work(work_id=f"H{i}", corresponding=i < 6) for i in range(10))
-    assert probability_of_leading_correspondence(AuthorProfile("A1", works)) == 0.6
+    assert feature("probability_of_leading_correspondence", AuthorProfile("A1", works)) == 0.6
     none = tuple(work(work_id=f"H{i}") for i in range(4))
-    assert probability_of_leading_correspondence(AuthorProfile("A1", none)) == 0.0
-    assert probability_of_leading_correspondence(EMPTY) == 0.0
+    assert feature("probability_of_leading_correspondence", AuthorProfile("A1", none)) == 0.0
+    assert feature("probability_of_leading_correspondence", EMPTY) == 0.0
 
 
 def test_career_age():
     profile = AuthorProfile("A1", (work(year=2003), work(work_id="H2", year=2020)))
-    assert career_age(profile) == 17
-    assert career_age(AuthorProfile("A1", (work(year=2010),))) == 0
-    with pytest.raises(EmptyProfile):
-        career_age(EMPTY)
+    assert feature("career_age", profile) == 17
+    assert feature("career_age", AuthorProfile("A1", (work(year=2010),))) == 0
 
 
 def test_citation_count():
     works = (work(citations=10), work(work_id="H2", citations=0), work(work_id="H3", citations=5))
-    assert citation_count(AuthorProfile("A1", works)) == 15
-    assert citation_count(EMPTY) == 0
-    assert citation_count(AuthorProfile("A1", (work(citations=100),))) == 100
+    assert feature("citation_count", AuthorProfile("A1", works)) == 15
+    assert feature("citation_count", EMPTY) == 0
+    assert feature("citation_count", AuthorProfile("A1", (work(citations=100),))) == 100
 
 
 def test_unique_topics():
     works = (work(topics=["A", "B"]), work(work_id="H2", topics=["B", "C"]))
-    assert unique_topics(AuthorProfile("A1", works)) == 3
-    assert unique_topics(EMPTY) == 0
+    assert feature("unique_topics", AuthorProfile("A1", works)) == 3
+    assert feature("unique_topics", EMPTY) == 0
     same = tuple(work(work_id=f"H{i}", topics=["T"]) for i in range(5))
-    assert unique_topics(AuthorProfile("A1", same)) == 1
+    assert feature("unique_topics", AuthorProfile("A1", same)) == 1
 
 
 def test_total_publications():
     works = tuple(work(work_id=f"H{i}") for i in range(12))
-    assert total_publications(AuthorProfile("A1", works)) == 12
-    assert total_publications(EMPTY) == 0
+    assert feature("total_publications", AuthorProfile("A1", works)) == 12
+    assert feature("total_publications", EMPTY) == 0
 
 
 def test_citation_impact_per_year():
     works = (work(year=2000, citations=30), work(work_id="H2", year=2017, citations=6))
-    assert citation_impact_per_year(AuthorProfile("A1", works)) == 36 / 18
+    assert feature("citation_impact_per_year", AuthorProfile("A1", works)) == 36 / 18
     single = AuthorProfile("A1", (work(year=2010, citations=10),))
-    assert citation_impact_per_year(single) == 10.0
+    assert feature("citation_impact_per_year", single) == 10.0
     zero = AuthorProfile("A1", (work(year=2010, citations=0),))
-    assert citation_impact_per_year(zero) == 0.0
-    with pytest.raises(EmptyProfile):
-        citation_impact_per_year(EMPTY)
+    assert feature("citation_impact_per_year", zero) == 0.0
 
 
 def test_institutional_diversity():
@@ -160,10 +154,10 @@ def test_institutional_diversity():
         work(work_id="H2", institutions=["X", "Y"]),
         work(work_id="H3", institutions=["Z"]),
     )
-    assert institutional_diversity(AuthorProfile("A1", works)) == 3
-    assert institutional_diversity(EMPTY) == 0
+    assert feature("institutional_diversity", AuthorProfile("A1", works)) == 3
+    assert feature("institutional_diversity", EMPTY) == 0
     one = tuple(work(work_id=f"H{i}", institutions=["X"]) for i in range(3))
-    assert institutional_diversity(AuthorProfile("A1", one)) == 1
+    assert feature("institutional_diversity", AuthorProfile("A1", one)) == 1
 
 
 def test_extract_features_empty_profile_all_zero():
@@ -246,21 +240,33 @@ def test_ratio_features_bounded(profile, refs, topics):
 
 
 def scalar_row(profile, focal):
-    """The ten single-feature functions on the history before the focal year, with
-    the zeros author_features gives an author who has none."""
-    history = profile.before(focal.year)
-    empty = not history.works
+    """The ten features recomputed from scratch on the works before the focal
+    year, with Python ints and int/int division; ten zeros if there are none."""
+    history = [w for w in profile.works if w.year < focal.year]
+    if not history:
+        return [0.0] * len(FEATURE_NAMES)
+    n = len(history)
+    refs = set().union(*(w.referenced_work_ids for w in history))
+    topics = set().union(*(w.topic_ids for w in history))
+    institutions = set().union(*(w.institution_ids for w in history))
+    years = [w.year for w in history]
+    age = max(years) - min(years)
+    citations = sum(w.citation_count for w in history)
+
+    def share(focal_ids, history_ids):
+        return len(focal_ids & history_ids) / len(focal_ids) if focal_ids else 0.0
+
     return [
-        contribution_to_references(history, focal),
-        contribution_to_topics(history, focal),
-        probability_of_leading(history),
-        probability_of_leading_correspondence(history),
-        float(0 if empty else career_age(history)),
-        float(citation_count(history)),
-        float(unique_topics(history)),
-        float(total_publications(history)),
-        0.0 if empty else citation_impact_per_year(history),
-        float(institutional_diversity(history)),
+        share(focal.referenced_work_ids, refs),
+        share(focal.topic_ids, topics),
+        sum(w.author_position == 1 for w in history) / n,
+        sum(w.is_corresponding for w in history) / n,
+        age,
+        citations,
+        len(topics),
+        n,
+        citations / (age + 1),
+        len(institutions),
     ]
 
 
@@ -335,7 +341,7 @@ def test_contribution_monotone_in_overlap():
     last = -1.0
     for n_overlap in range(11):
         profile = AuthorProfile("A1", (work(refs=[f"R{i}" for i in range(n_overlap)]),))
-        value = contribution_to_references(profile, focal)
+        value = feature("contribution_to_references", profile, focal)
         assert value >= last
         last = value
 

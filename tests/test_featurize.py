@@ -15,9 +15,10 @@ import shutil
 
 import pytest
 
+from conftest import feature_table
 from teamroles import openalex
 from teamroles.cli import _read_labels, main
-from teamroles.dataset import FeatureTable, read_examples, write_examples
+from teamroles.dataset import read_examples, write_examples
 from teamroles.features import extract_features
 from teamroles.ingest import group_papers, read_corpus
 from teamroles.types import to_binary
@@ -46,7 +47,7 @@ def reference_featurize(records, labels, cache_dir):
         profile = client.fetch_author_profile(author_id)
         features = extract_features(profile, focal_by_paper[rec.paper_id])
         rows.append((author_id, rec.paper_id, features.to_list(), to_binary(role)))
-    return FeatureTable.from_rows(rows)
+    return feature_table(rows)
 
 
 @pytest.fixture(scope="module")

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import feature_table
 from teamroles.cli import main
-from teamroles.dataset import FeatureTable, read_examples
+from teamroles.dataset import read_examples
 from teamroles.features import fit_normalization, normalize_array
 from teamroles.mlp import (
     DegenerateTrainingSet,
@@ -39,7 +40,7 @@ def synthetic_examples(n=200, seed=0, noise=0.0):
         signal = counts[0] + counts[1] - 20.0 + noise * rng.normal()
         label = BinaryRole.LEADERSHIP if signal > 0 else BinaryRole.SUPPORT
         rows.append((f"A{i}", f"W{i}", list(ratios) + list(counts), label))
-    return FeatureTable.from_rows(rows)
+    return feature_table(rows)
 
 
 def feature_rows(table):
@@ -125,7 +126,7 @@ def test_input_gradient_finite(x):
 
 
 def test_train_rejects_single_class():
-    examples = FeatureTable.from_rows(
+    examples = feature_table(
         (f"A{i}", f"W{i}", [0.0] * 4 + [float(i)] * 6, BinaryRole.SUPPORT) for i in range(10)
     )
     with pytest.raises(DegenerateTrainingSet):
@@ -193,7 +194,7 @@ def test_feature_subset_model():
     examples = synthetic_examples()
     config = TrainConfig(seed=0, feature_indices=tuple(range(8)), learning_rate=0.1)
     model = train(examples, config)
-    assert model.params.input_dim == 8
+    assert model.params.W1.shape[1] == 8
     x = model_input(model, FeatureVector.from_list(examples.X[0]))
     assert x.shape == (8,)
     assert 0.0 < forward(model.params, x) < 1.0
@@ -335,7 +336,7 @@ def test_train_matches_the_reference_loop_on_random_sets(
     X = np.hstack([rng.uniform(0.0, 1.0, (n, 4)), rng.exponential(5.0, (n, 6))])
     labels = [BinaryRole.LEADERSHIP, BinaryRole.SUPPORT]
     labels += [BinaryRole.LEADERSHIP if u < 0.5 else BinaryRole.SUPPORT for u in rng.random(n - 2)]
-    table = FeatureTable.from_rows(
+    table = feature_table(
         (f"A{i}", f"W{i}", x, label) for i, (x, label) in enumerate(zip(X.tolist(), labels))
     )
     config = TrainConfig(seed=seed, batch_size=batch_size, epochs=epochs,

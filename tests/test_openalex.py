@@ -79,14 +79,6 @@ def test_fetch_author_profile_paginates(cache_dir, fixture_cache_raw):
     assert len(profile.works) == total
 
 
-def test_author_profile_before_keeps_earlier_works(cache_dir):
-    full = offline_client(cache_dir).fetch_author_profile("A002")
-    years = sorted(w.year for w in full.works)
-    cutoff = years[len(years) // 2]
-    assert len(full.before(cutoff).works) == sum(1 for y in years if y < cutoff)
-    assert full.before(years[0]).works == ()
-
-
 def test_cache_idempotence(tmp_path):
     """Two fetches of the same URL perform at most one network request."""
     calls = []
