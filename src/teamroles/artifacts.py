@@ -10,15 +10,18 @@ raise FileUnreadable when a file cannot be read and FormatError(path, line,
 message) when it does not parse; a JSON-lines line cut short at the end of a
 file raises its subclass TruncatedLine. The row readers stream: they read
 line by line and hold one row at a time, so a bad line raises only when the
-caller reaches it. read_csv_rows gives the header and then each row as a
-list of cells, for a caller that picks its columns by position; read_csv
-keys each row by the header. The row readers, and read_json for a
-file that holds one JSON object, take an optional `decode` that turns each row
-into a value; a KeyError, ValueError or TypeError it raises becomes
-FormatError(path, line, "field <name>: ..."), naming the field the decoder
-read last, dotted through nested objects (`params.W2`); a whole JSON file is
-line 1. To find that field, a failed decode is run a second time, so a
-decoder must be a pure function of its row.
+caller reaches it. read_jsonl_spans also gives each row's byte span, and
+read_jsonl_at reads one such span back under the same rules, for a caller
+that keeps where its rows are rather than the rows. read_csv_rows gives the
+header and then each row as a list of cells, for a caller that picks its
+columns by position; read_csv keys each row by the header. The row readers,
+and read_json for a file that holds one JSON object, take an optional
+`decode` that turns each row into a value; a KeyError, ValueError or
+TypeError it raises becomes FormatError(path, line, "field <name>: ..."),
+naming the field the decoder read last, dotted through nested objects
+(`params.W2`); a whole JSON file is line 1. To find that field, a failed
+decode is run a second time, so a decoder must be a pure function of its
+row.
 """
 from __future__ import annotations
 
@@ -85,22 +88,28 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
         writer.writerows(rows)
 
 
-def _lines(path) -> Iterator[Tuple[int, str]]:
-    """(line number, line with its newline) for each line of a UTF-8 file."""
+def _decode_utf8(path, number: int, raw: bytes) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(path, number, f"not UTF-8: {exc}") from exc
+
+
+def _lines(path) -> Iterator[Tuple[int, int, int, str]]:
+    """(line number, start and end byte offset, line with its newline) for each
+    line of a UTF-8 file."""
     try:
         with open(path, "rb") as fh:
+            end = 0
             for number, raw in enumerate(fh, start=1):
-                try:
-                    line = raw.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise FormatError(path, number, f"not UTF-8: {exc}") from exc
-                yield number, line
+                start, end = end, end + len(raw)
+                yield number, start, end, _decode_utf8(path, number, raw)
     except OSError as exc:
         raise FileUnreadable(f"cannot read {path}: {exc}") from exc
 
 
 def read_text(path) -> str:
-    return "".join(line for _, line in _lines(path))
+    return "".join(line for *_, line in _lines(path))
 
 
 def read_json(path, decode: Optional[Callable[[dict], Any]] = None) -> Any:
@@ -113,10 +122,7 @@ def read_json(path, decode: Optional[Callable[[dict], Any]] = None) -> Any:
         return data
     if not isinstance(data, dict):
         raise FormatError(path, 1, "not a JSON object")
-    try:
-        return decode(data)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise _field_error(path, 1, data, decode, exc) from exc
+    return _decoded(path, 1, data, decode)
 
 
 class _Row(dict):
@@ -158,42 +164,80 @@ def _field_error(path, number: int, row: dict, decode: Callable[[dict], Any],
     return FormatError(path, number, f"field {tracked.field}: {reason}")
 
 
+def _decoded(path, number: int, row: dict, decode: Optional[Callable[[dict], Any]]) -> Any:
+    """decode(row), or the row itself without a decoder."""
+    if decode is None:
+        return row
+    try:
+        return decode(row)
+    except (KeyError, ValueError, TypeError) as exc:
+        raise _field_error(path, number, row, decode, exc) from exc
+
+
 # The C scanner behind json.loads, called directly: json.loads spends about as
 # long again in Python-level checks around it as the scan takes on a short row.
 _scan_json = json.JSONDecoder().scan_once
 
 
+def _json_object(path, number: int, line: str) -> Optional[dict]:
+    """The object on a line of a JSON-lines file, or None for a blank line."""
+    try:
+        row, end = _scan_json(line, 0)
+        exact = line[end:] in ("\n", "")  # else json.loads decides: spaces, junk, a BOM
+    except (StopIteration, ValueError):
+        exact = False
+    if not exact:
+        if not line.strip():
+            return None
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as exc:
+            # only the last line of a file can lack its newline
+            error = FormatError if line.endswith("\n") else TruncatedLine
+            raise error(path, number, f"bad JSON: {exc.msg} at column {exc.colno}") from exc
+    if not isinstance(row, dict):
+        raise FormatError(path, number, "row is not a JSON object")
+    return row
+
+
+def read_jsonl_spans(
+    path, decode: Optional[Callable[[dict], Any]] = None
+) -> Iterator[Tuple[int, int, int, Any]]:
+    """(line number, start and end byte offset, object or decode(object)) for
+    each non-blank line of a JSON-lines file."""
+    for number, start, end, line in _lines(path):
+        row = _json_object(path, number, line)
+        if row is not None:
+            yield number, start, end, _decoded(path, number, row, decode)
+
+
 def read_jsonl(path, decode: Optional[Callable[[dict], Any]] = None) -> Iterator[Tuple[int, Any]]:
     """(line number, object or decode(object)) for each non-blank line of a JSON-lines file."""
-    for number, line in _lines(path):
-        try:
-            row, end = _scan_json(line, 0)
-            exact = line[end:] in ("\n", "")  # else json.loads decides: spaces, junk, a BOM
-        except (StopIteration, ValueError):
-            exact = False
-        if not exact:
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                # only the last line of a file can lack its newline
-                error = FormatError if line.endswith("\n") else TruncatedLine
-                raise error(path, number, f"bad JSON: {exc.msg} at column {exc.colno}") from exc
-        if not isinstance(row, dict):
-            raise FormatError(path, number, "row is not a JSON object")
-        if decode is not None:
-            try:
-                row = decode(row)
-            except (KeyError, ValueError, TypeError) as exc:
-                raise _field_error(path, number, row, decode, exc) from exc
+    for number, _, _, row in read_jsonl_spans(path, decode):
         yield number, row
+
+
+def read_jsonl_at(path, number: int, start: int, end: int,
+                  decode: Optional[Callable[[dict], Any]] = None) -> Any:
+    """The object or decode(object) of the row that read_jsonl_spans gave as line
+    `number` at bytes [start, end), read again from the file; FormatError if
+    those bytes do not hold a row now."""
+    try:
+        with open(path, "rb", buffering=0) as fh:  # one read: a buffer would only cost
+            fh.seek(start)
+            raw = fh.read(end - start)
+    except OSError as exc:
+        raise FileUnreadable(f"cannot read {path}: {exc}") from exc
+    row = _json_object(path, number, _decode_utf8(path, number, raw))
+    if row is None:
+        raise FormatError(path, number, f"no row at bytes {start}-{end}")
+    return _decoded(path, number, row, decode)
 
 
 def read_csv_rows(path, delimiter: str = ",") -> Iterator[Tuple[int, list]]:
     """(line number, cells) for the header and then for each non-blank CSV row;
     a row whose width is not the header's raises FormatError."""
-    reader = csv.reader((line for _, line in _lines(path)), delimiter=delimiter)
+    reader = csv.reader((line for *_, line in _lines(path)), delimiter=delimiter)
     try:
         header = next(reader, None)
         if header is None:
@@ -216,10 +260,4 @@ def read_csv(
     rows = read_csv_rows(path, delimiter)
     _, header = next(rows)
     for number, values in rows:
-        row = dict(zip(header, values))
-        if decode is not None:
-            try:
-                row = decode(row)
-            except (KeyError, ValueError, TypeError) as exc:
-                raise _field_error(path, number, row, decode, exc) from exc
-        yield number, row
+        yield number, _decoded(path, number, dict(zip(header, values)), decode)

@@ -437,14 +437,19 @@ def cmd_lratio(args, config) -> int:
 def cmd_report(args, config) -> int:
     from . import metrics
 
-    report_dir = Path(config["output_dir"]) / "report"
-    artifacts.make_dir(report_dir)
+    # every input is read and checked before report/ is touched, so a run that
+    # fails leaves the previous report whole
+    copies = {}
     for key in ("metrics", "shap_summary"):
         source = _require("report", _out(config, key))
-        artifacts.write_text(report_dir / source.name, artifacts.read_text(source))
-
+        copies[source.name] = artifacts.read_text(source)
     labels = _read_labels(_require("report", _labels_path(args, config)))
     distribution = metrics.label_distribution(list(labels.values()))
+
+    report_dir = Path(config["output_dir"]) / "report"
+    artifacts.make_dir(report_dir)
+    for name, text in copies.items():
+        artifacts.write_text(report_dir / name, text)
     rows = ([role.value, count] for role, count in distribution.items())
     artifacts.write_csv(report_dir / "distribution.csv", ["role", "count"], rows)
     print(f"report: written to {report_dir}")

@@ -58,6 +58,7 @@ class SplitResult:
     test: FeatureTable
     seed: int
     ratio: float
+    group_by_author: bool
 
 
 def check_ratio(ratio: float) -> float:
@@ -119,7 +120,7 @@ def stratified_split(
             rng.shuffle(members)
             test.extend(members[: n_test[label]])
             train.extend(members[n_test[label]:])
-    return SplitResult(table.take(train), table.take(test), seed, ratio)
+    return SplitResult(table.take(train), table.take(test), seed, ratio, group_by_author)
 
 
 FEATURE_TABLE_HEADER = ["author_id", "paper_id", *FEATURE_NAMES, "label"]
@@ -202,6 +203,7 @@ def write_split_manifest(result: SplitResult, path) -> None:
         "schema_version": 1,
         "seed": result.seed,
         "ratio": result.ratio,
+        "group_by_author": result.group_by_author,
         "counts": counts,
         "n_train": len(result.train),
         "n_test": len(result.test),

@@ -3,6 +3,10 @@
 The cache is one JSON-lines file per entity kind, keyed by normalized
 request URL; with offline=True no network call is ever made, so a
 complete fixture cache makes the downstream pipeline byte-reproducible.
+The files are the store: in memory the cache keeps only where each key's
+newest line is and reads the body from the file on each lookup, so its
+memory grows with the number of entries, not with their bytes. The client
+builds its request URLs in normalized form, so they are keys as they stand.
 
 A focal work goes through parse_work, which builds every authorship for
 name matching. A work on an author's profile page is checked the same way,
@@ -14,6 +18,7 @@ from __future__ import annotations
 import functools
 import json
 import logging
+import os
 import re
 import threading
 import time
@@ -22,10 +27,10 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
-from urllib.parse import parse_qsl, urlencode, urlsplit, urlunsplit
+from urllib.parse import parse_qsl, quote, urlencode, urlsplit, urlunsplit
 
 from . import artifacts
-from .errors import FileUnwritable, PipelineError, TruncatedLine
+from .errors import FileUnwritable, FormatError, PipelineError, TruncatedLine
 from .types import AuthorProfile, WorkEntry
 
 PAGE_SIZE = 200
@@ -114,22 +119,32 @@ def _cache_entry(entry: dict) -> Tuple[str, str]:
 
 
 class JsonLinesCache:
-    """Append-only per-kind cache; lookups return the newest entry for a URL.
+    """Append-only per-kind cache; lookups return the newest entry for a key.
 
-    A last line cut short by an interrupted append is ignored with a warning,
-    and the next put for that kind replaces it; any other line that does not
-    parse is a FormatError.
+    A key is the normalize_url form of a request URL. The files are the store:
+    the load checks every line and keeps, for each kind and key, only where
+    its newest line is (line number, byte offset, byte length), and get reads
+    the body back from there. A last line cut short by an interrupted append
+    is ignored with a warning, and the next put for that kind replaces it; any
+    other line that does not parse is a FormatError, and so is a line that no
+    longer holds its entry when get reads it back.
     """
 
     def __init__(self, cache_dir: Path):
         self.cache_dir = Path(cache_dir)
-        self._entries: Dict[str, Dict[str, str]] = {}  # kind -> url -> body
+        # kind -> key -> (line number, byte offset, byte length) of its newest line
+        self._entries: Dict[str, Dict[str, Tuple[int, int, int]]] = {}
+        # kind -> (line number, end byte offset) of the last row of its file
+        self._ends: Dict[str, Tuple[int, int]] = {}
         self._torn: set = set()  # kinds whose file ends in a cut-short line
+        self._paths: Dict[str, Path] = {}  # kind -> its file, built once: get opens it each time
         self._lock = threading.Lock()
         self._load()
 
     def _path(self, kind: str) -> Path:
-        return self.cache_dir / f"{kind}.jsonl"
+        if kind not in self._paths:
+            self._paths[kind] = self.cache_dir / f"{kind}.jsonl"
+        return self._paths[kind]
 
     def _load(self) -> None:
         if not self.cache_dir.is_dir():
@@ -137,34 +152,54 @@ class JsonLinesCache:
         for path in sorted(self.cache_dir.glob("*.jsonl")):
             kind = path.stem
             table = self._entries.setdefault(kind, {})
+            number = end = 0
             try:
-                table.update(entry for _, entry in artifacts.read_jsonl(path, decode=_cache_entry))
+                for number, start, end, (key, _) in artifacts.read_jsonl_spans(path, _cache_entry):
+                    table[key] = (number, start, end - start)
             except TruncatedLine as exc:
                 log.warning("ignoring a cut-short cache line: %s", exc)
                 self._torn.add(kind)
+            self._ends[kind] = (number, end)
 
-    def get(self, kind: str, url: str) -> Optional[str]:
-        return self._entries.get(kind, {}).get(normalize_url(url))
+    def get(self, kind: str, key: str) -> Optional[str]:
+        where = self._entries.get(kind, {}).get(key)
+        if where is None:
+            return None
+        number, start, length = where
+        path = self._path(kind)
+        found, body = artifacts.read_jsonl_at(path, number, start, start + length, _cache_entry)
+        if found != key:
+            raise FormatError(path, number, f"holds {found!r}, not {key!r}: "
+                                            "the file changed after the cache loaded it")
+        return body
 
-    def put(self, kind: str, url: str, body: str) -> None:
-        key = normalize_url(url)
+    def put(self, kind: str, key: str, body: str) -> None:
+        entry = {
+            "request_url": key,
+            "fetched_at": datetime.now(timezone.utc).isoformat(),
+            "body": body,
+        }
+        line = (artifacts.encode_row(entry) + "\n").encode("utf-8")
         with self._lock:
             artifacts.make_dir(self.cache_dir)
-            entry = {
-                "request_url": key,
-                "fetched_at": datetime.now(timezone.utc).isoformat(),
-                "body": body,
-            }
+            number, end = self._ends.get(kind, (0, 0))
             try:
-                with open(self._path(kind), "a", encoding="utf-8") as fh:
+                with open(self._path(kind), "a+b") as fh:
                     if kind in self._torn:
-                        # drop the cut-short line, so this entry starts a line of its own
-                        fh.truncate(self._path(kind).read_bytes().rfind(b"\n") + 1)
+                        # drop the cut-short line, so this entry starts a line of its own;
+                        # what follows the last row loaded is read back, so whole lines
+                        # that another process appended since are kept
+                        fh.seek(end)
+                        tail = fh.read()
+                        fh.truncate(end + tail.rfind(b"\n") + 1)
+                        number += tail.count(b"\n")
                         self._torn.discard(kind)
-                    fh.write(artifacts.encode_row(entry) + "\n")
+                    start = fh.seek(0, os.SEEK_END)
+                    fh.write(line)
             except OSError as exc:
                 raise FileUnwritable(f"cannot append to {self._path(kind)}: {exc}") from exc
-            self._entries.setdefault(kind, {})[key] = body
+            self._entries.setdefault(kind, {})[key] = (number + 1, start, len(line))
+            self._ends[kind] = (number + 1, start + len(line))
 
 
 @dataclass(frozen=True)
@@ -347,20 +382,20 @@ class OpenAlexClient:
         self.cache = JsonLinesCache(config.cache_dir)
         self.limiter = TokenBucket(MAX_REQUESTS_PER_SECOND, clock=clock, sleep=sleep)
 
-    def _request(self, kind: str, url: str) -> dict:
-        cached = self.cache.get(kind, url)
+    def _request(self, kind: str, key: str) -> dict:
+        """The JSON object at a request URL in normalize_url form, which is its cache key."""
+        cached = self.cache.get(kind, key)
         if cached is not None:
             return _parse_body(cached)
-        key = normalize_url(url)
         if self.config.offline:
             raise OfflineCacheMiss(f"offline mode, not cached: {key}")
 
         import requests
 
-        full_url = url
+        full_url = key
         if self.config.mailto:
-            sep = "&" if "?" in url else "?"
-            full_url = f"{url}{sep}mailto={self.config.mailto}"
+            sep = "&" if "?" in key else "?"
+            full_url = f"{key}{sep}mailto={self.config.mailto}"
         for attempt in range(3):
             self.limiter.acquire()
             try:
@@ -378,12 +413,16 @@ class OpenAlexClient:
             if not 200 <= status < 300:
                 raise FetchFailed(f"{key}: HTTP {status}")
             data = _parse_body(resp.text)
-            self.cache.put(kind, url, resp.text)
+            self.cache.put(kind, key, resp.text)
             return data
 
+    # The request URLs below are built in normalize_url form (query parameters
+    # sorted and encoded, the id quoted), so they are cache keys as they stand.
     def fetch_work(self, work_id: str) -> RawWork:
-        url = f"{self.config.base_url}/works/{_short_id(work_id)}"
-        return parse_work(self._request("works", url))
+        # surrogatepass: an id read from escaped JSON may hold a lone surrogate
+        path = quote(_short_id(work_id), safe="", errors="surrogatepass")
+        key = f"{self.config.base_url}/works/{path}"
+        return parse_work(self._request("works", key))
 
     def fetch_author_profile(self, author_id: str) -> AuthorProfile:
         """Page through an author's works and build their publication history."""
@@ -392,11 +431,9 @@ class OpenAlexClient:
         entries: List[WorkEntry] = []
         seen = set()
         while cursor:
-            url = (
-                f"{self.config.base_url}/works"
-                f"?cursor={cursor}&filter=author.id:{author_id}&per-page={PAGE_SIZE}"
-            )
-            page = self._request("authors", url)
+            params = (("cursor", cursor), ("filter", f"author.id:{author_id}"),
+                      ("per-page", PAGE_SIZE))  # sorted by name
+            page = self._request("authors", f"{self.config.base_url}/works?{urlencode(params)}")
             if "results" not in page:
                 raise MalformedResponse("results")
             for raw in page["results"]:

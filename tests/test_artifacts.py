@@ -55,6 +55,19 @@ def test_round_trips(tmp_path):
     assert artifacts.read_json(tmp_path / "a.json") == {"a": 1, "b": [1.5]}
 
 
+def test_jsonl_spans_are_byte_offsets_that_read_back(tmp_path):
+    path = tmp_path / "a.jsonl"
+    path.write_bytes('{"a": "é"}\n\n{"b": 2}\n{"c": 3}'.encode())  # é is two bytes
+    spans = list(artifacts.read_jsonl_spans(path))
+    assert spans == [(1, 0, 12, {"a": "é"}), (3, 13, 22, {"b": 2}), (4, 22, 30, {"c": 3})]
+    for number, start, end, row in spans:
+        assert artifacts.read_jsonl_at(path, number, start, end) == row
+    for start, end in ((12, 13), (1, 12), (30, 40)):  # blank, cut short, past the end
+        with pytest.raises(FormatError) as excinfo:
+            artifacts.read_jsonl_at(path, 7, start, end)
+        assert excinfo.value.line == 7
+
+
 def read_jsonl(path):
     return list(artifacts.read_jsonl(path))
 

@@ -6,11 +6,13 @@ renamed, deleted, or bound to a different object on one of its owners
 breaks that mode, and the benchmark's own tests are not part of this suite.
 """
 import importlib.util
+import json
 import os
 import sys
 from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def load(name, monkeypatch):
@@ -21,12 +23,15 @@ def load(name, monkeypatch):
     return module
 
 
-def test_instrument_wraps_every_name_and_close_restores_it(monkeypatch):
+def load_run_and_tracer(monkeypatch):
     # run.py sets OPENBLAS_NUM_THREADS when imported, to this value if it is unset;
     # setenv records the value before the test, or its absence, and puts it back after
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", os.environ.get("OPENBLAS_NUM_THREADS", "1"))
-    run = load("run", monkeypatch)
-    tracer = load("spans", monkeypatch).Tracer()
+    return load("run", monkeypatch), load("spans", monkeypatch).Tracer()
+
+
+def test_instrument_wraps_every_name_and_close_restores_it(monkeypatch):
+    run, tracer = load_run_and_tracer(monkeypatch)
     try:
         run.instrument(tracer)  # raises if a name is missing or differs between its owners
         patches = list(tracer._patches)
@@ -35,3 +40,24 @@ def test_instrument_wraps_every_name_and_close_restores_it(monkeypatch):
     finally:
         tracer.close()
     assert all(getattr(owner, attr) is original for owner, attr, original in patches)
+
+
+def test_cache_entries_counts_each_cached_url_once(monkeypatch):
+    """openalex.cache_entries, which the tracer reads off the cache's index, is the
+    number of distinct (kind, request URL) pairs in the cache files."""
+    from teamroles import openalex
+
+    cache_dir = ROOT / "tests" / "fixtures" / "cache"
+    run, tracer = load_run_and_tracer(monkeypatch)
+    try:
+        run.instrument(tracer)
+        openalex.JsonLinesCache(cache_dir)
+    finally:
+        tracer.close()
+    urls = {
+        (path.stem, json.loads(line)["request_url"])
+        for path in cache_dir.glob("*.jsonl")
+        for line in path.read_text(encoding="utf-8").splitlines()
+    }
+    assert len(urls) == 111
+    assert tracer.counters["openalex.cache_entries"] == len(urls)

@@ -116,6 +116,14 @@ def test_split_group_by_author_keeps_each_author_on_one_side(pipeline_dir, tmp_p
         assert manifest["counts"][side] == dict(counts)
 
 
+@pytest.mark.parametrize("flags, grouped", [([], False), (["--group-by-author"], True)])
+def test_split_manifest_records_the_grouping(pipeline_dir, tmp_path, flags, grouped):
+    shutil.copyfile(pipeline_dir / "features.csv", tmp_path / "features.csv")
+    assert run("split", *flags, "--output-dir", str(tmp_path)) == 0
+    manifest = json.loads((tmp_path / "split_manifest.json").read_text())
+    assert manifest["group_by_author"] is grouped
+
+
 def test_metrics_file_shape(pipeline_dir):
     report = json.loads((pipeline_dir / "metrics.json").read_text())
     assert set(report["per_class"]) == {"Leadership", "Support"}
@@ -258,6 +266,21 @@ def test_repeated_record_id_in_labels_file_exits_1(labels_override_dir, capsys):
         assert capsys.readouterr().err == message
     for name in ("features.csv", "lratio.csv", "report/distribution.csv"):
         assert not (out / name).exists(), name
+
+
+def test_report_that_fails_on_its_labels_leaves_report_dir_unchanged(labels_override_dir, capsys):
+    out = labels_override_dir
+    labels = out / "labels_llm.jsonl"
+    common = ["--output-dir", str(out), "--labels", str(labels)]
+    assert run("report", *common) == 0
+    before = {path.name: path.read_bytes() for path in (out / "report").iterdir()}
+    (out / "metrics.json").write_text('{"accuracy": 0.0}')  # the next run's metrics
+    first = labels.read_text().splitlines()[0]
+    with open(labels, "a", encoding="utf-8") as fh:
+        fh.write(first + "\n")  # a repeated record id
+    assert run("report", *common) == 1
+    assert "repeats line 1" in capsys.readouterr().err
+    assert {path.name: path.read_bytes() for path in (out / "report").iterdir()} == before
 
 
 def test_missing_cache_dir_is_config_error(tmp_path):

@@ -2,10 +2,15 @@ import itertools
 import json
 import logging
 import shutil
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from teamroles.errors import FileUnwritable
+from teamroles.errors import FileUnwritable, FormatError
 from teamroles.openalex import (
     AmbiguousMatch,
     ClientConfig,
@@ -273,24 +278,183 @@ def test_token_bucket_respects_rate():
         assert len(window) <= 4
 
 
+def cached_bodies(cache: JsonLinesCache, kind: str) -> dict:
+    """Every key of a kind, with the body get returns for it."""
+    return {key: cache.get(kind, key) for key in cache._entries.get(kind, {})}
+
+
 def test_cache_tolerates_a_torn_last_line(tmp_path, caplog):
     shutil.copytree("tests/fixtures/cache", tmp_path / "cache")
     works = tmp_path / "cache" / "works.jsonl"
     intact = works.read_bytes()
-    entries = JsonLinesCache(tmp_path / "cache")._entries["works"]
+    bodies = cached_bodies(JsonLinesCache(tmp_path / "cache"), "works")
     with open(works, "ab") as fh:
         fh.write(b'{"body": "{\\"id\\": \\"W9')  # an append cut short
     with caplog.at_level(logging.WARNING, logger="teamroles.openalex"):
         cache = JsonLinesCache(tmp_path / "cache")
-    assert cache._entries["works"] == entries
+    assert cached_bodies(cache, "works") == bodies
     assert [r.levelno for r in caplog.records] == [logging.WARNING]
     assert str(works) in caplog.records[0].getMessage()
 
     cache.put("works", f"{BASE}/works/W9", '{"id": "W9"}')
     assert works.read_bytes().startswith(intact)
     assert works.read_bytes()[len(intact):].count(b"\n") == 1  # the new entry, on its own line
+    expected = {**bodies, f"{BASE}/works/W9": '{"id": "W9"}'}
+    assert cached_bodies(cache, "works") == expected
+    assert cached_bodies(JsonLinesCache(tmp_path / "cache"), "works") == expected
+
+
+def test_cache_load_holds_no_body(tmp_path):
+    """The load keeps where each entry is, not its body: what it leaves allocated
+    is less than one body, however many bodies the file holds."""
+    size = 256 * 1024
+    bodies = {f"{BASE}/works/W{i}": json.dumps({"id": f"W{i}", "pad": str(i) * size})
+              for i in range(8)}
+    writer = JsonLinesCache(tmp_path / "cache")
+    for key, body in bodies.items():
+        writer.put("works", key, body)
+    del writer
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        cache = JsonLinesCache(tmp_path / "cache")
+        held, peak = (used - before for used in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert held < size
+    assert peak < len(bodies) * size  # one line at a time, never every body at once
+    assert cached_bodies(cache, "works") == bodies
+
+
+# an operation on the cache: ("put", kind, key number, body), ("tear", kind, share of
+# a line an interrupted append wrote before the process ended) or ("reload",)
+_cache_ops = st.lists(st.one_of(
+    st.tuples(st.just("put"), st.sampled_from(["works", "authors"]),
+              st.integers(0, 3), st.text(max_size=20)),
+    st.tuples(st.just("tear"), st.sampled_from(["works", "authors"]), st.floats(0.01, 0.99)),
+    st.tuples(st.just("reload")),
+), max_size=25)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cache_ops)
+def test_cache_matches_a_newest_entry_wins_model(ops):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "cache"
+        cache = JsonLinesCache(root)
+        model = {}  # kind -> key -> body
+        for op in ops:
+            if op[0] == "put":
+                _, kind, number, body = op
+                key = f"{BASE}/works/W{number}"
+                cache.put(kind, key, body)
+                model.setdefault(kind, {})[key] = body
+            elif op[0] == "tear":
+                _, kind, share = op
+                line = json.dumps({"body": "x" * 40, "request_url": f"{BASE}/works/W9"})
+                root.mkdir(parents=True, exist_ok=True)
+                with open(root / f"{kind}.jsonl", "ab") as fh:
+                    fh.write(line[:max(1, int(share * len(line)))].encode())
+                cache = JsonLinesCache(root)  # the next process after the one that died
+            else:
+                cache = JsonLinesCache(root)
+            for kind in ("works", "authors"):
+                assert cached_bodies(cache, kind) == model.get(kind, {})
+                assert cache.get(kind, f"{BASE}/works/W9") is None
+            assert cache._entries == JsonLinesCache(root)._entries  # what a reload would index
+
+
+def test_put_after_a_torn_line_keeps_what_another_writer_appended(tmp_path):
+    first = JsonLinesCache(tmp_path / "cache")
+    first.put("works", f"{BASE}/works/W1", '{"v": 1}')
+    with open(tmp_path / "cache" / "works.jsonl", "ab") as fh:
+        fh.write(b'{"body": "{\\"v')  # an append cut short
+    ours, theirs = JsonLinesCache(tmp_path / "cache"), JsonLinesCache(tmp_path / "cache")
+    theirs.put("works", f"{BASE}/works/W2", '{"v": 2}')  # replaces the torn line
+    ours.put("works", f"{BASE}/works/W3", '{"v": 3}')
     reloaded = JsonLinesCache(tmp_path / "cache")
-    assert reloaded._entries["works"] == {**entries, normalize_url(f"{BASE}/works/W9"): '{"id": "W9"}'}
+    assert cached_bodies(reloaded, "works") == {
+        f"{BASE}/works/W{n}": f'{{"v": {n}}}' for n in (1, 2, 3)
+    }
+    line, offset, length = ours._entries["works"][f"{BASE}/works/W3"]
+    assert line == 3  # W1, W2, then W3
+    assert reloaded._entries["works"][f"{BASE}/works/W3"] == (line, offset, length)
+
+
+@pytest.mark.parametrize("rewrite", [
+    lambda data: b"",
+    lambda data: data[:data.index(b"\n") // 2],
+    lambda data: b"\n".join(reversed(data.rstrip(b"\n").split(b"\n"))) + b"\n",
+    lambda data: b"x" * len(data),
+], ids=["emptied", "cut-in-line-1", "lines-swapped", "overwritten"])
+def test_cache_rewritten_under_a_loaded_cache_is_a_format_error(tmp_path, rewrite):
+    cache = JsonLinesCache(tmp_path / "cache")
+    for number in (1, 2):  # lines of one length, so swapped lines still align
+        cache.put("works", f"{BASE}/works/W{number}", f'{{"v": {number}}}')
+    works = tmp_path / "cache" / "works.jsonl"
+    works.write_bytes(rewrite(works.read_bytes()))
+    for number in (1, 2):
+        with pytest.raises(FormatError) as excinfo:
+            cache.get("works", f"{BASE}/works/W{number}")
+        assert (excinfo.value.path, excinfo.value.line) == (works, number)
+
+
+def _old_profile_url(author_id, cursor):
+    return f"{BASE}/works?cursor={cursor}&filter=author.id:{author_id}&per-page=200"
+
+
+class KeyRecordingClient(OpenAlexClient):
+    """Records the keys the client asks for and answers each with a canned body:
+    one work, or a profile page that leads on to the next of `cursors`."""
+
+    def __init__(self, cursors=()):
+        super().__init__(ClientConfig(cache_dir=Path("no-such-cache"), offline=True))
+        self.cursors = list(cursors)
+        self.keys = []
+
+    def _request(self, kind, key):
+        self.keys.append(key)
+        if kind == "works":
+            return raw_work(("A1", "Ann Lee"))
+        return {"results": [], "meta": {"next_cursor": self.cursors.pop(0) if self.cursors else None}}
+
+
+_no_surrogates = st.characters(blacklist_categories=("Cs",))
+
+
+@settings(max_examples=200, deadline=None)
+@given(work_id=st.text(), author_id=st.text(_no_surrogates, min_size=1),
+       cursors=st.lists(st.text(_no_surrogates, min_size=1), max_size=3))
+def test_client_keys_are_normalized_urls(work_id, author_id, cursors):
+    """The key the client builds is already the normalize_url form of the URL it
+    requests, with or without a mailto parameter."""
+    client = KeyRecordingClient(cursors)
+    client.fetch_work(work_id)
+    client.fetch_author_profile(author_id)
+    assert len(client.keys) == 2 + len(cursors)
+    for key in client.keys:
+        assert normalize_url(key) == key
+        assert normalize_url(f"{key}{'&' if '?' in key else '?'}mailto=x@y.z") == key
+
+
+_openalex_id = st.from_regex(r"[A-Z][0-9]{1,10}", fullmatch=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(work_id=_openalex_id, author_id=_openalex_id,
+       cursor=st.text(st.sampled_from("abcXYZ019/=*"), min_size=1))
+def test_client_keys_find_entries_stored_under_the_old_urls(work_id, author_id, cursor):
+    """For OpenAlex ids and cursors, the keys equal the normalize_url form of the
+    URLs the client built before it built keys, so existing cache files still hit."""
+    client = KeyRecordingClient([cursor])
+    client.fetch_work(f"https://openalex.org/{work_id}")
+    client.fetch_author_profile(author_id)
+    assert client.keys == [
+        normalize_url(f"{BASE}/works/{work_id}"),
+        normalize_url(_old_profile_url(author_id, "*")),
+        normalize_url(_old_profile_url(author_id, cursor)),
+    ]
 
 
 class FakeResponse:
@@ -362,3 +526,12 @@ def test_failed_cache_append_is_file_unwritable(online, tmp_path):
     with pytest.raises(FileUnwritable, match="works.jsonl"):
         client.fetch_work("W1")
     assert client.cache.get("works", f"{BASE}/works/W1") is None
+
+
+def test_profile_request_url_is_its_cache_key(online):
+    client, replies, calls, _ = online
+    replies.append(FakeResponse(200, '{"results": [], "meta": {"next_cursor": null}}'))
+    client.fetch_author_profile("A1")
+    key = f"{BASE}/works?cursor=%2A&filter=author.id%3AA1&per-page=200"
+    assert calls == [key]
+    assert json.loads(client.cache.get("authors", key)) == {"results": [], "meta": {"next_cursor": None}}
