@@ -7,8 +7,9 @@ tractable for our 10 features (1024 coalitions per point and baseline).
 baseline it evaluates the network only on the coalitions of the features
 where the two differ, with the first layer factored into a per-feature
 term and a baseline term and every bias folded into a matmul, in
-per-thread buffers of bounded size, with the rows shared out over every
-CPU the process may run on. `exact_shapley` is the same enumeration over
+per-process buffers of bounded size, with the rows shared out between
+the calling process and a worker process forked for every further CPU
+it may run on. `exact_shapley` is the same enumeration over
 any scalar function. The gradient-path sampler `gradient_shap` is kept as
 a library estimator and is checked against the exact values. The
 explained quantity is the pre-threshold probability, not the class label.
@@ -17,12 +18,15 @@ from __future__ import annotations
 
 import ctypes
 import math
+import mmap
 import os
-import threading
+import select
+import signal
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, NamedTuple, NoReturn, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,21 +42,29 @@ from .mlp import (
 
 MAX_EXACT_FEATURES = 16
 # Coalitions per pass through the network in exact_shapley_batch. Each
-# thread allocates its buffers once per call, so their size maps no fresh
+# process allocates its buffers once per call, so their size maps no fresh
 # pages per block. With 64 and 32 hidden units and 10 features they hold
 # about 640 KiB: the two layer buffers 512 x 65 and 512 x 33 (260 and
 # 132 KiB; the extra unit carries the next layer's bias), and per baseline
 # group the first-layer rows (45 KiB), the reduced values, their flat
-# index and the expanded values (64, 64 and 72 KiB). On the fixture with
-# two threads, 1024-row blocks made explain about 20 % faster but grew the
-# peak RSS by 2.1 MB against 1.4 MB, and 256-row blocks gained almost
-# nothing from the second thread, whose shorter numpy calls contend for
-# the GIL.
+# index and the expanded values (64, 64 and 72 KiB). With worker
+# processes on the fixture (2 CPUs, BENCH_18.json), 1024-row blocks gave
+# the same explain time within the noise (median 0.271 s against 0.273 s)
+# and grew the calling process's peak RSS by about 0.35 MB.
 _BLOCK_ROWS = 512
-# Baselines whose coalition values a thread holds at once. Groups of 16
-# made the fixture's explain about 5 % faster than groups of 8 (33
-# baselines, two threads) but grew the peak RSS by about 0.7 MB more.
+# Baselines whose coalition values a process holds at once. Under worker
+# processes, groups of 16 were no faster than groups of 8 on the fixture
+# (33 baselines; median 0.281 s against 0.273 s) and grew the calling
+# process's peak RSS by about 0.35 MB.
 _BASELINE_GROUP = 8
+# Rows are handed out as tokens, each the number of a run of consecutive
+# rows, written to a pipe before any worker is forked. Every pipe holds
+# PIPE_BUF bytes, so at most that many bytes of tokens never block the
+# write, whatever the row count: up to 1024 tokens of ceil(n / 1024) rows.
+_TOKEN = np.dtype("<u4")
+_MAX_TOKENS = select.PIPE_BUF // _TOKEN.itemsize
+# Bytes a failed worker keeps of its exception's type and message.
+_MESSAGE_BYTES = 1024
 
 
 class TooManyFeatures(PipelineError):
@@ -63,6 +75,13 @@ class TooManyFeatures(PipelineError):
 
 class EmptyBaselines(PipelineError):
     pass
+
+
+class WorkerFailed(PipelineError):
+    """A forked worker process of exact_shapley_batch raised or was killed."""
+
+    def __init__(self, reason: str):
+        super().__init__(f"explain worker process failed: {reason}")
 
 
 @dataclass(frozen=True)
@@ -183,17 +202,28 @@ def exact_shapley_batch(
     its matmul.
 
     Coalitions run _BLOCK_ROWS at a time and baselines _BASELINE_GROUP at
-    a time, in buffers each thread allocates once (about 640 KiB with 64
+    a time, in buffers each process allocates once (about 640 KiB with 64
     and 32 hidden units, plus (m + 1) x 9 B per baseline), so memory does
     not grow with the number of rows. The output probabilities and the sum
-    over baselines, in baseline order, are taken once per group. The rows
-    are shared out between the calling thread and one worker thread for
-    every further CPU in the process's affinity set, so no thread is
-    started on one CPU; numpy releases the GIL inside each block. A row is
-    computed whole by one thread in a fixed order, so the result is the
-    same bytes whatever the thread count. Meanwhile numpy's bundled
-    OpenBLAS runs on one thread, so its own threads do not compete with
-    these for the CPUs; its thread count is restored on the way out.
+    over baselines, in baseline order, are taken once per group.
+
+    The calling process forks one worker process for every further CPU in
+    its affinity set, so nothing is forked on one CPU or for one row; nor
+    while another thread runs in this process, because a forked child
+    could wait forever on a lock that thread held. Each process takes runs
+    of rows from a pipe filled before the fork, as it comes to need them,
+    so a faster CPU does more rows, and writes each row's phi, base_value
+    and prediction to an anonymous shared mapping, from which the calling
+    process builds the result. A row is computed whole by one process in a
+    fixed order, so the result is the same bytes whatever the process
+    count. A worker that raises leaves its exception's type and message in
+    the mapping, and WorkerFailed names them; if the calling process
+    raises, its workers are killed and its own exception propagates. Every
+    worker is reaped before this returns or raises, and none writes to
+    stdout or stderr. Meanwhile numpy's bundled OpenBLAS runs on one
+    thread, in the workers too, which inherit the setting, so its own
+    threads do not compete with these processes for the CPUs; its thread
+    count is restored on the way out.
     """
     if len(baselines) == 0:
         raise EmptyBaselines("at least one baseline required")
@@ -223,9 +253,21 @@ def exact_shapley_batch(
     n_coalitions = len(member)
     block = min(_BLOCK_ROWS, n_coalitions)
     group = min(_BASELINE_GROUP, len(bases))
-    attributions: List[Optional[Attribution]] = [None] * len(X)
-    next_row = iter(range(len(X)))
-    lock = threading.Lock()
+    size = -(-len(X) // _MAX_TOKENS)  # rows per token
+    tokens = -(-len(X) // size)
+    workers = min(len(os.sched_getaffinity(0)), tokens) - 1
+    if len(sys._current_frames()) > 1:
+        workers = 0  # another thread might hold a lock a forked child would wait on forever
+    # each row's phi, base_value and prediction, then each worker's message slot
+    table_bytes = len(X) * (m + 2) * 8
+    shared = mmap.mmap(-1, table_bytes + workers * _MESSAGE_BYTES)
+    table = np.frombuffer(shared, count=len(X) * (m + 2)).reshape(len(X), m + 2)
+
+    def taken_rows() -> Iterator[int]:
+        # the pipe holds whole tokens only, and each read takes one
+        while token := os.read(read_fd, _TOKEN.itemsize):
+            start = int.from_bytes(token, "little") * size
+            yield from range(start, min(start + size, len(X)))
 
     def work() -> None:
         # per baseline of a group: the (x - b)_i W1^T rows (0 into the constant
@@ -241,11 +283,7 @@ def exact_shapley_batch(
         values = np.empty((group + 1, n_coalitions))  # row 0 carries the earlier groups' sum
         Z1 = np.empty((block, h1 + 1))
         Z2 = np.empty((block, h2 + 1))
-        while True:
-            with lock:
-                i = next(next_row, None)
-            if i is None:
-                return
+        for i in taken_rows():
             diffs = X[i] - bases
             np.not_equal(diffs, 0.0, out=kept[:, :m])
             # keep two features at least, the first ones that agree if need be:
@@ -274,30 +312,55 @@ def exact_shapley_batch(
                 # every index is in range; mode="raise" would buffer the output
                 np.take(reduced, index[:n], out=values[1 : n + 1], mode="clip")
                 values[0] = values[: n + 1].sum(axis=0)
-            attributions[i] = _attribution(values[0] / len(bases), m)
+            attribution = _attribution(values[0] / len(bases), m)
+            table[i, :m] = attribution.phi
+            table[i, m:] = attribution.base_value, attribution.prediction
 
-    failures: List[BaseException] = []
-
-    def helper() -> None:
-        try:
-            work()
-        except BaseException as exc:  # raised again on the calling thread
-            failures.append(exc)
-
-    # plain threads: importing concurrent.futures alone adds about 0.3 MB of RSS
-    helpers = min(len(os.sched_getaffinity(0)), len(X)) - 1
-    threads = [threading.Thread(target=helper) for _ in range(helpers)]
+    read_fd, write_fd = os.pipe()
+    try:
+        os.write(write_fd, np.arange(tokens, dtype=_TOKEN).tobytes())
+    finally:
+        os.close(write_fd)  # so a read of the emptied pipe ends
+    children: List[int] = []
     with _one_blas_thread():
-        for thread in threads:
-            thread.start()
         try:
+            for slot in range(workers):
+                try:
+                    pid = os.fork()
+                except OSError:  # no process or memory to spare: the others take the rows
+                    break
+                if pid == 0:
+                    _work_and_exit(work, shared, table_bytes + slot * _MESSAGE_BYTES)
+                children.append(pid)
             work()
+        except BaseException:
+            for pid in children:
+                os.kill(pid, signal.SIGKILL)
+            raise
         finally:
-            for thread in threads:
-                thread.join()
-    if failures:
-        raise failures[0]
-    return attributions
+            os.close(read_fd)
+            statuses = [os.waitpid(pid, 0)[1] for pid in children]
+    for slot, status in enumerate(statuses):
+        if status != 0:
+            at = table_bytes + slot * _MESSAGE_BYTES
+            message = shared[at : at + _MESSAGE_BYTES].rstrip(b"\0").decode(errors="replace")
+            code = os.waitstatus_to_exitcode(status)
+            raise WorkerFailed(message or (f"signal {-code}" if code < 0 else f"exit code {code}"))
+    table = table.copy()  # off the shared mapping
+    return [Attribution(row[:m], float(row[m]), float(row[m + 1])) for row in table]
+
+
+def _work_and_exit(work: Callable[[], None], shared: mmap.mmap, at: int) -> NoReturn:
+    """Run a forked worker's share and leave the process, with exit code 1 and
+    its exception in shared[at:] if it raised. Nothing is flushed or run at exit."""
+    try:
+        work()
+        os._exit(0)
+    except BaseException as exc:
+        message = f"{type(exc).__name__}: {exc}".encode(errors="replace")[:_MESSAGE_BYTES]
+        shared[at : at + len(message)] = message
+    finally:
+        os._exit(1)
 
 
 def gradient_shap(

@@ -226,6 +226,13 @@ def _short_id(openalex_id: str) -> str:
     return openalex_id.rsplit("/", 1)[-1]
 
 
+# The works of a cache cite and share a few hundred reference, topic and
+# institution ids, so each gets one string, also in the sets a featurize run
+# holds. Author and work ids, mostly distinct, are left out: they would fill
+# the memo without hits.
+_shared_short_id = functools.lru_cache(maxsize=1 << 14)(_short_id)
+
+
 # The largest count accepted: every integer up to it is exact as a float, and
 # the features divide counts and their sums as floats.
 _COUNT_MAX = 2 ** 53
@@ -264,16 +271,18 @@ def _author_ids(data: dict) -> List[str]:
 
 def _institution_ids(auth: dict) -> frozenset:
     return frozenset(
-        _short_id(inst["id"]) for inst in auth.get("institutions", []) if inst.get("id")
+        _shared_short_id(inst["id"]) for inst in auth.get("institutions", []) if inst.get("id")
     )
 
 
 def _topic_and_reference_ids(data: dict) -> Tuple[frozenset, frozenset]:
     # topics read from the concept id list as delivered by the API
     topic_ids = frozenset(
-        _short_id(c["id"]) for c in data.get("concepts") or data.get("topics") or [] if c.get("id")
+        _shared_short_id(c["id"])
+        for c in data.get("concepts") or data.get("topics") or []
+        if c.get("id")
     )
-    return topic_ids, frozenset(_short_id(w) for w in data.get("referenced_works", []))
+    return topic_ids, frozenset(_shared_short_id(w) for w in data.get("referenced_works", []))
 
 
 def parse_work(data: dict) -> RawWork:

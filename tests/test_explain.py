@@ -1,11 +1,13 @@
 import csv
+import fcntl
 import itertools
 import json
 import os
+import select
 import shutil
-import sys
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 from conftest import feature_table
 from teamroles import dataset, explain, metrics, mlp
 from teamroles.cli import main
+from teamroles.errors import PipelineError
 from teamroles.explain import (
     Attribution,
     EmptyBaselines,
@@ -208,18 +211,55 @@ def fixture_explain(fixture_stages):
     return model, X, baselines
 
 
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fails any test of this module that leaves a child process behind,
+    running or unreaped: after a success, a worker's failure or its own."""
+    yield
+    with pytest.raises(ChildProcessError):
+        pid, status = os.waitpid(-1, os.WNOHANG)
+        pytest.fail(f"a child process is left behind: waitpid gave {(pid, status)}")
+
+
 @pytest.fixture
-def started_threads(monkeypatch):
-    """Every thread started while the test runs."""
-    started = []
-    start = threading.Thread.start
+def forks(monkeypatch):
+    """The pid of every child forked while the test runs, as the parent sees it."""
+    pids = []
+    fork = os.fork
 
-    def counted(thread):
-        started.append(thread)
-        start(thread)
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
 
-    monkeypatch.setattr(threading.Thread, "start", counted)
-    return started
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+@pytest.fixture
+def row_log(tmp_path, monkeypatch):
+    """Makes every process append "<pid> <OpenBLAS threads>" to one file for
+    each row it computes, after it calls `row_log.hook()`; `row_log.lines()`
+    reads the lines back as pairs of ints. -1 stands for an unknown count."""
+    path = tmp_path / "rows.log"
+    functions = explain._openblas_thread_count()
+    attribution = explain._attribution
+
+    def lines():
+        text = path.read_text() if path.exists() else ""
+        return [tuple(map(int, line.split())) for line in text.splitlines()]
+
+    log = SimpleNamespace(hook=lambda: None, lines=lines)
+
+    def logged(values, m):
+        log.hook()
+        with open(path, "a") as fh:  # one write per line, appended whole
+            fh.write(f"{os.getpid()} {functions[0]() if functions else -1}\n")
+        return attribution(values, m)
+
+    monkeypatch.setattr(explain, "_attribution", logged)
+    return log
 
 
 def explain_on(cpus, monkeypatch, model, X, baselines):
@@ -227,29 +267,30 @@ def explain_on(cpus, monkeypatch, model, X, baselines):
     return exact_shapley_batch(model, X, baselines)
 
 
+def assert_same_bytes(expected, got):
+    assert len(got) == len(expected)
+    for one, other in zip(expected, got):
+        assert one.phi.tobytes() == other.phi.tobytes()
+        assert one.base_value == other.base_value
+        assert one.prediction == other.prediction
+        assert abs(one.phi.sum() - (one.prediction - one.base_value)) <= 1e-12
+
+
 @pytest.mark.parametrize("cpus", [2, 3, 8])
-def test_exact_shapley_batch_same_bytes_whatever_the_thread_count(
-    fixture_explain, monkeypatch, started_threads, cpus
+def test_exact_shapley_batch_same_bytes_whatever_the_process_count(
+    fixture_explain, monkeypatch, forks, row_log, cpus
 ):
     model, X, baselines = fixture_explain
     serial = explain_on(1, monkeypatch, model, X, baselines)
-    assert started_threads == []  # one CPU: the calling thread does every row
-    rows_done = []
-    attribution = explain._attribution
-    monkeypatch.setattr(explain, "_attribution", lambda *a: rows_done.append(1) or attribution(*a))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads often, so a race in handing out rows shows
-    try:
-        threaded = explain_on(cpus, monkeypatch, model, X, baselines)
-    finally:
-        sys.setswitchinterval(interval)
-    assert 1 <= len(started_threads) <= cpus - 1
-    assert len(rows_done) == len(threaded) == len(serial) == len(X)
-    for one, many in zip(serial, threaded):
-        assert one.phi.tobytes() == many.phi.tobytes()
-        assert one.base_value == many.base_value
-        assert one.prediction == many.prediction
-        assert abs(one.phi.sum() - (one.prediction - one.base_value)) <= 1e-12
+    one_row = explain_on(cpus, monkeypatch, model, X[:1], baselines)
+    assert forks == []  # one CPU or one row: the calling process does every row
+    assert_same_bytes(serial[:1], one_row)
+    assert len(row_log.lines()) == len(X) + 1
+    forked = explain_on(cpus, monkeypatch, model, X, baselines)
+    assert len(forks) == cpus - 1
+    # every row computed once: a row done twice leaves another undone, all zeros
+    assert len(row_log.lines()) == 2 * len(X) + 1
+    assert_same_bytes(serial, forked)
 
 
 def every_coalition(model, x, baselines):
@@ -283,21 +324,110 @@ def test_exact_shapley_batch_same_bytes_as_evaluating_every_coalition(fixture_ex
         assert (attr.base_value, attr.prediction) == (reference.base_value, reference.prediction)
 
 
-def test_exact_shapley_batch_raises_what_a_worker_thread_raised(fixture_explain, monkeypatch):
+def a_worker_that_raises(row_log, tmp_path):
+    """Each worker's first row raises MemoryError. The calling process holds
+    its first row until a worker has taken one, so that a worker fails."""
+    parent, taken = os.getpid(), tmp_path / "taken"
+
+    def hook():
+        if os.getpid() != parent:
+            taken.touch()
+            raise MemoryError("worker process")
+        deadline = time.monotonic() + 10
+        while not taken.exists() and time.monotonic() < deadline:
+            time.sleep(0.001)
+
+    row_log.hook = hook
+
+
+def test_exact_shapley_batch_raises_what_a_worker_process_raised(
+    fixture_explain, monkeypatch, forks, row_log, tmp_path
+):
     model, X, baselines = fixture_explain
-    attribution = explain._attribution
-
-    def fails_off_the_main_thread(values, m):
-        if threading.current_thread() is not threading.main_thread():
-            raise MemoryError("worker thread")
-        time.sleep(0.01)  # leave rows for the worker thread
-        return attribution(values, m)
-
-    monkeypatch.setattr(explain, "_attribution", fails_off_the_main_thread)
-    running = threading.active_count()
-    with pytest.raises(MemoryError, match="worker thread"):
+    a_worker_that_raises(row_log, tmp_path)
+    with pytest.raises(explain.WorkerFailed, match="MemoryError: worker process") as raised:
         explain_on(2, monkeypatch, model, X, baselines)
-    assert threading.active_count() == running
+    assert isinstance(raised.value, PipelineError)
+    assert len(forks) == 1
+
+
+@pytest.mark.parametrize("workers_do", ["hang", "raise", "work"])
+def test_the_parent_raises_its_own_error_and_its_workers_are_killed(
+    fixture_explain, monkeypatch, forks, row_log, workers_do
+):
+    model, X, baselines = fixture_explain
+    parent = os.getpid()
+
+    def hook():
+        if os.getpid() == parent:
+            time.sleep(0.05)  # the workers take their first rows meanwhile
+            raise KeyError("parent")
+        if workers_do == "hang":
+            time.sleep(10)
+        elif workers_do == "raise":
+            raise MemoryError("worker process")
+
+    row_log.hook = hook
+    start = time.perf_counter()
+    with pytest.raises(KeyError, match="parent"):
+        explain_on(3, monkeypatch, model, X, baselines)
+    assert time.perf_counter() - start < 5  # the hanging workers were not waited for
+    assert len(forks) == 2
+
+
+def test_a_process_running_another_thread_does_not_fork(
+    fixture_explain, monkeypatch, forks, row_log
+):
+    model, X, baselines = fixture_explain
+    serial = explain_on(1, monkeypatch, model, X, baselines)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        alone = explain_on(3, monkeypatch, model, X, baselines)
+    finally:
+        release.set()
+        thread.join()
+    assert forks == []
+    assert {pid for pid, _ in row_log.lines()} == {os.getpid()}
+    assert_same_bytes(serial, alone)
+
+
+def test_a_fork_that_fails_leaves_the_rows_to_the_others(fixture_explain, monkeypatch, forks):
+    model, X, baselines = fixture_explain
+    serial = explain_on(1, monkeypatch, model, X, baselines)
+    fork = os.fork
+
+    def fails_the_second_time():
+        if len(forks) == 1:
+            raise BlockingIOError("Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", fails_the_second_time)
+    assert_same_bytes(serial, explain_on(3, monkeypatch, model, X, baselines))
+    assert len(forks) == 1
+
+
+def test_row_queue_takes_more_rows_than_one_pipe_page_of_tokens(monkeypatch, forks, row_log):
+    """With every pipe cut to one page and its write end non-blocking, a queue
+    of more tokens than fit would lose rows instead of blocking."""
+    pipe = os.pipe
+
+    def one_page_pipe():
+        read_fd, write_fd = pipe()
+        fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, select.PIPE_BUF)
+        os.set_blocking(write_fd, False)
+        return read_fd, write_fd
+
+    monkeypatch.setattr(os, "pipe", one_page_pipe)
+    model = random_network(3, seed=4)
+    X = np.random.default_rng(5).uniform(0.0, 1.0, size=(2 * explain._MAX_TOKENS + 3, 3))
+    baselines = [np.zeros(3), np.full(3, 0.5)]
+    serial = explain_on(1, monkeypatch, model, X, baselines)
+    forked = explain_on(3, monkeypatch, model, X, baselines)
+    assert len(forks) == 2
+    assert len(row_log.lines()) == 2 * len(X)
+    assert_same_bytes(serial, forked)
 
 
 @pytest.fixture
@@ -315,39 +445,28 @@ def blas_threads():
 
 
 def test_exact_shapley_batch_runs_blas_on_one_thread_and_restores_it(
-    fixture_explain, monkeypatch, blas_threads
+    fixture_explain, monkeypatch, blas_threads, forks, row_log
 ):
     get, set_ = blas_threads
     model, X, baselines = fixture_explain
-    seen = []
-    attribution = explain._attribution
-    monkeypatch.setattr(explain, "_attribution", lambda *a: seen.append(get()) or attribution(*a))
     from_two = explain_on(2, monkeypatch, model, X, baselines)
-    assert seen == [1] * len(X) and get() == 2
+    assert len(forks) == 1
+    # every row, in whichever process, saw one BLAS thread
+    assert [threads for _, threads in row_log.lines()] == [1] * len(X) and get() == 2
 
     set_(1)
     from_one = explain_on(2, monkeypatch, model, X, baselines)
     assert get() == 1
-    for a, b in zip(from_two, from_one):
-        assert a.phi.tobytes() == b.phi.tobytes()
-        assert (a.base_value, a.prediction) == (b.base_value, b.prediction)
+    assert_same_bytes(from_two, from_one)
 
 
 def test_blas_thread_count_is_restored_after_a_worker_raises(
-    fixture_explain, monkeypatch, blas_threads
+    fixture_explain, monkeypatch, blas_threads, row_log, tmp_path
 ):
     get, _ = blas_threads
     model, X, baselines = fixture_explain
-    attribution = explain._attribution
-
-    def fails_off_the_main_thread(values, m):
-        if threading.current_thread() is not threading.main_thread():
-            raise MemoryError("worker thread")
-        time.sleep(0.01)  # leave rows for the worker thread
-        return attribution(values, m)
-
-    monkeypatch.setattr(explain, "_attribution", fails_off_the_main_thread)
-    with pytest.raises(MemoryError, match="worker thread"):
+    a_worker_that_raises(row_log, tmp_path)
+    with pytest.raises(explain.WorkerFailed, match="MemoryError: worker process"):
         explain_on(2, monkeypatch, model, X, baselines)
     assert get() == 2
 
@@ -495,3 +614,37 @@ def test_explain_names_the_columns_of_a_feature_subset_model(fixture_stages, tmp
     with open(tmp_path / "shap_summary.csv", newline="") as fh:
         summary = list(csv.DictReader(fh))
     assert sorted(r["feature"] for r in summary) == sorted(FEATURE_NAMES[:8])
+
+
+def explain_stage_dir(fixture_stages, path):
+    """A fresh output directory holding what the explain stage reads."""
+    path.mkdir()
+    for name in ("train.csv", "test.csv", "model.json"):
+        shutil.copyfile(fixture_stages / name, path / name)
+    return path
+
+
+def test_explain_stage_writes_the_same_bytes_on_one_and_three_cpus(
+    fixture_stages, tmp_path, monkeypatch, forks
+):
+    written = []
+    for cpus in (1, 3):
+        out = explain_stage_dir(fixture_stages, tmp_path / f"cpus{cpus}")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        assert main(["explain", "--output-dir", str(out)]) == 0
+        written.append([(out / f).read_bytes() for f in ("attributions.csv", "shap_summary.csv")])
+    assert len(forks) == 2
+    assert written[0] == written[1]
+
+
+def test_explain_stage_reports_a_failed_worker_in_one_error_line(
+    fixture_stages, tmp_path, monkeypatch, row_log, capfd
+):
+    out = explain_stage_dir(fixture_stages, tmp_path / "out")
+    a_worker_that_raises(row_log, tmp_path)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert main(["explain", "--output-dir", str(out)]) == 1
+    # the worker wrote nothing, not even to the file descriptors
+    message = "error: explain worker process failed: MemoryError: worker process\n"
+    assert capfd.readouterr() == ("", message)
+    assert not (out / "attributions.csv").exists()

@@ -256,6 +256,22 @@ def test_parse_work_short_ids():
     assert work.authorships[0].is_corresponding
 
 
+def test_works_share_one_string_per_reference_topic_and_institution_id():
+    def parsed(work_id):
+        # a fresh id string each call, as a freshly decoded body has
+        full = lambda short: "".join(["https://openalex.org/", short])
+        body = raw_work(("A1", "Ann Lee"), id=work_id, referenced_works=[full("W900")],
+                        concepts=[{"id": full("C7")}])
+        body["authorships"][0]["institutions"] = [{"id": full("I4")}]
+        return parse_work(body)
+
+    first, second = parsed("W1"), parsed("W2")
+    for ids in (lambda w: w.referenced_work_ids, lambda w: w.topic_ids,
+                lambda w: w.authorships[0].institution_ids):
+        (one,), (other,) = ids(first), ids(second)
+        assert one == other and one is other
+
+
 def test_token_bucket_respects_rate():
     """At most `rate` acquisitions in any 1-second window of fake time."""
     now = [0.0]
