@@ -135,23 +135,20 @@ def write_examples(table: FeatureTable, path) -> None:
     artifacts.write_csv(path, FEATURE_TABLE_HEADER, rows)
 
 
-def _decode_row(row: dict) -> tuple:
-    return (
-        row["author_id"],
-        row["paper_id"],
-        [float(row[name]) for name in FEATURE_NAMES],
-        BinaryRole.from_string(row["label"]),
-    )
-
-
 # Rows parsed per block: bounds the cell strings held at once to about a
 # megabyte while each column's cells still go to numpy in one call.
 _BLOCK_ROWS = 1024
+# The fields of a row with their parsers, in the order a bad cell is looked for.
+_FIELDS = (("author_id", str), ("paper_id", str), *((name, float) for name in FEATURE_NAMES),
+           ("label", BinaryRole.from_string))
 
 
-def _read_columns(path) -> FeatureTable:
-    """The table of a feature CSV, its cells parsed a block of rows at a time,
-    column by column; a bad cell raises KeyError or ValueError with no line."""
+def read_examples(path) -> FeatureTable:
+    """The table write_examples wrote, its cells parsed a block of rows at a
+    time, column by column. A row of the wrong width, or a cell that is
+    missing or does not parse, raises FormatError naming its line; after
+    them, so does a value that is not finite, is negative or is a ratio
+    above 1. Either error is the first of its kind in file order."""
     rows = artifacts.read_csv_rows(path)
     _, header = next(rows)
     column = {name: i for i, name in enumerate(header)}
@@ -159,39 +156,39 @@ def _read_columns(path) -> FeatureTable:
     paper_ids: List[str] = []
     labels: List[BinaryRole] = []
     blocks = [np.empty((0, len(FEATURE_NAMES)))]  # so a file with no rows gives n = 0
+    problem = None  # the first bad value, raised once every cell has parsed
     while True:
-        block = [values for _, values in islice(rows, _BLOCK_ROWS)]
-        if not block:
-            break
-        columns = list(zip(*block))
-        author_ids += columns[column["author_id"]]
-        paper_ids += columns[column["paper_id"]]
-        # np.array converts each string with float(), as the row decoder does
-        features = [columns[column[name]] for name in FEATURE_NAMES]
-        blocks.append(np.array(features, dtype=float).T)
-        labels += map(BinaryRole.from_string, columns[column["label"]])
+        block: List[tuple] = []
+        try:
+            block.extend(islice(rows, _BLOCK_ROWS))  # keeps the rows read before a width error
+            if not block:
+                break
+            numbers, cells = zip(*block)
+            columns = list(zip(*cells))
+            # np.array converts each string with float(), as _FIELDS does
+            X = np.array([columns[column[name]] for name in FEATURE_NAMES], dtype=float).T
+            labels += map(BinaryRole.from_string, columns[column["label"]])
+            author_ids += columns[column["author_id"]]
+            paper_ids += columns[column["paper_id"]]
+        except (FormatError, KeyError, ValueError) as exc:
+            for number, cells in block:  # the rows read so far, for the first bad cell
+                for name, parse in _FIELDS:
+                    try:
+                        parse(cells[column[name]])
+                    except KeyError:
+                        raise FormatError(path, number, f"field {name}: missing") from exc
+                    except ValueError as bad:
+                        raise FormatError(path, number, f"field {name}: {bad}") from exc
+            raise
+        blocks.append(X)
+        bad = first_feature_problem(X) if problem is None else None
+        if bad is not None:
+            row, name, text = bad
+            problem = FormatError(path, numbers[row], f"field {name}: {text}")
+    if problem is not None:
+        raise problem
     return FeatureTable(tuple(author_ids), tuple(paper_ids), np.concatenate(blocks),
                         tuple(labels))
-
-
-def read_examples(path) -> FeatureTable:
-    """The table write_examples wrote. A cell that does not parse as a float,
-    or that is not finite, is negative or is a ratio above 1, raises
-    FormatError naming its line and column; parse errors come first, then
-    the first bad value in file order."""
-    try:
-        table = _read_columns(path)
-    except (FormatError, KeyError, ValueError):
-        # the row decoder raises the first error in file order, naming its line and field
-        for _ in artifacts.read_csv(path, decode=_decode_row):
-            pass
-        raise
-    bad = first_feature_problem(table.X)
-    if bad is not None:
-        row, name, problem = bad
-        number, _ = next(islice(artifacts.read_csv(path), row, None))
-        raise FormatError(path, number, f"field {name}: {problem}")
-    return table
 
 
 def write_split_manifest(result: SplitResult, path) -> None:

@@ -6,10 +6,10 @@ tractable for our 10 features (1024 coalitions per point and baseline).
 `exact_shapley_batch` is the path the CLI uses: for each point and
 baseline it evaluates the network only on the coalitions of the features
 where the two differ, with the first layer factored into a per-feature
-term and a baseline term and every bias folded into a matmul, in
-per-process buffers of bounded size, with the rows shared out between
-the calling process and a worker process forked for every further CPU
-it may run on. `exact_shapley` is the same enumeration over
+term and a baseline term and the other layers run as the network runs
+them, in per-process buffers of bounded size, with the rows shared out
+between the calling process and a worker process forked for every further
+CPU it may run on. `exact_shapley` is the same enumeration over
 any scalar function. The gradient-path sampler `gradient_shap` is kept as
 a library estimator and is checked against the exact values. The
 explained quantity is the pre-threshold probability, not the class label.
@@ -26,7 +26,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, List, NamedTuple, NoReturn, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, NoReturn, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,10 +44,11 @@ MAX_EXACT_FEATURES = 16
 # Coalitions per pass through the network in exact_shapley_batch. Each
 # process allocates its buffers once per call, so their size maps no fresh
 # pages per block. With 64 and 32 hidden units and 10 features they hold
-# about 640 KiB: the two layer buffers 512 x 65 and 512 x 33 (260 and
-# 132 KiB; the extra unit carries the next layer's bias), and per baseline
-# group the first-layer rows (45 KiB), the reduced values, their flat
-# index and the expanded values (64, 64 and 72 KiB). With worker
+# about 880 KiB: the two layer buffers 512 x 64 and 512 x 32 (256 and
+# 128 KiB), one buffer of zeros that both ReLUs read (256 KiB; one per
+# layer grew the peak RSS by 0.2 MB more), and per baseline group the
+# first-layer rows (44 KiB), the reduced values, their flat index and the
+# expanded values (64, 64 and 72 KiB). With worker
 # processes on the fixture (2 CPUs, BENCH_18.json), 1024-row blocks gave
 # the same explain time within the noise (median 0.271 s against 0.273 s)
 # and grew the calling process's peak RSS by about 0.35 MB.
@@ -194,15 +195,17 @@ def exact_shapley_batch(
     k features. No hybrid point is built: the first layer is factored as
     Z1 = member_S @ ((x - b) * W1^T) + (W1 b + b1), with the baseline term
     as the last row of the matmul, which the coalition matrix's column of
-    ones picks up. Each hidden layer gets a constant-1 unit that carries
-    the next layer's bias, so a block of coalitions is matmul, ReLU,
-    matmul, ReLU, matmul. The terms left out are exact zeros and each bias
-    stays the last term of its sum, so with OpenBLAS the result has the
-    same bytes as evaluating all 2^m coalitions and adding each bias after
-    its matmul.
+    ones picks up. The second and third layers run as in the network, each
+    bias added after its matmul, and each ReLU is a maximum against a
+    buffer of zeros, which numpy runs as a vector loop. The terms left out
+    are exact zeros, so at hidden sizes (64, 32), (7, 5) and (3, 1) the
+    result has the same bytes as evaluating all 2^m coalitions 512 at a
+    time, which the tests check with OpenBLAS. Elsewhere OpenBLAS may sum
+    a block of fewer rows in another order: at (65, 33), blocks of 64 to
+    256 coalitions differ from it in the last bits.
 
     Coalitions run _BLOCK_ROWS at a time and baselines _BASELINE_GROUP at
-    a time, in buffers each process allocates once (about 640 KiB with 64
+    a time, in buffers each process allocates once (about 880 KiB with 64
     and 32 hidden units, plus (m + 1) x 9 B per baseline), so memory does
     not grow with the number of rows. The output probabilities and the sum
     over baselines, in baseline order, are taken once per group.
@@ -217,8 +220,10 @@ def exact_shapley_batch(
     process builds the result. A row is computed whole by one process in a
     fixed order, so the result is the same bytes whatever the process
     count. A worker that raises leaves its exception's type and message in
-    the mapping, and WorkerFailed names them; if the calling process
-    raises, its workers are killed and its own exception propagates. Every
+    the mapping, and WorkerFailed names them. The calling process looks
+    for a failed worker before each of its rows and, once it finds one,
+    computes no further row and kills the other workers; if it raises
+    itself, its workers are killed too and its own exception propagates. Every
     worker is reaped before this returns or raises, and none writes to
     stdout or stderr. Meanwhile numpy's bundled OpenBLAS runs on one
     thread, in the workers too, which inherit the setting, so its own
@@ -239,16 +244,10 @@ def exact_shapley_batch(
 
     params = model.params
     h1, h2 = len(params.b1), len(params.b2)
-    # per baseline, the first layer's last row: W1 b + b1, then the constant-1 unit
-    bias_rows = np.ones((len(bases), h1 + 1))
-    bias_rows[:, :h1] = bases @ params.W1.T + params.b1
-    # layers 2 and 3 with their bias as the last input row; W2's last column
-    # keeps the constant-1 unit at 1
-    W2 = np.zeros((h1 + 1, h2 + 1))
-    W2[:h1, :h2] = params.W2.T
-    W2[h1, :h2] = params.b2
-    W2[h1, h2] = 1.0
-    W3 = np.append(params.W3, params.b3)
+    bias_rows = bases @ params.W1.T + params.b1  # per baseline, the first layer's last row
+    # contiguous: with the transposed view, OpenBLAS sums blocks of up to 32
+    # coalitions in another order at 64 and 32 hidden units
+    W2 = np.ascontiguousarray(params.W2.T)
     member = _coalitions(m).member
     n_coalitions = len(member)
     block = min(_BLOCK_ROWS, n_coalitions)
@@ -269,10 +268,9 @@ def exact_shapley_batch(
             start = int.from_bytes(token, "little") * size
             yield from range(start, min(start + size, len(X)))
 
-    def work() -> None:
-        # per baseline of a group: the (x - b)_i W1^T rows (0 into the constant
-        # unit), then its bias row
-        first = np.zeros((group, m + 1, h1 + 1))
+    def work(before_row: Callable[[], None] = lambda: None) -> None:
+        # per baseline of a group: the (x - b)_i W1^T rows, then its bias row
+        first = np.empty((group, m + 1, h1))
         kept = np.ones((len(bases), m + 1), dtype=bool)  # x_i != b_i, then the bias row
         # per baseline: each kept feature's bit in the reduced coalition index,
         # then where the baseline's reduced values start in its group
@@ -281,9 +279,12 @@ def exact_shapley_batch(
         reduced = np.zeros((group, n_coalitions))
         index = np.empty((group, n_coalitions), dtype=np.intp)
         values = np.empty((group + 1, n_coalitions))  # row 0 carries the earlier groups' sum
-        Z1 = np.empty((block, h1 + 1))
-        Z2 = np.empty((block, h2 + 1))
+        Z1, Z2 = np.empty((block, h1)), np.empty((block, h2))
+        zeros = np.zeros(block * max(h1, h2))  # read by both ReLUs
+        zeros1 = zeros[: block * h1].reshape(block, h1)
+        zeros2 = zeros[: block * h2].reshape(block, h2)
         for i in taken_rows():
+            before_row()
             diffs = X[i] - bases
             np.not_equal(diffs, 0.0, out=kept[:, :m])
             # keep two features at least, the first ones that agree if need be:
@@ -295,16 +296,20 @@ def exact_shapley_batch(
             values[0] = 0.0
             for start in range(0, len(bases), group):
                 n = min(group, len(bases) - start)
-                np.multiply(diffs[start : start + n, :, None], params.W1.T, out=first[:n, :m, :h1])
+                np.multiply(diffs[start : start + n, :, None], params.W1.T, out=first[:n, :m])
                 first[:n, m] = bias_rows[start : start + n]
                 for j in range(n):
                     rows = first[j][kept[start + j]]
                     coalitions = _coalitions(len(rows) - 1).member
                     for s in range(0, len(coalitions), block):
                         C = coalitions[s : s + block]
-                        A1 = np.maximum(np.matmul(C, rows, out=Z1[: len(C)]), 0.0, out=Z1[: len(C)])
-                        A2 = np.maximum(np.matmul(A1, W2, out=Z2[: len(C)]), 0.0, out=Z2[: len(C)])
-                        np.matmul(A2, W3, out=reduced[j, s : s + len(C)])
+                        A1 = np.matmul(C, rows, out=Z1[: len(C)])
+                        np.maximum(A1, zeros1[: len(C)], out=A1)
+                        A2 = np.matmul(A1, W2, out=Z2[: len(C)])
+                        A2 += params.b2
+                        np.maximum(A2, zeros2[: len(C)], out=A2)
+                        np.matmul(A2, params.W3, out=reduced[j, s : s + len(C)])
+                reduced[:n] += params.b3
                 _probability(reduced[:n], out=reduced[:n])
                 # the flat index of each coalition's reduced value, exact in floating point
                 np.matmul(place[start : start + n], member.T, out=values[1 : n + 1])
@@ -321,7 +326,28 @@ def exact_shapley_batch(
         os.write(write_fd, np.arange(tokens, dtype=_TOKEN).tobytes())
     finally:
         os.close(write_fd)  # so a read of the emptied pipe ends
-    children: List[int] = []
+    running: Dict[int, int] = {}  # slot -> pid of each worker not reaped yet
+    statuses: Dict[int, int] = {}  # slot -> wait status of each reaped worker
+
+    def reap(slot: int, options: int) -> None:
+        # waits on this call's own workers only, never on any child of the process
+        pid, status = os.waitpid(running[slot], options)
+        if pid:
+            del running[slot]
+            statuses[slot] = status
+
+    def failure(slot: int) -> WorkerFailed:
+        at = table_bytes + slot * _MESSAGE_BYTES
+        message = shared[at : at + _MESSAGE_BYTES].rstrip(b"\0").decode(errors="replace")
+        code = os.waitstatus_to_exitcode(statuses[slot])
+        return WorkerFailed(message or (f"signal {-code}" if code < 0 else f"exit code {code}"))
+
+    def stop_if_a_worker_failed() -> None:
+        for slot in list(running):
+            reap(slot, os.WNOHANG)
+            if statuses.get(slot):
+                raise failure(slot)
+
     with _one_blas_thread():
         try:
             for slot in range(workers):
@@ -331,21 +357,19 @@ def exact_shapley_batch(
                     break
                 if pid == 0:
                     _work_and_exit(work, shared, table_bytes + slot * _MESSAGE_BYTES)
-                children.append(pid)
-            work()
+                running[slot] = pid
+            work(stop_if_a_worker_failed)
         except BaseException:
-            for pid in children:
+            for pid in running.values():
                 os.kill(pid, signal.SIGKILL)
             raise
         finally:
             os.close(read_fd)
-            statuses = [os.waitpid(pid, 0)[1] for pid in children]
-    for slot, status in enumerate(statuses):
+            for slot in list(running):
+                reap(slot, 0)
+    for slot, status in sorted(statuses.items()):
         if status != 0:
-            at = table_bytes + slot * _MESSAGE_BYTES
-            message = shared[at : at + _MESSAGE_BYTES].rstrip(b"\0").decode(errors="replace")
-            code = os.waitstatus_to_exitcode(status)
-            raise WorkerFailed(message or (f"signal {-code}" if code < 0 else f"exit code {code}"))
+            raise failure(slot)
     table = table.copy()  # off the shared mapping
     return [Attribution(row[:m], float(row[m]), float(row[m + 1])) for row in table]
 

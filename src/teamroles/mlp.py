@@ -8,7 +8,7 @@ matrix of rows, and one backward function propagates output gradients
 through the ReLU layers; `forward_batch`, the analytic input gradient
 (which feeds the gradient attribution estimator) and training all share
 them. The exact Shapley kernel in `explain` evaluates the same layers in
-its own factored form, with the biases folded into its matmuls.
+its own form, with the first layer factored by feature.
 `train` takes a FeatureTable (see `dataset`) and uses its float matrix
 as it is. It keeps the weights and biases as views of one vector and
 each step's gradients as views of another, so a step costs one scaled

@@ -12,7 +12,6 @@ from teamroles import artifacts
 from teamroles.dataset import (
     ClassTooSmall,
     FeatureTable,
-    _decode_row,
     read_examples,
     stratified_split,
     write_examples,
@@ -20,7 +19,7 @@ from teamroles.dataset import (
 )
 from teamroles.errors import FormatError
 from teamroles.features import first_feature_problem
-from teamroles.types import BinaryRole
+from teamroles.types import FEATURE_NAMES, BinaryRole
 
 
 def example(i, label, author=None):
@@ -204,7 +203,16 @@ def test_examples_round_trip(tmp_path):
 def read_examples_reference(path) -> FeatureTable:
     """The row-by-row reader read_examples replaced, kept as its oracle: one dict
     per row through the row decoder, then the value check over the table."""
-    numbered = list(artifacts.read_csv(path, decode=_decode_row))
+
+    def decode_row(row: dict) -> tuple:
+        return (
+            row["author_id"],
+            row["paper_id"],
+            [float(row[name]) for name in FEATURE_NAMES],
+            BinaryRole.from_string(row["label"]),
+        )
+
+    numbered = list(artifacts.read_csv(path, decode=decode_row))
     table = feature_table(row for _, row in numbered)
     bad = first_feature_problem(table.X)
     if bad is not None:
@@ -260,10 +268,15 @@ def insert_blank_rows(*rows):
         ([set_cell(2450, "probability_of_leading", "1.5"), insert_blank_rows(3, 1200)],
          "line 2454: field probability_of_leading: ratio feature"),
         ([drop_column("label")], "line 2: field label: missing"),
+        ([set_cell(5, "career_age", "-1"), set_row(1500, ["a"])],
+         "line 1502: 1 columns, the header has 13"),
+        ([drop_column("author_id"), set_cell(0, "career_age", "x")],
+         "line 2: field author_id: missing"),
     ],
     ids=["clean", "columns-reordered", "label-before-float", "float-before-label-in-a-row",
          "float-before-short-row", "short-row-before-float", "parse-before-value",
-         "value-after-blank-lines", "missing-column"],
+         "value-after-blank-lines", "missing-column", "short-row-after-value",
+         "missing-id-before-float"],
 )
 def test_read_examples_matches_the_row_by_row_reference(tmp_path, damages, error):
     """On a table longer than two of read_examples' blocks, with damage placed on

@@ -128,9 +128,9 @@ def test_exact_shapley_too_many_features():
         exact_shapley(lambda v: 0.0, np.zeros(17), np.zeros(17))
 
 
-def random_network(m, seed):
+def random_network(m, seed, hidden_sizes=(6, 4)):
     """Untrained network on m inputs with random biases, so ReLUs switch inside [0, 1]^m."""
-    config = TrainConfig(seed=seed, hidden_sizes=(6, 4), feature_indices=tuple(range(m)))
+    config = TrainConfig(seed=seed, hidden_sizes=hidden_sizes, feature_indices=tuple(range(m)))
     params = init(config)
     rng = np.random.default_rng(seed)
     params.b1 = rng.normal(0.0, 0.5, size=params.b1.shape)
@@ -146,13 +146,18 @@ def random_network(m, seed):
     n_bases=st.integers(min_value=1, max_value=explain._BASELINE_GROUP + 3),
     shared=st.sampled_from([0.0, 0.5, 0.9, 1.0]),
     seed=st.integers(min_value=0, max_value=2**16),
+    hidden_sizes=st.sampled_from([(6, 4), (65, 33), (1, 4), (100, 3)]),
 )
 # ten differing features: one (row, baseline) pair spans two blocks of coalitions
-@example(m=10, n_rows=2, n_bases=explain._BASELINE_GROUP + 3, shared=0.0, seed=1)
-@example(m=10, n_rows=3, n_bases=explain._BASELINE_GROUP + 1, shared=0.5, seed=2)
-@example(m=10, n_rows=2, n_bases=3, shared=1.0, seed=3)
-def test_exact_shapley_batch_is_mean_of_per_baseline_exact(m, n_rows, n_bases, shared, seed):
-    model = random_network(m, seed)
+@example(m=10, n_rows=2, n_bases=explain._BASELINE_GROUP + 3, shared=0.0, seed=1,
+         hidden_sizes=(6, 4))
+@example(m=10, n_rows=3, n_bases=explain._BASELINE_GROUP + 1, shared=0.5, seed=2,
+         hidden_sizes=(65, 33))
+@example(m=10, n_rows=2, n_bases=3, shared=1.0, seed=3, hidden_sizes=(6, 4))
+def test_exact_shapley_batch_is_mean_of_per_baseline_exact(
+    m, n_rows, n_bases, shared, seed, hidden_sizes
+):
+    model = random_network(m, seed, hidden_sizes)
     rng = np.random.default_rng(seed + 1)
     X = rng.uniform(0.0, 1.0, size=(n_rows, m))
     bases = list(rng.uniform(0.0, 1.0, size=(n_bases, m)))
@@ -324,31 +329,53 @@ def test_exact_shapley_batch_same_bytes_as_evaluating_every_coalition(fixture_ex
         assert (attr.base_value, attr.prediction) == (reference.base_value, reference.prediction)
 
 
-def a_worker_that_raises(row_log, tmp_path):
+@pytest.mark.parametrize("hidden_sizes", [(64, 32), (7, 5), (3, 1)], ids="{0[0]}x{0[1]}".format)
+def test_same_bytes_as_evaluating_every_coalition_at_other_hidden_sizes(hidden_sizes):
+    """Untrained networks with random biases, and rows that differ from one
+    baseline in k = 0 ... 10 features: k = 0 and 1 keep two features all the
+    same, and k = 10 spans two blocks of coalitions. Other sizes, where
+    OpenBLAS may sum fewer rows in another order, are held to 1e-12 by
+    test_exact_shapley_batch_is_mean_of_per_baseline_exact."""
+    model = random_network(10, seed=sum(hidden_sizes), hidden_sizes=hidden_sizes)
+    rng = np.random.default_rng(6)
+    baselines = [np.zeros(10), *rng.uniform(0.0, 1.0, size=(explain._BASELINE_GROUP + 1, 10))]
+    X = np.tile(baselines[1], (11, 1))
+    for k, row in enumerate(X):
+        row[:k] = rng.uniform(0.0, 1.0, size=k)
+    for x, attr in zip(X, exact_shapley_batch(model, X, baselines)):
+        reference = explain._attribution(every_coalition(model, x, baselines), len(x))
+        assert attr.phi.tobytes() == reference.phi.tobytes()
+        assert (attr.base_value, attr.prediction) == (reference.base_value, reference.prediction)
+
+
+def a_worker_that_raises(row_log):
     """Each worker's first row raises MemoryError. The calling process holds
-    its first row until a worker has taken one, so that a worker fails."""
-    parent, taken = os.getpid(), tmp_path / "taken"
+    its first row until a worker has exited, so that a worker fails first."""
+    parent = os.getpid()
 
     def hook():
         if os.getpid() != parent:
-            taken.touch()
             raise MemoryError("worker process")
         deadline = time.monotonic() + 10
-        while not taken.exists() and time.monotonic() < deadline:
+        # WNOWAIT leaves the exited worker for exact_shapley_batch to reap
+        while (os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT) is None
+               and time.monotonic() < deadline):
             time.sleep(0.001)
 
     row_log.hook = hook
 
 
 def test_exact_shapley_batch_raises_what_a_worker_process_raised(
-    fixture_explain, monkeypatch, forks, row_log, tmp_path
+    fixture_explain, monkeypatch, forks, row_log
 ):
     model, X, baselines = fixture_explain
-    a_worker_that_raises(row_log, tmp_path)
+    a_worker_that_raises(row_log)
     with pytest.raises(explain.WorkerFailed, match="MemoryError: worker process") as raised:
         explain_on(2, monkeypatch, model, X, baselines)
     assert isinstance(raised.value, PipelineError)
     assert len(forks) == 1
+    # the calling process stopped at the row after the failure, not after the other 11 rows
+    assert len(X) == 12 and len(row_log.lines()) == 1
 
 
 @pytest.mark.parametrize("workers_do", ["hang", "raise", "work"])
@@ -461,11 +488,11 @@ def test_exact_shapley_batch_runs_blas_on_one_thread_and_restores_it(
 
 
 def test_blas_thread_count_is_restored_after_a_worker_raises(
-    fixture_explain, monkeypatch, blas_threads, row_log, tmp_path
+    fixture_explain, monkeypatch, blas_threads, row_log
 ):
     get, _ = blas_threads
     model, X, baselines = fixture_explain
-    a_worker_that_raises(row_log, tmp_path)
+    a_worker_that_raises(row_log)
     with pytest.raises(explain.WorkerFailed, match="MemoryError: worker process"):
         explain_on(2, monkeypatch, model, X, baselines)
     assert get() == 2
@@ -641,7 +668,7 @@ def test_explain_stage_reports_a_failed_worker_in_one_error_line(
     fixture_stages, tmp_path, monkeypatch, row_log, capfd
 ):
     out = explain_stage_dir(fixture_stages, tmp_path / "out")
-    a_worker_that_raises(row_log, tmp_path)
+    a_worker_that_raises(row_log)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     assert main(["explain", "--output-dir", str(out)]) == 1
     # the worker wrote nothing, not even to the file descriptors
