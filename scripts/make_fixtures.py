@@ -10,12 +10,8 @@ from __future__ import annotations
 import csv
 import json
 import random
-import sys
 from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-
-from teamroles.openalex import normalize_url  # noqa: E402
+from urllib.parse import parse_qsl, urlencode, urlsplit, urlunsplit
 
 FIXTURE_DIR = Path(__file__).resolve().parents[1] / "tests" / "fixtures"
 BASE_URL = "https://api.openalex.org"
@@ -222,6 +218,14 @@ def focal_work_json(paper):
         "concepts": [{"id": f"https://openalex.org/{c}"} for c in paper["concepts"]],
         "authorships": authorships,
     }
+
+
+def normalize_url(url):
+    """The cache key of a request URL: query parameters sorted and encoded,
+    mailto dropped, as the client builds its keys."""
+    parts = urlsplit(url)
+    params = [(k, v) for k, v in parse_qsl(parts.query) if k != "mailto"]
+    return urlunsplit((parts.scheme, parts.netloc, parts.path, urlencode(sorted(params)), ""))
 
 
 def cache_entry(url, body):

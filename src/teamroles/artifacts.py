@@ -70,9 +70,29 @@ def write_json(path, data) -> None:
     write_text(path, json.dumps(data, indent=2, sort_keys=True))
 
 
-# One encoder for every JSON-lines row, keys sorted: json.dumps with a keyword
-# argument builds a new JSONEncoder on every call.
-encode_row = json.JSONEncoder(sort_keys=True).encode
+def _row_encoder() -> Callable[[dict], str]:
+    """json.dumps(row, sort_keys=True) as one function, its C encoder built once:
+    JSONEncoder.encode builds a new one for every row."""
+    encoder = json.JSONEncoder(sort_keys=True)
+    if json.encoder.c_make_encoder is None:
+        return encoder.encode
+    markers: dict = {}  # the containers being encoded, for the circular-reference check
+    # the arguments that JSONEncoder.iterencode(row, _one_shot=True) passes
+    iterencode = json.encoder.c_make_encoder(
+        markers, encoder.default, json.encoder.encode_basestring_ascii, None,
+        encoder.key_separator, encoder.item_separator, True, False, True)
+
+    def encode_row(row: dict) -> str:
+        try:
+            return "".join(iterencode(row, 0))
+        except BaseException:
+            markers.clear()  # a failed encode leaves its containers marked
+            raise
+
+    return encode_row
+
+
+encode_row = _row_encoder()
 
 
 def write_jsonl(path, rows: Iterable[dict]) -> None:
@@ -212,9 +232,16 @@ def read_jsonl_spans(
 
 
 def read_jsonl(path, decode: Optional[Callable[[dict], Any]] = None) -> Iterator[Tuple[int, Any]]:
-    """(line number, object or decode(object)) for each non-blank line of a JSON-lines file."""
-    for number, _, _, row in read_jsonl_spans(path, decode):
-        yield number, row
+    """(line number, object or decode(object)) for each non-blank line of a
+    JSON-lines file: read_jsonl_spans without the spans, one generator deep."""
+    try:
+        with open(path, "rb") as fh:
+            for number, raw in enumerate(fh, start=1):
+                row = _json_object(path, number, _decode_utf8(path, number, raw))
+                if row is not None:
+                    yield number, _decoded(path, number, row, decode)
+    except OSError as exc:
+        raise FileUnreadable(f"cannot read {path}: {exc}") from exc
 
 
 def read_jsonl_at(path, number: int, start: int, end: int,

@@ -74,6 +74,9 @@ def load_config(args) -> dict:
                 config[key].update(value)
             else:
                 config[key] = value
+        # config_used.json records the schema version; fed back, it is no setting
+        config.pop("schema_version", None)
+        _check_known(config)
     for name in ("output_dir", "cache_dir", "seed"):
         value = getattr(args, name.replace("-", "_"), None)
         if value is not None:
@@ -83,6 +86,17 @@ def load_config(args) -> dict:
     with _config_values("output_dir"):
         as_text(config["output_dir"])
     return config
+
+
+def _check_known(config: dict) -> None:
+    """ConfigError for the first setting or section that DEFAULT_CONFIG lacks."""
+    for key, value in config.items():
+        if key not in DEFAULT_CONFIG:
+            raise ConfigError(f"{key}: unknown setting")
+        if isinstance(value, dict) and isinstance(DEFAULT_CONFIG[key], dict):
+            for name in value:
+                if name not in DEFAULT_CONFIG[key]:
+                    raise ConfigError(f"{key}.{name}: unknown setting")
 
 
 @contextmanager
@@ -299,25 +313,24 @@ def cmd_featurize(args, config) -> int:
     records = ingest.read_corpus(corpus_path)
     labels = _read_labels(labels_path)
     client = _client(config)
-    skipped = sum(1 for rec in records if rec.record_id not in labels)
 
     def skip(rows, exc):
-        nonlocal skipped
         for rec in rows:
             print(f"featurize: skipping {rec.record_id}: {exc}", file=sys.stderr)
-        skipped += len(rows)
 
     # features go straight into one matrix, in the order the rows are computed,
-    # so no per-row Python floats are held while the metadata is still in memory
+    # so no per-row Python floats are held while the metadata is still in memory.
+    # record_id builds a new string per read: _author_profiles reads it once a
+    # row, and so do the loop and `kept` below.
     X = np.empty((len(records), len(FEATURE_NAMES)))
     rows = {}
     for profile, group in _author_profiles(client, records, labels, skip):
         start = len(rows)
         X[start:start + len(group)] = features.author_features(profile, [f for _, f in group])
         for index, (rec, _) in enumerate(group, start):
-            rows[rec.record_id] = (profile.author_id, rec.paper_id, index,
-                                   to_binary(labels[rec.record_id]))
-    kept = [rows[rec.record_id] for rec in records if rec.record_id in rows]
+            record_id = rec.record_id
+            rows[record_id] = (profile.author_id, rec.paper_id, index, to_binary(labels[record_id]))
+    kept = [row for row in map(rows.get, (rec.record_id for rec in records)) if row is not None]
     table = dataset.FeatureTable(
         tuple(row[0] for row in kept),
         tuple(row[1] for row in kept),
@@ -325,7 +338,8 @@ def cmd_featurize(args, config) -> int:
         tuple(row[3] for row in kept),
     )
     dataset.write_examples(table, _out(config, "features"))
-    print(f"featurize: {len(table)} examples, {skipped} skipped")
+    # a record without a label, or one that skip() saw, has no example
+    print(f"featurize: {len(table)} examples, {len(records) - len(table)} skipped")
     return 0
 
 

@@ -101,23 +101,20 @@ def build_prompt(record: ContributionRecord) -> str:
     return _HEAD + _TAIL_FORMAT.format(stmt=statement)
 
 
-_ROLE_PATTERNS = [
-    (re.compile(r"\bleadership\b", re.IGNORECASE), RoleLabel.LEADERSHIP),
-    (re.compile(r"\bdirect support\b", re.IGNORECASE), RoleLabel.DIRECT_SUPPORT),
-    (re.compile(r"\bindirect support\b", re.IGNORECASE), RoleLabel.INDIRECT_SUPPORT),
-]
+# The three names start with different letters and \b keeps "direct support"
+# from matching inside "indirect support", so no two matches share a start.
+# A match is as long as its name and the three lengths differ; its text may
+# differ from the name in more than case (re.IGNORECASE lets "ſ" match "s").
+_ROLE_PATTERN = re.compile(r"\b(leadership|direct support|indirect support)\b", re.IGNORECASE)
+_ROLE_BY_LENGTH = {len(label.value): label for label in RoleLabel}
 
 
 def parse_response(response: str) -> RoleLabel:
     """Last role name mentioned wins; models typically end with the verdict."""
-    last: Optional[Tuple[int, RoleLabel]] = None
-    for pattern, label in _ROLE_PATTERNS:
-        for match in pattern.finditer(response):
-            if last is None or match.start() > last[0]:
-                last = (match.start(), label)
-    if last is None:
+    names = _ROLE_PATTERN.findall(response)
+    if not names:
         raise UnparseableResponse(f"no role name in response: {response[:120]!r}")
-    return last[1]
+    return _ROLE_BY_LENGTH[len(names[-1])]
 
 
 class ChatBackend:

@@ -142,9 +142,16 @@ def _layers(params: NetworkParams, X: np.ndarray) -> Tuple[np.ndarray, ...]:
 def _backward(
     params: NetworkParams, Z1: np.ndarray, Z2: np.ndarray, d3: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Back-propagate per-row output gradients d3 to the hidden pre-activations."""
-    d2 = d3[:, None] * params.W3[None, :] * (Z2 > 0)
-    d1 = (d2 @ params.W2) * (Z1 > 0)
+    """Back-propagate per-row output gradients d3 to the hidden pre-activations.
+
+    Z1 and Z2 are overwritten: each becomes its ReLU mask as floats, and then
+    its layer's gradient. numpy multiplies float by bool through a casting
+    loop; 1.0 and 0.0 give the same bits as True and False.
+    """
+    d2 = np.greater(Z2, 0.0, out=Z2)
+    d2 *= d3[:, None] * params.W3
+    d1 = np.greater(Z1, 0.0, out=Z1)
+    d1 *= d2 @ params.W2
     return d1, d2
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
-from urllib.parse import parse_qsl, quote, urlencode, urlsplit, urlunsplit
+from urllib.parse import quote, urlencode
 
 from . import artifacts
 from .errors import FileUnwritable, FormatError, PipelineError, TruncatedLine
@@ -79,13 +79,6 @@ class ClientConfig:
     offline: bool = False
 
 
-def normalize_url(url: str) -> str:
-    """Canonical cache key: sorted query params, mailto dropped."""
-    parts = urlsplit(url)
-    params = [(k, v) for k, v in parse_qsl(parts.query) if k != "mailto"]
-    return urlunsplit((parts.scheme, parts.netloc, parts.path, urlencode(sorted(params)), ""))
-
-
 class TokenBucket:
     """Rate limiter: never more than `rate` acquisitions per 1-second window.
 
@@ -121,13 +114,14 @@ def _cache_entry(entry: dict) -> Tuple[str, str]:
 class JsonLinesCache:
     """Append-only per-kind cache; lookups return the newest entry for a key.
 
-    A key is the normalize_url form of a request URL. The files are the store:
-    the load checks every line and keeps, for each kind and key, only where
-    its newest line is (line number, byte offset, byte length), and get reads
-    the body back from there. A last line cut short by an interrupted append
-    is ignored with a warning, and the next put for that kind replaces it; any
-    other line that does not parse is a FormatError, and so is a line that no
-    longer holds its entry when get reads it back.
+    A key is a request URL in normalized form: query parameters sorted and
+    encoded, no mailto. The files are the store: the load checks every line
+    and keeps, for each kind and key, only where its newest line is (line
+    number, byte offset, byte length), and get reads the body back from
+    there. A last line cut short by an interrupted append is ignored with a
+    warning, and the next put for that kind replaces it; any other line that
+    does not parse is a FormatError, and so is a line that no longer holds
+    its entry when get reads it back.
     """
 
     def __init__(self, cache_dir: Path):
@@ -392,7 +386,7 @@ class OpenAlexClient:
         self.limiter = TokenBucket(MAX_REQUESTS_PER_SECOND, clock=clock, sleep=sleep)
 
     def _request(self, kind: str, key: str) -> dict:
-        """The JSON object at a request URL in normalize_url form, which is its cache key."""
+        """The JSON object at a request URL in normalized form, which is its cache key."""
         cached = self.cache.get(kind, key)
         if cached is not None:
             return _parse_body(cached)
@@ -425,8 +419,9 @@ class OpenAlexClient:
             self.cache.put(kind, key, resp.text)
             return data
 
-    # The request URLs below are built in normalize_url form (query parameters
-    # sorted and encoded, the id quoted), so they are cache keys as they stand.
+    # The request URLs below are built in normalized form (query parameters
+    # sorted and encoded, the id quoted, no mailto), so they are cache keys as
+    # they stand.
     def fetch_work(self, work_id: str) -> RawWork:
         # surrogatepass: an id read from escaped JSON may hold a lone surrogate
         path = quote(_short_id(work_id), safe="", errors="surrogatepass")

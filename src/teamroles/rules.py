@@ -1,17 +1,19 @@
 """Keyword-hierarchy role assignment.
 
-A statement is classified by prefix-matching verb stems against three
-disjoint stem sets and taking the highest-ranked role among the matches.
-Also serves as the deterministic oracle behind the mock chat backend.
+A word is a run of [a-z0-9] in the lowercased statement. A word matches a
+role when one of the role's verb stems prefixes it, or, for an alias key
+(an irregular form such as "wrote"), when one prefixes its alias target.
+The highest-ranked role matched wins. Also serves as the deterministic
+oracle behind the mock chat backend.
 
 The paper uses one keyword hierarchy, so the stems are module constants,
-grouped by length once at import: a token costs one dict lookup per
-distinct stem length instead of one prefix test per stem.
+compiled once at import into one regular expression that finds each
+word's alias or else its highest-ranked stem.
 """
 from __future__ import annotations
 
 import re
-from typing import Dict, FrozenSet, Iterator, Set, Tuple
+from typing import Dict, FrozenSet, Mapping, Tuple
 
 from .errors import PipelineError
 from .types import RoleLabel
@@ -33,54 +35,45 @@ STEMS_BY_ROLE: Dict[RoleLabel, FrozenSet[str]] = {
     RoleLabel.INDIRECT_SUPPORT: DEFAULT_INDIRECT_STEMS,
 }
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
+_NO_HIT = (-1, "", None)  # ranks below every role: no match, or an alias that no stem prefixes
 
 
 class NoKeywordMatch(PipelineError):
     """No taxonomy stem present; caller should route the record to the LLM path."""
 
 
-def _stem_tables(stems_by_role: Dict[RoleLabel, FrozenSet[str]]) -> list:
-    """(length, {stem: (rank, stem, role)}) pairs, shortest stems first; the stem
-    sets must be disjoint. The rank rides along so that classify_statement
-    compares ints, not RoleLabels (an Enum hashes in Python code)."""
-    by_length: Dict[int, Dict[str, Tuple[int, str, RoleLabel]]] = {}
-    for role, stems in stems_by_role.items():
-        for stem in stems:
-            by_length.setdefault(len(stem), {})[stem] = (role.rank, stem, role)
-    return sorted(by_length.items())
+def compile_taxonomy(
+    stems_by_role: Mapping[RoleLabel, FrozenSet[str]], aliases: Mapping[str, str]
+) -> Tuple[re.Pattern, Dict[Tuple[str, str], tuple]]:
+    """(pattern, hits) for disjoint stem sets and aliases, each a non-empty run of [a-z0-9].
+
+    pattern.findall(statement.lower()) gives an (alias, stem) pair per word
+    that matches, one of the two empty; hits maps it to (rank, stem, role). A
+    match starts only where a word starts, and the first alternative that
+    matches there wins: the alias that the whole word is, else the
+    highest-ranked stem that prefixes it. Aliases get their own group because
+    an alias key that is also a stem has one hit as a word and another as a
+    prefix.
+    """
+    ranked = sorted(((role.rank, stem, role) for role, stems in stems_by_role.items()
+                     for stem in stems), reverse=True)  # highest role first
+    hits = {("", hit[1]): hit for hit in ranked}
+    for alias, target in aliases.items():
+        hits[alias, ""] = next((hit for hit in ranked if target.startswith(hit[1])), _NO_HIT)
+    pattern = "(?<![a-z0-9])(?:({})(?![a-z0-9])|({}))".format(
+        "|".join(map(re.escape, aliases)) or "(?!)",  # (?!) never matches
+        "|".join(re.escape(stem) for _, stem, _ in ranked) or "(?!)",
+    )
+    return re.compile(pattern), hits
 
 
-_STEM_TABLES = _stem_tables(STEMS_BY_ROLE)
-
-
-def _tokenize(statement: str) -> list:
-    # [a-z0-9]+ already splits at hyphens and strips punctuation
-    return _TOKEN_RE.findall(statement.lower())
-
-
-def _hits(statement: str) -> Iterator[Tuple[int, str, RoleLabel]]:
-    """(rank, stem, role) of every stem that prefixes a word of the statement,
-    once per distinct word."""
-    for token in set(_tokenize(statement)):
-        token = DEFAULT_ALIASES.get(token, token)
-        for length, table in _STEM_TABLES:
-            if length > len(token):
-                break
-            hit = table.get(token[:length])
-            if hit is not None:
-                yield hit
-
-
-def match_stems(statement: str) -> Set[Tuple[str, RoleLabel]]:
-    """All (stem, role) pairs whose stem prefixes some word of the statement."""
-    return {(stem, role) for _, stem, role in _hits(statement)}
+_PATTERN, _HITS = compile_taxonomy(STEMS_BY_ROLE, DEFAULT_ALIASES)
 
 
 def classify_statement(statement: str) -> RoleLabel:
     """Highest-category-wins classification over all matched stems."""
     # hits order by rank first; a stem has one role, so no two RoleLabels are ever ordered
-    best = max(_hits(statement), default=None)
-    if best is None:
+    role = max(map(_HITS.__getitem__, _PATTERN.findall(statement.lower())), default=_NO_HIT)[2]
+    if role is None:
         raise NoKeywordMatch(f"no taxonomy stem in statement: {statement[:80]!r}")
-    return best[2]
+    return role

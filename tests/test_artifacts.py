@@ -5,6 +5,8 @@ import shutil
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from teamroles import artifacts, errors, ingest
 from teamroles.cli import main
@@ -68,8 +70,69 @@ def test_jsonl_spans_are_byte_offsets_that_read_back(tmp_path):
         assert excinfo.value.line == 7
 
 
+json_scalars = (st.text() | st.integers() | st.booleans() | st.none()
+                | st.floats(allow_nan=False, allow_infinity=False))
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=12)
+
+
+@given(st.dictionaries(st.text(), json_values, max_size=6))
+def test_encode_row_is_json_dumps_with_sorted_keys(row):
+    """st.text() covers non-ASCII, lone surrogates and control characters."""
+    assert artifacts.encode_row(row) == json.dumps(row, sort_keys=True)
+
+
+def test_encode_row_still_fails_on_a_circular_row_and_recovers():
+    row = {"a": [1]}
+    row["a"].append(row)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="Circular reference"):
+            artifacts.encode_row(row)
+    with pytest.raises(TypeError):
+        artifacts.encode_row({"a": [{"b": object()}]})
+    # the failed encodes leave no container marked as being encoded: the same
+    # objects, the cycle broken, encode
+    row["a"].pop()
+    assert artifacts.encode_row(row) == '{"a": [1]}'
+
+
 def read_jsonl(path):
     return list(artifacts.read_jsonl(path))
+
+
+def read_jsonl_via_spans(path, decode=None):
+    return [(number, row) for number, _, _, row in artifacts.read_jsonl_spans(path, decode)]
+
+
+@pytest.mark.parametrize(
+    "content, decode",
+    [
+        (b'{"a": 1}\n\n  \n{"a": 2}\n', None),
+        ('\ufeff{"a": 1}\n'.encode(), None),
+        (b'{"a": 1}  \n{"a": 2} \t\n', None),
+        (b'{"a": 1}\n{"a": "\xff"}\n', None),
+        (b'{"a": 1}\n{"a": 2', None),
+        (b'{"a": 1}\n[1, 2]\n', None),
+        (b'{"a": 1}\n{"a": "x"}\n', lambda row: int(row["a"])),
+    ],
+    ids=["blank line", "BOM", "trailing spaces", "bad UTF-8", "cut short", "not an object",
+         "field error"],
+)
+def test_read_jsonl_and_read_jsonl_spans_agree(tmp_path, content, decode):
+    """read_jsonl reads the lines itself; it gives the rows or raises the error
+    that read_jsonl_spans does, on the same line with the same message."""
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(content)
+    outcomes = []
+    for read in (lambda: list(artifacts.read_jsonl(path, decode)),
+                 lambda: read_jsonl_via_spans(path, decode)):
+        try:
+            outcomes.append(read())
+        except FormatError as exc:
+            outcomes.append((type(exc), exc.line, str(exc)))
+    assert outcomes[0] == outcomes[1]
 
 
 def read_csv(path):

@@ -319,6 +319,9 @@ def test_bad_config_file_exit_code(tmp_path):
         ("explain", {"explain": {"n_baseline_samples": 3.7}}, "explain"),
         ("sample", {"sampling": {"per_journal": 2.5}}, "sampling"),
         ("label-llm", {"backend": {"max_retries": 1.5}}, "backend"),
+        ("train", {"train": {"learning_rat": 0.5}}, "train.learning_rat"),
+        ("train", {"split_ration": 0.5}, "split_ration"),
+        ("ingest", {"trian": {"epochs": 3}}, "trian"),
     ],
     ids=["split_ratio", "epochs", "hidden_sizes", "n_baseline_samples", "temperature",
          "per_journal", *(f"seed-{seed}-{stage}" for seed in ("x", "negative")
@@ -326,13 +329,13 @@ def test_bad_config_file_exit_code(tmp_path):
          "output_dir-int", "cache_dir-int", "offline-string", "svg-string", "seed-float",
          "seed-bool", "epochs-float", "hidden_sizes-float", "learning_rate-nan",
          "learning_rate-negative", "n_baseline_samples-float", "per_journal-float",
-         "max_retries-float"],
+         "max_retries-float", "unknown-in-a-section", "unknown-top-level", "unknown-section"],
 )
 def test_out_of_range_config_value_exits_2(pipeline_dir, tmp_path, capsys, stage, user_config, key):
     """A setting the stage rejects ends it before it writes anything, with one line
     naming the setting or its section. A path must be a string, a flag true or
     false, an integer setting an int (no bool, no float to truncate) and a learning
-    rate finite and > 0."""
+    rate finite and > 0. A setting or section not in DEFAULT_CONFIG is unknown."""
     for name in ("corpus.jsonl", "labels_rule.jsonl", "features.csv", "train.csv", "test.csv",
                  "model.json"):
         shutil.copyfile(pipeline_dir / name, tmp_path / name)
@@ -348,6 +351,17 @@ def test_out_of_range_config_value_exits_2(pipeline_dir, tmp_path, capsys, stage
     assert "Traceback" not in err
     after = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
     assert after == before
+
+
+def test_config_used_feeds_back(pipeline_dir, tmp_path):
+    """config_used.json, schema_version and all, is a valid --config, and the run
+    it configures records the same bytes."""
+    shutil.copyfile(pipeline_dir / "train.csv", tmp_path / "train.csv")
+    assert run("train", "--output-dir", str(tmp_path), "--seed", "3") == 0
+    recorded = (tmp_path / "config_used.json").read_bytes()
+    shutil.copyfile(tmp_path / "config_used.json", tmp_path / "config.json")
+    assert run("train", "--config", str(tmp_path / "config.json")) == 0
+    assert (tmp_path / "config_used.json").read_bytes() == recorded
 
 
 def test_config_file_with_flag_override(tmp_path):

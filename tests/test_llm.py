@@ -1,4 +1,8 @@
+import re
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from teamroles.llm import (
     CHAR_BUDGET,
@@ -107,6 +111,49 @@ def test_parse_response_last_mention_wins():
 
 def test_parse_response_direct_not_matched_inside_indirect():
     assert parse_response("indirect support") is RoleLabel.INDIRECT_SUPPORT
+
+
+ROLE_PATTERNS_REFERENCE = [
+    (re.compile(r"\bleadership\b", re.IGNORECASE), RoleLabel.LEADERSHIP),
+    (re.compile(r"\bdirect support\b", re.IGNORECASE), RoleLabel.DIRECT_SUPPORT),
+    (re.compile(r"\bindirect support\b", re.IGNORECASE), RoleLabel.INDIRECT_SUPPORT),
+]
+
+
+def parse_response_reference(response):
+    """One pattern per role name; the match that starts last wins, the first
+    pattern on a tie; None without a match."""
+    last = None
+    for pattern, label in ROLE_PATTERNS_REFERENCE:
+        for match in pattern.finditer(response):
+            if last is None or match.start() > last[0]:
+                last = (match.start(), label)
+    return None if last is None else last[1]
+
+
+def random_case(draw, text):
+    return "".join(c.upper() if draw(st.booleans()) else c for c in text)
+
+
+@st.composite
+def responses(draw):
+    """Role names, their pieces and other text, in random case, run together
+    or apart; under IGNORECASE "ſ" matches "s", and "İ" and "ı" match "i"."""
+    pieces = st.sampled_from(["leadership", "direct support", "indirect support", "in",
+                              "direct", "support", "leader", "ship", "leaderſhip",
+                              "İndirect support", "dırect support"])
+    glue = st.text(st.sampled_from(" .:-_\nxé1"), max_size=2)
+    parts = draw(st.lists(st.tuples(glue, pieces), max_size=6))
+    return "".join(g + random_case(draw, p) for g, p in parts) + draw(glue)
+
+
+@given(responses())
+def test_parse_response_equals_the_pattern_per_role(response):
+    try:
+        label = parse_response(response)
+    except UnparseableResponse:
+        label = None
+    assert label is parse_response_reference(response)
 
 
 def test_mock_backend_agrees_with_rule_classifier():

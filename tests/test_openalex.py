@@ -5,6 +5,7 @@ import shutil
 import tempfile
 import tracemalloc
 from pathlib import Path
+from urllib.parse import parse_qsl, urlencode, urlsplit, urlunsplit
 
 import pytest
 from hypothesis import given, settings
@@ -23,11 +24,18 @@ from teamroles.openalex import (
     TokenBucket,
     match_author,
     normalize_name,
-    normalize_url,
     parse_work,
 )
 
 BASE = "https://api.openalex.org"
+
+
+def normalize_url(url: str) -> str:
+    """The reference key form of a request URL: query parameters sorted and
+    encoded, mailto dropped. The client builds its keys in this form."""
+    parts = urlsplit(url)
+    params = [(k, v) for k, v in parse_qsl(parts.query) if k != "mailto"]
+    return urlunsplit((parts.scheme, parts.netloc, parts.path, urlencode(sorted(params)), ""))
 
 
 def offline_client(cache_dir) -> OpenAlexClient:
