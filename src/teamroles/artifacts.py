@@ -109,9 +109,11 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
 
 
 def _decode_utf8(path, number: int, raw: bytes) -> str:
+    """`raw`, whose first line is line `number` of the file, as text."""
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
+        number += raw.count(b"\n", 0, exc.start)
         raise FormatError(path, number, f"not UTF-8: {exc}") from exc
 
 
@@ -129,7 +131,12 @@ def _lines(path) -> Iterator[Tuple[int, int, int, str]]:
 
 
 def read_text(path) -> str:
-    return "".join(line for *_, line in _lines(path))
+    """The text of a UTF-8 file, read in one call."""
+    try:
+        with open(path, "rb") as fh:
+            return _decode_utf8(path, 1, fh.read())
+    except OSError as exc:
+        raise FileUnreadable(f"cannot read {path}: {exc}") from exc
 
 
 def read_json(path, decode: Optional[Callable[[dict], Any]] = None) -> Any:

@@ -59,8 +59,6 @@ ARTIFACTS = {
 
 
 def load_config(args) -> dict:
-    from .types import as_text
-
     config = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     if args.config:
         try:
@@ -76,47 +74,58 @@ def load_config(args) -> dict:
                 config[key] = value
         # config_used.json records the schema version; fed back, it is no setting
         config.pop("schema_version", None)
-        _check_known(config)
     for name in ("output_dir", "cache_dir", "seed"):
-        value = getattr(args, name.replace("-", "_"), None)
+        value = getattr(args, name, None)
         if value is not None:
             config[name] = value
     if getattr(args, "offline", False):
         config["offline"] = True
-    with _config_values("output_dir"):
-        as_text(config["output_dir"])
+    _check_types(config)
     return config
 
 
-def _check_known(config: dict) -> None:
-    """ConfigError for the first setting or section that DEFAULT_CONFIG lacks."""
-    for key, value in config.items():
-        if key not in DEFAULT_CONFIG:
-            raise ConfigError(f"{key}: unknown setting")
-        if isinstance(value, dict) and isinstance(DEFAULT_CONFIG[key], dict):
-            for name in value:
-                if name not in DEFAULT_CONFIG[key]:
-                    raise ConfigError(f"{key}.{name}: unknown setting")
+def _check_types(value, default=DEFAULT_CONFIG, name: str = "") -> None:
+    """ConfigError naming the dotted setting for the first one that DEFAULT_CONFIG
+    lacks or whose value has not its default's type; a null default takes a
+    string or null, a list default a list of its items' type."""
+    from .types import as_flag, as_int, as_number, as_text
+
+    if isinstance(default, dict) and isinstance(value, dict):
+        for key, item in value.items():
+            setting = f"{name}.{key}" if name else key
+            if key not in default:
+                raise ConfigError(f"{setting}: unknown setting")
+            _check_types(item, default[key], setting)
+        return
+    with _config_values(name):
+        if isinstance(default, dict):
+            raise TypeError(f"expected an object, got {value!r}")
+        items = [value]
+        if isinstance(default, list):
+            if not isinstance(value, list):
+                raise TypeError(f"expected a list, got {value!r}")
+            items, default = value, default[0]
+        for item in items:
+            if item is not None or default is not None:
+                {bool: as_flag, int: as_int, float: as_number}.get(type(default), as_text)(item)
 
 
 @contextmanager
 def _config_values(section: str):
-    """Turn a config value that a stage's settings reject (a TypeError or
-    ValueError while they are built) into a ConfigError naming the section
-    or the setting."""
+    """Turn a config value that is rejected (a TypeError, ValueError or
+    OverflowError while it is checked or a stage's settings are built) into a
+    ConfigError naming the setting or its section."""
     try:
         yield
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{section}: {exc}") from exc
 
 
 def _seed(config: dict) -> int:
-    """The pipeline seed, checked once for every stage that uses it: numpy's
+    """The pipeline seed, range-checked once for every stage that uses it: numpy's
     generators, which train and explain seed, take no negative seed."""
-    from .types import as_int
-
+    seed = config["seed"]
     with _config_values("seed"):
-        seed = as_int(config["seed"])
         if seed < 0:
             raise ValueError(f"must be >= 0, got {seed}")
     return seed
@@ -134,17 +143,12 @@ def _require(stage: str, path: Path) -> Path:
 
 def _client(config: dict):
     from . import openalex
-    from .types import as_flag, as_text
 
     if config["cache_dir"] in (None, ""):
         raise ConfigError("cache_dir is required for OpenAlex-backed stages")
-    with _config_values("cache_dir"):
-        cache_dir = Path(as_text(config["cache_dir"]))
-    with _config_values("offline"):
-        offline = as_flag(config["offline"])
-    return openalex.OpenAlexClient(
-        openalex.ClientConfig(mailto=config.get("mailto"), cache_dir=cache_dir, offline=offline)
-    )
+    return openalex.OpenAlexClient(openalex.ClientConfig(
+        mailto=config["mailto"], cache_dir=Path(config["cache_dir"]), offline=config["offline"]
+    ))
 
 
 def _labels_path(args, config: dict) -> Path:
@@ -176,18 +180,11 @@ def cmd_ingest(args, config) -> int:
 
 def cmd_sample(args, config) -> int:
     from . import ingest
-    from .types import as_int
 
     records = ingest.read_corpus(_require("sample", _out(config, "corpus")))
     papers = ingest.group_papers(records)
     with _config_values("sampling"):
-        settings = config["sampling"]
-        plan = ingest.SamplingPlan(
-            per_journal=as_int(settings["per_journal"]),
-            min_team=as_int(settings["min_team"]),
-            max_team=as_int(settings["max_team"]),
-            seed=_seed(config),
-        )
+        plan = ingest.SamplingPlan(**config["sampling"], seed=_seed(config))
     selected = ingest.sample_papers(papers, plan)
     rows = [rec for paper in selected for rec in paper.authors]
     ingest.write_corpus(rows, _out(config, "sampled"))
@@ -215,18 +212,10 @@ def cmd_label_rule(args, config) -> int:
 
 def cmd_label_llm(args, config) -> int:
     from . import ingest, llm
-    from .types import as_int
 
     records = ingest.read_corpus(_require("label-llm", _out(config, "corpus")))
     with _config_values("backend"):
-        settings = config["backend"]
-        backend_cfg = llm.BackendConfig(
-            endpoint_url=settings["endpoint_url"],
-            model_name=settings["model_name"],
-            temperature=settings["temperature"],
-            max_retries=as_int(settings["max_retries"]),
-            api_key_env=settings["api_key_env"],
-        )
+        backend_cfg = llm.BackendConfig(**config["backend"])
     if args.backend == "http":
         backend = llm.HttpBackend()
     else:
@@ -348,7 +337,7 @@ def cmd_split(args, config) -> int:
 
     table = dataset.read_examples(_require("split", _out(config, "features")))
     with _config_values("split_ratio"):
-        ratio = dataset.check_ratio(float(config["split_ratio"]))
+        ratio = dataset.check_ratio(config["split_ratio"])
     result = dataset.stratified_split(
         table,
         ratio=ratio,
@@ -364,18 +353,16 @@ def cmd_split(args, config) -> int:
 
 def cmd_train(args, config) -> int:
     from . import dataset, mlp
-    from .types import as_int
 
     table = dataset.read_examples(_require("train", _out(config, "train")))
+    settings = config["train"]
     with _config_values("train"):
-        settings = config["train"]
-        train_cfg = mlp.TrainConfig(
-            epochs=as_int(settings["epochs"]),
-            batch_size=as_int(settings["batch_size"]),
-            learning_rate=float(settings["learning_rate"]),
-            hidden_sizes=tuple(map(as_int, settings["hidden_sizes"])),
-            seed=_seed(config),
-        )
+        train_cfg = mlp.TrainConfig(**{
+            **settings,
+            # model.json records the rate as a float, as the default gives it
+            "learning_rate": float(settings["learning_rate"]),
+            "hidden_sizes": tuple(settings["hidden_sizes"]),
+        }, seed=_seed(config))
     model = mlp.train(table, train_cfg)
     mlp.save_model(model, _out(config, "model"))
     print(f"train: {len(table)} examples, final loss {model.loss_history[-1]:.4f}")
@@ -400,19 +387,16 @@ def cmd_explain(args, config) -> int:
     import numpy as np
 
     from . import dataset, explain, mlp
-    from .types import as_flag, as_int
 
     model = mlp.load_model(_require("explain", _out(config, "model")))
     train_table = dataset.read_examples(_require("explain", _out(config, "train")))
     test_table = dataset.read_examples(_require("explain", _out(config, "test")))
 
     rng = np.random.default_rng(_seed(config))
+    n_samples = config["explain"]["n_baseline_samples"]
     with _config_values("explain"):
-        n_samples = as_int(config["explain"]["n_baseline_samples"])
         if n_samples < 0:
             raise ValueError(f"n_baseline_samples must be >= 0, got {n_samples}")
-    with _config_values("explain.svg"):
-        svg = as_flag(config["explain"]["svg"])
     n_baselines = min(n_samples, len(train_table))
     picks = rng.choice(len(train_table), size=n_baselines, replace=False)
     baselines = [np.zeros(len(model.config.feature_indices))]
@@ -425,7 +409,7 @@ def cmd_explain(args, config) -> int:
     explain.write_attributions(attributions, ids, model.input_names, _out(config, "attributions"))
     rows = explain.shap_summary(attributions, model.input_names)
     explain.write_summary(rows, _out(config, "shap_summary"))
-    if svg:
+    if config["explain"]["svg"]:
         explain.write_summary_svg(rows, Path(config["output_dir"]) / "shap_summary.svg")
     print(f"explain: {len(attributions)} attributions, top feature {rows[0].feature}")
     return 0

@@ -398,7 +398,7 @@ class OpenAlexClient:
         full_url = key
         if self.config.mailto:
             sep = "&" if "?" in key else "?"
-            full_url = f"{key}{sep}mailto={self.config.mailto}"
+            full_url = f"{key}{sep}{urlencode({'mailto': self.config.mailto})}"
         for attempt in range(3):
             self.limiter.acquire()
             try:

@@ -39,6 +39,14 @@ def as_int(value) -> int:
     return value
 
 
+def as_number(value) -> float:
+    """`value` if it is a finite int or float, else a TypeError (no bool, NaN or
+    infinity); an int too large for a float is an OverflowError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise TypeError(f"expected a finite number, got {value!r}")
+    return value
+
+
 class RoleLabel(Enum):
     """Three-level author-role taxonomy, ordered by hierarchy rank."""
 

@@ -151,6 +151,7 @@ def read_csv(path):
         (b"", read_csv, FormatError, 1),
         (b"x\n1\n" + b"a" * (csv.field_size_limit() + 1) + b"\n", read_csv, FormatError, 3),
         (b'{\n  "a": [1,\n', artifacts.read_json, FormatError, 3),
+        (b'{\n  "a":\n  "\xff"\n}\n', artifacts.read_json, FormatError, 3),
     ],
 )
 def test_unparseable_files_raise_format_error(tmp_path, content, read, error, line):

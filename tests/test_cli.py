@@ -1,6 +1,7 @@
 import collections
 import csv
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from teamroles import dataset, metrics, mlp
-from teamroles.cli import ARTIFACTS, main
+from teamroles.cli import ARTIFACTS, DEFAULT_CONFIG, main
 from teamroles.types import BinaryRole, FeatureVector
 
 
@@ -312,16 +313,24 @@ def test_bad_config_file_exit_code(tmp_path):
         ("explain", {"explain": {"svg": "no"}}, "explain.svg"),
         ("sample", {"seed": 1.9}, "seed"),
         ("train", {"seed": True}, "seed"),
-        ("train", {"train": {"epochs": 2.5}}, "train"),
-        ("train", {"train": {"hidden_sizes": [64.5, 32]}}, "train"),
-        ("train", {"train": {"learning_rate": "nan"}}, "train"),
+        ("train", {"train": {"epochs": 2.5}}, "train.epochs"),
+        ("train", {"train": {"hidden_sizes": [64.5, 32]}}, "train.hidden_sizes"),
+        ("train", {"train": {"learning_rate": "nan"}}, "train.learning_rate"),
         ("train", {"train": {"learning_rate": -1}}, "train"),
-        ("explain", {"explain": {"n_baseline_samples": 3.7}}, "explain"),
-        ("sample", {"sampling": {"per_journal": 2.5}}, "sampling"),
-        ("label-llm", {"backend": {"max_retries": 1.5}}, "backend"),
+        ("explain", {"explain": {"n_baseline_samples": 3.7}}, "explain.n_baseline_samples"),
+        ("sample", {"sampling": {"per_journal": 2.5}}, "sampling.per_journal"),
+        ("label-llm", {"backend": {"max_retries": 1.5}}, "backend.max_retries"),
         ("train", {"train": {"learning_rat": 0.5}}, "train.learning_rat"),
         ("train", {"split_ration": 0.5}, "split_ration"),
         ("ingest", {"trian": {"epochs": 3}}, "trian"),
+        ("train", {"train": {"learning_rate": "0.5"}}, "train.learning_rate"),
+        ("train", {"train": {"learning_rate": True}}, "train.learning_rate"),
+        ("split", {"split_ratio": "0.2"}, "split_ratio"),
+        ("label-llm", {"backend": {"temperature": float("nan")}}, "backend.temperature"),
+        ("label-llm", {"backend": {"model_name": 5}}, "backend.model_name"),
+        ("featurize", {"cache_dir": "tests/fixtures/cache", "offline": True, "mailto": 5}, "mailto"),
+        ("split", {"train": 5}, "train"),
+        ("ingest", {"train": {"epochs": 2.5}}, "train.epochs"),
     ],
     ids=["split_ratio", "epochs", "hidden_sizes", "n_baseline_samples", "temperature",
          "per_journal", *(f"seed-{seed}-{stage}" for seed in ("x", "negative")
@@ -329,13 +338,17 @@ def test_bad_config_file_exit_code(tmp_path):
          "output_dir-int", "cache_dir-int", "offline-string", "svg-string", "seed-float",
          "seed-bool", "epochs-float", "hidden_sizes-float", "learning_rate-nan",
          "learning_rate-negative", "n_baseline_samples-float", "per_journal-float",
-         "max_retries-float", "unknown-in-a-section", "unknown-top-level", "unknown-section"],
+         "max_retries-float", "unknown-in-a-section", "unknown-top-level", "unknown-section",
+         "learning_rate-string", "learning_rate-bool", "split_ratio-string", "temperature-nan",
+         "model_name-int", "mailto-int", "section-int", "epochs-float-ingest"],
 )
 def test_out_of_range_config_value_exits_2(pipeline_dir, tmp_path, capsys, stage, user_config, key):
     """A setting the stage rejects ends it before it writes anything, with one line
-    naming the setting or its section. A path must be a string, a flag true or
-    false, an integer setting an int (no bool, no float to truncate) and a learning
-    rate finite and > 0. A setting or section not in DEFAULT_CONFIG is unknown."""
+    naming the setting, or its section for a value out of a stage's range. Every
+    stage checks every setting's type, also one it does not read: a path must be
+    a string, a flag true or false, an integer setting an int (no bool, no float
+    to truncate) and a float setting a finite number. A learning rate must be > 0.
+    A setting or section not in DEFAULT_CONFIG is unknown."""
     for name in ("corpus.jsonl", "labels_rule.jsonl", "features.csv", "train.csv", "test.csv",
                  "model.json"):
         shutil.copyfile(pipeline_dir / name, tmp_path / name)
@@ -351,6 +364,86 @@ def test_out_of_range_config_value_exits_2(pipeline_dir, tmp_path, capsys, stage
     assert "Traceback" not in err
     after = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
     assert after == before
+
+
+def _settings(section, prefix=()):
+    """(path, default) for every setting and section under a section of DEFAULT_CONFIG."""
+    for key, default in section.items():
+        yield (*prefix, key), default
+        if isinstance(default, dict):
+            yield from _settings(default, (*prefix, key))
+
+
+def _takes(default, value) -> bool:
+    """Whether a setting whose default is `default` takes `value`: the rule that
+    README states, written out apart from the code that checks it."""
+    if isinstance(default, bool):
+        return isinstance(value, bool)
+    if isinstance(default, (int, float)) and (isinstance(value, bool) or
+                                              not isinstance(value, (int, float))):
+        return False
+    if isinstance(default, int):
+        return isinstance(value, int)
+    if isinstance(default, float):
+        return math.isfinite(value)
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_takes(default[0], item) for item in value)
+    if isinstance(default, dict):
+        return isinstance(value, dict)
+    return isinstance(value, str) or (default is None and value is None)
+
+
+# one value of each JSON type, and NaN
+JSON_VALUES = {"string": "x", "bool": True, "int": 1, "float": 2.5, "nan": float("nan"),
+               "list": [], "object": {}, "null": None}
+
+
+def _wrong_values():
+    """(setting path, value) for every value of JSON_VALUES that a setting or a
+    section of DEFAULT_CONFIG does not take, and for a list setting every list
+    that holds one value its items do not take."""
+    for path, default in _settings(DEFAULT_CONFIG):
+        candidates = dict(JSON_VALUES)
+        if isinstance(default, list):
+            candidates.update((f"list-of-{name}", [value]) for name, value in JSON_VALUES.items())
+        for name, value in candidates.items():
+            if not _takes(default, value):
+                yield pytest.param(path, value, id=f"{'.'.join(path)}-{name}")
+
+
+@pytest.mark.parametrize("path, value", _wrong_values())
+def test_every_setting_of_the_wrong_type_exits_2(pipeline_dir, tmp_path, capsys, path, value):
+    """Every stage checks the type of every setting, also one it does not read:
+    lratio reads none, and a value that the setting's default does not take ends
+    it with one line naming the dotted setting, before it writes anything."""
+    for name in ("corpus.jsonl", "labels_rule.jsonl"):
+        shutil.copyfile(pipeline_dir / name, tmp_path / name)
+    user_config = {"output_dir": str(tmp_path)}
+    section = user_config
+    for key in path[:-1]:
+        section = section.setdefault(key, {})
+    section[path[-1]] = value
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(user_config))
+    before = {file.name: file.read_bytes() for file in tmp_path.iterdir()}
+    capsys.readouterr()
+    code = run("lratio", "--config", str(config))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"config error: {'.'.join(path)}: ") and err.count("\n") == 1
+    assert {file.name: file.read_bytes() for file in tmp_path.iterdir()} == before
+
+
+def test_integer_learning_rate_trains_as_a_float_and_is_echoed_as_given(pipeline_dir, tmp_path):
+    """model.json records the rate 1 as 1.0, as it records the default 0.001;
+    config_used.json echoes the 1 that the config gave."""
+    shutil.copyfile(pipeline_dir / "train.csv", tmp_path / "train.csv")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"output_dir": str(tmp_path), "train": {"learning_rate": 1}}))
+    assert run("train", "--config", str(config)) == 0
+    assert '"learning_rate": 1.0,' in (tmp_path / "model.json").read_text()
+    rate = json.loads((tmp_path / "config_used.json").read_text())["train"]["learning_rate"]
+    assert type(rate) is int and rate == 1
 
 
 def test_config_used_feeds_back(pipeline_dir, tmp_path):

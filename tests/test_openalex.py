@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import logging
@@ -5,7 +6,7 @@ import shutil
 import tempfile
 import tracemalloc
 from pathlib import Path
-from urllib.parse import parse_qsl, urlencode, urlsplit, urlunsplit
+from urllib.parse import parse_qs, parse_qsl, urlencode, urlsplit, urlunsplit
 
 import pytest
 from hypothesis import given, settings
@@ -559,3 +560,15 @@ def test_profile_request_url_is_its_cache_key(online):
     key = f"{BASE}/works?cursor=%2A&filter=author.id%3AA1&per-page=200"
     assert calls == [key]
     assert json.loads(client.cache.get("authors", key)) == {"results": [], "meta": {"next_cursor": None}}
+
+
+def test_mailto_is_encoded_in_the_request_url_and_left_out_of_the_key(online):
+    """A '+' or '&' in the address reaches the server as written, not as a space
+    or a second parameter."""
+    client, replies, calls, _ = online
+    mailto = "me+openalex@example.org&x=1"
+    client.config = dataclasses.replace(client.config, mailto=mailto)
+    replies.append(FakeResponse(200))
+    client.fetch_work("W1")
+    assert parse_qs(urlsplit(calls[0]).query) == {"mailto": [mailto]}
+    assert client.cache.get("works", f"{BASE}/works/W1") is not None
