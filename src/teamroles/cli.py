@@ -135,12 +135,6 @@ def _out(config: dict, key: str) -> Path:
     return Path(config["output_dir"]) / ARTIFACTS[key]
 
 
-def _require(stage: str, path: Path) -> Path:
-    if not path.exists():
-        raise UpstreamArtifactMissing(stage, str(path))
-    return path
-
-
 def _client(config: dict):
     from . import openalex
 
@@ -151,8 +145,12 @@ def _client(config: dict):
     ))
 
 
-def _labels_path(args, config: dict) -> Path:
-    return Path(args.labels) if args.labels else _out(config, "labels_rule")
+def _input(args, config: dict, name: str) -> Path:
+    """The path of a stage input that STAGES names: an ARTIFACTS key, or "labels",
+    which is --labels if given, else labels_rule.jsonl."""
+    if name == "labels":
+        return Path(args.labels) if args.labels else _out(config, "labels_rule")
+    return _out(config, name)
 
 
 def _read_labels(path: Path) -> dict:
@@ -165,7 +163,7 @@ def _read_labels(path: Path) -> dict:
     return labels
 
 
-def cmd_ingest(args, config) -> int:
+def cmd_ingest(args, config) -> None:
     from . import ingest
 
     corpus_file = ingest.CorpusFile(
@@ -175,13 +173,12 @@ def cmd_ingest(args, config) -> int:
     ingest.write_corpus(result.records, _out(config, "corpus"))
     ingest.write_rejects(result.rejects, _out(config, "rejects"))
     print(f"ingest: {len(result.records)} records, {len(result.rejects)} rejects")
-    return 0
 
 
-def cmd_sample(args, config) -> int:
+def cmd_sample(args, config) -> None:
     from . import ingest
 
-    records = ingest.read_corpus(_require("sample", _out(config, "corpus")))
+    records = ingest.read_corpus(_out(config, "corpus"))
     papers = ingest.group_papers(records)
     with _config_values("sampling"):
         plan = ingest.SamplingPlan(**config["sampling"], seed=_seed(config))
@@ -189,14 +186,13 @@ def cmd_sample(args, config) -> int:
     rows = [rec for paper in selected for rec in paper.authors]
     ingest.write_corpus(rows, _out(config, "sampled"))
     print(f"sample: {len(selected)} papers, {len(rows)} rows")
-    return 0
 
 
-def cmd_label_rule(args, config) -> int:
+def cmd_label_rule(args, config) -> None:
     from . import ingest, llm
     from .rules import NoKeywordMatch, classify_statement
 
-    records = ingest.read_corpus(_require("label-rule", _out(config, "corpus")))
+    records = ingest.read_corpus(_out(config, "corpus"))
     outcomes = []
     for rec in records:
         try:
@@ -207,13 +203,12 @@ def cmd_label_rule(args, config) -> int:
     llm.write_outcomes(outcomes, _out(config, "labels_rule"))
     labeled = sum(1 for o in outcomes if o.ok)
     print(f"label-rule: {labeled}/{len(outcomes)} labeled")
-    return 0
 
 
-def cmd_label_llm(args, config) -> int:
+def cmd_label_llm(args, config) -> None:
     from . import ingest, llm
 
-    records = ingest.read_corpus(_require("label-llm", _out(config, "corpus")))
+    records = ingest.read_corpus(_out(config, "corpus"))
     with _config_values("backend"):
         backend_cfg = llm.BackendConfig(**config["backend"])
     if args.backend == "http":
@@ -224,7 +219,6 @@ def cmd_label_llm(args, config) -> int:
     llm.write_outcomes(outcomes, _out(config, "labels_llm"))
     labeled = sum(1 for o in outcomes if o.ok)
     print(f"label-llm: {labeled}/{len(outcomes)} labeled via {args.backend}")
-    return 0
 
 
 def _author_profiles(client, records, wanted, skip):
@@ -272,10 +266,10 @@ def _author_profiles(client, records, wanted, skip):
         yield profile, group
 
 
-def cmd_fetch(args, config) -> int:
+def cmd_fetch(args, config) -> None:
     from . import ingest
 
-    records = ingest.read_corpus(_require("fetch", _out(config, "corpus")))
+    records = ingest.read_corpus(_out(config, "corpus"))
     client = _client(config)
     fetched, failed = 0, 0
 
@@ -288,19 +282,16 @@ def cmd_fetch(args, config) -> int:
         fetched += len(group)
     client.write_manifest()
     print(f"fetch: {fetched} profiles, {failed} failures")
-    return 0
 
 
-def cmd_featurize(args, config) -> int:
+def cmd_featurize(args, config) -> None:
     import numpy as np
 
     from . import dataset, features, ingest
     from .types import FEATURE_NAMES, to_binary
 
-    corpus_path = _require("featurize", _out(config, "corpus"))
-    labels_path = _require("featurize", _labels_path(args, config))
-    records = ingest.read_corpus(corpus_path)
-    labels = _read_labels(labels_path)
+    records = ingest.read_corpus(_out(config, "corpus"))
+    labels = _read_labels(_input(args, config, "labels"))
     client = _client(config)
 
     def skip(rows, exc):
@@ -329,13 +320,12 @@ def cmd_featurize(args, config) -> int:
     dataset.write_examples(table, _out(config, "features"))
     # a record without a label, or one that skip() saw, has no example
     print(f"featurize: {len(table)} examples, {len(records) - len(table)} skipped")
-    return 0
 
 
-def cmd_split(args, config) -> int:
+def cmd_split(args, config) -> None:
     from . import dataset
 
-    table = dataset.read_examples(_require("split", _out(config, "features")))
+    table = dataset.read_examples(_out(config, "features"))
     with _config_values("split_ratio"):
         ratio = dataset.check_ratio(config["split_ratio"])
     result = dataset.stratified_split(
@@ -348,13 +338,12 @@ def cmd_split(args, config) -> int:
     dataset.write_examples(result.test, _out(config, "test"))
     dataset.write_split_manifest(result, _out(config, "split_manifest"))
     print(f"split: {len(result.train)} train, {len(result.test)} test")
-    return 0
 
 
-def cmd_train(args, config) -> int:
+def cmd_train(args, config) -> None:
     from . import dataset, mlp
 
-    table = dataset.read_examples(_require("train", _out(config, "train")))
+    table = dataset.read_examples(_out(config, "train"))
     settings = config["train"]
     with _config_values("train"):
         train_cfg = mlp.TrainConfig(**{
@@ -366,31 +355,29 @@ def cmd_train(args, config) -> int:
     model = mlp.train(table, train_cfg)
     mlp.save_model(model, _out(config, "model"))
     print(f"train: {len(table)} examples, final loss {model.loss_history[-1]:.4f}")
-    return 0
 
 
-def cmd_evaluate(args, config) -> int:
+def cmd_evaluate(args, config) -> None:
     from . import dataset, metrics, mlp
     from .types import BinaryRole
 
-    model = mlp.load_model(_require("evaluate", _out(config, "model")))
-    table = dataset.read_examples(_require("evaluate", _out(config, "test")))
+    model = mlp.load_model(_out(config, "model"))
+    table = dataset.read_examples(_out(config, "test"))
     predicted = mlp.predict_batch(model, mlp.model_inputs(model, table.X))
     report = metrics.classification_report(list(table.labels), predicted, labels=list(BinaryRole))
     metrics.save_report(report, _out(config, "metrics"))
     artifacts.write_text(_out(config, "metrics_text"), metrics.report_to_text(report) + "\n")
     print(f"evaluate: macro F1 {report.macro_f1:.3f} on {len(table)} test examples")
-    return 0
 
 
-def cmd_explain(args, config) -> int:
+def cmd_explain(args, config) -> None:
     import numpy as np
 
     from . import dataset, explain, mlp
 
-    model = mlp.load_model(_require("explain", _out(config, "model")))
-    train_table = dataset.read_examples(_require("explain", _out(config, "train")))
-    test_table = dataset.read_examples(_require("explain", _out(config, "test")))
+    model = mlp.load_model(_out(config, "model"))
+    train_table = dataset.read_examples(_out(config, "train"))
+    test_table = dataset.read_examples(_out(config, "test"))
 
     rng = np.random.default_rng(_seed(config))
     n_samples = config["explain"]["n_baseline_samples"]
@@ -412,14 +399,13 @@ def cmd_explain(args, config) -> int:
     if config["explain"]["svg"]:
         explain.write_summary_svg(rows, Path(config["output_dir"]) / "shap_summary.svg")
     print(f"explain: {len(attributions)} attributions, top feature {rows[0].feature}")
-    return 0
 
 
-def cmd_lratio(args, config) -> int:
+def cmd_lratio(args, config) -> None:
     from . import ingest, metrics
 
-    records = ingest.read_corpus(_require("lratio", _out(config, "corpus")))
-    labels = _read_labels(_require("lratio", _labels_path(args, config)))
+    records = ingest.read_corpus(_out(config, "corpus"))
+    labels = _read_labels(_input(args, config, "labels"))
 
     teams = {}
     for rec in records:
@@ -429,19 +415,17 @@ def cmd_lratio(args, config) -> int:
     rows = ([pid, len(team), repr(metrics.l_ratio(team))] for pid, team in sorted(teams.items()))
     artifacts.write_csv(_out(config, "lratio"), ["paper_id", "team_size", "l_ratio"], rows)
     print(f"lratio: {len(teams)} papers")
-    return 0
 
 
-def cmd_report(args, config) -> int:
+def cmd_report(args, config) -> None:
     from . import metrics
 
     # every input is read and checked before report/ is touched, so a run that
     # fails leaves the previous report whole
     copies = {}
     for key in ("metrics", "shap_summary"):
-        source = _require("report", _out(config, key))
-        copies[source.name] = artifacts.read_text(source)
-    labels = _read_labels(_require("report", _labels_path(args, config)))
+        copies[ARTIFACTS[key]] = artifacts.read_text(_out(config, key))
+    labels = _read_labels(_input(args, config, "labels"))
     distribution = metrics.label_distribution(list(labels.values()))
 
     report_dir = Path(config["output_dir"]) / "report"
@@ -451,40 +435,43 @@ def cmd_report(args, config) -> int:
     rows = ([role.value, count] for role, count in distribution.items())
     artifacts.write_csv(report_dir / "distribution.csv", ["role", "count"], rows)
     print(f"report: written to {report_dir}")
-    return 0
 
 
 _LABELS = ("--labels", {"help": "labels file (default labels_rule.jsonl)"})
 
-# stage name -> (handler, help, stage-specific arguments as (flag, add_argument kwargs))
+# stage name -> (handler, help, the inputs main checks for before the handler runs
+# (see _input), stage-specific arguments as (flag, add_argument kwargs))
 STAGES = {
-    "ingest": (cmd_ingest, "parse a raw corpus into canonical JSON-lines", [
+    "ingest": (cmd_ingest, "parse a raw corpus into canonical JSON-lines", (), [
         ("--input", {"required": True}),
         ("--format", {"choices": ["delimited-table", "json-lines"], "default": "delimited-table"}),
         ("--delimiter", {"default": ","}),
     ]),
-    "sample": (cmd_sample, "journal-stratified paper sampling", []),
-    "label-rule": (cmd_label_rule, "keyword-hierarchy labeling", []),
-    "label-llm": (cmd_label_llm, "few-shot chat-backend labeling", [
+    "sample": (cmd_sample, "journal-stratified paper sampling", ("corpus",), []),
+    "label-rule": (cmd_label_rule, "keyword-hierarchy labeling", ("corpus",), []),
+    "label-llm": (cmd_label_llm, "few-shot chat-backend labeling", ("corpus",), [
         ("--backend", {"choices": ["mock", "http"], "default": "mock"}),
     ]),
-    "fetch": (cmd_fetch, "warm the metadata cache for the corpus", []),
-    "featurize": (cmd_featurize, "compute the ten features per labeled record", [_LABELS]),
-    "split": (cmd_split, "stratified train/test split", [
+    "fetch": (cmd_fetch, "warm the metadata cache for the corpus", ("corpus",), []),
+    "featurize": (cmd_featurize, "compute the ten features per labeled record",
+                  ("corpus", "labels"), [_LABELS]),
+    "split": (cmd_split, "stratified train/test split", ("features",), [
         ("--group-by-author", {"action": "store_true"}),
     ]),
-    "train": (cmd_train, "train the dense network", []),
-    "evaluate": (cmd_evaluate, "score the model on the test partition", []),
-    "explain": (cmd_explain, "exact Shapley attributions for test examples", []),
-    "lratio": (cmd_lratio, "per-paper leadership ratio", [_LABELS]),
-    "report": (cmd_report, "aggregate metrics, distribution, and attributions", [_LABELS]),
+    "train": (cmd_train, "train the dense network", ("train",), []),
+    "evaluate": (cmd_evaluate, "score the model on the test partition", ("model", "test"), []),
+    "explain": (cmd_explain, "exact Shapley attributions for test examples",
+                ("model", "train", "test"), []),
+    "lratio": (cmd_lratio, "per-paper leadership ratio", ("corpus", "labels"), [_LABELS]),
+    "report": (cmd_report, "aggregate metrics, distribution, and attributions",
+               ("metrics", "shap_summary", "labels"), [_LABELS]),
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="teamroles", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, arguments) in STAGES.items():
+    for name, (_, help_text, _, arguments) in STAGES.items():
         p = sub.add_parser(name, help=help_text)
         for flag, kwargs in arguments:
             p.add_argument(flag, **kwargs)
@@ -502,10 +489,15 @@ def main(argv=None) -> int:
         config = load_config(args)
         out_dir = Path(config["output_dir"])
         artifacts.make_dir(out_dir)
-        code = STAGES[args.command][0](args, config)
+        handler, _, inputs, _ = STAGES[args.command]
+        for name in inputs:
+            path = _input(args, config, name)
+            if not path.exists():
+                raise UpstreamArtifactMissing(args.command, str(path))
+        handler(args, config)
         # only now: a stage that stops on a setting leaves the previous run's record
         artifacts.write_json(out_dir / "config_used.json", {"schema_version": 1, **config})
-        return code
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -16,6 +16,7 @@ subtraction for its update rather than one per array.
 """
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -88,19 +89,26 @@ class TrainedModel:
         return tuple(FEATURE_NAMES[i] for i in self.config.feature_indices)
 
 
+_PARAM_NAMES = ("W1", "b1", "W2", "b2", "W3", "b3")
+
+
+def _shapes(config: TrainConfig) -> Tuple[Tuple[int, ...], ...]:
+    """The shape of each network parameter, in _PARAM_NAMES order; a weight's
+    last axis is its fan-in."""
+    d = len(config.feature_indices)
+    h1, h2 = config.hidden_sizes
+    return (h1, d), (h1,), (h2, h1), (h2,), (h2,), ()
+
+
 def init(config: TrainConfig) -> NetworkParams:
     """Seeded scaled-normal weights (scale sqrt(2/fan_in)), zero biases."""
     rng = np.random.default_rng(config.seed)
-    d = len(config.feature_indices)
-    h1, h2 = config.hidden_sizes
-    return NetworkParams(
-        W1=rng.normal(0.0, np.sqrt(2.0 / d), size=(h1, d)),
-        b1=np.zeros(h1),
-        W2=rng.normal(0.0, np.sqrt(2.0 / h1), size=(h2, h1)),
-        b2=np.zeros(h2),
-        W3=rng.normal(0.0, np.sqrt(2.0 / h2), size=h2),
-        b3=0.0,
-    )
+    params = NetworkParams(*(
+        rng.normal(0.0, np.sqrt(2.0 / shape[-1]), size=shape) if name[0] == "W" else np.zeros(shape)
+        for name, shape in zip(_PARAM_NAMES, _shapes(config))
+    ))
+    params.b3 = float(params.b3)
+    return params
 
 
 # np.clip and np.sum go through Python-level dispatch that costs more than
@@ -176,9 +184,6 @@ def input_gradient_batch(params: NetworkParams, X: np.ndarray) -> np.ndarray:
 def _weighted_bce(y: np.ndarray, t: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Per-row binary cross-entropy of probabilities y against targets t, times its weight."""
     return weights * -(t * np.log(y) + (1.0 - t) * np.log(1.0 - y))
-
-
-_PARAM_NAMES = ("W1", "b1", "W2", "b2", "W3", "b3")
 
 
 def _views(flat: np.ndarray, like: NetworkParams) -> NetworkParams:
@@ -288,31 +293,13 @@ def predict(model: TrainedModel, features: FeatureVector) -> BinaryRole:
 
 
 def save_model(model: TrainedModel, path) -> None:
-    data = {
+    artifacts.write_json(path, {
         "schema_version": 1,
-        "params": {
-            "W1": model.params.W1.tolist(),
-            "b1": model.params.b1.tolist(),
-            "W2": model.params.W2.tolist(),
-            "b2": model.params.b2.tolist(),
-            "W3": model.params.W3.tolist(),
-            "b3": model.params.b3,
-        },
+        "params": {name: np.asarray(getattr(model.params, name)).tolist() for name in _PARAM_NAMES},
         "ranges": model.ranges.to_dict(),
-        "config": {
-            "epochs": model.config.epochs,
-            "batch_size": model.config.batch_size,
-            "learning_rate": model.config.learning_rate,
-            "hidden_sizes": list(model.config.hidden_sizes),
-            "seed": model.config.seed,
-            "feature_indices": list(model.config.feature_indices),
-            "class_weights": list(model.config.class_weights)
-            if model.config.class_weights
-            else None,
-        },
+        "config": dataclasses.asdict(model.config),
         "loss_history": model.loss_history,
-    }
-    artifacts.write_json(path, data)
+    })
 
 
 def _array(value, shape: Tuple[int, ...]) -> np.ndarray:
@@ -329,33 +316,19 @@ def model_from_json(data: dict) -> TrainedModel:
     that the config's feature count and hidden sizes give it, and every
     weight and bias must be finite."""
     cfg = data["config"]
-    fields = dict(
-        epochs=cfg["epochs"],
-        batch_size=cfg["batch_size"],
-        learning_rate=cfg["learning_rate"],
-        hidden_sizes=tuple(cfg["hidden_sizes"]),
-        seed=cfg["seed"],
-        feature_indices=tuple(cfg["feature_indices"]),
-        class_weights=tuple(cfg["class_weights"]) if cfg.get("class_weights") else None,
-    )
+    fields = {}
+    for field in dataclasses.fields(TrainConfig):
+        # a field whose default is None (class_weights) may be absent
+        value = cfg[field.name] if field.default is not None else cfg.get(field.name)
+        fields[field.name] = tuple(value) if isinstance(value, list) else value
     data["config"]  # read last, so a failed TrainConfig check is named `config`, not its last key
     config = TrainConfig(**fields)
-    h1, h2 = config.hidden_sizes
-    d = len(config.feature_indices)
     p = data["params"]
-    return TrainedModel(
-        params=NetworkParams(
-            W1=_array(p["W1"], (h1, d)),
-            b1=_array(p["b1"], (h1,)),
-            W2=_array(p["W2"], (h2, h1)),
-            b2=_array(p["b2"], (h2,)),
-            W3=_array(p["W3"], (h2,)),
-            b3=float(_array(p["b3"], ())),
-        ),
-        ranges=NormalizationRanges.from_dict(data["ranges"]),
-        config=config,
-        loss_history=list(data["loss_history"]),
-    )
+    params = NetworkParams(*(_array(p[name], shape)
+                             for name, shape in zip(_PARAM_NAMES, _shapes(config))))
+    params.b3 = float(params.b3)
+    return TrainedModel(params, NormalizationRanges.from_dict(data["ranges"]), config,
+                        list(data["loss_history"]))
 
 
 def load_model(path) -> TrainedModel:

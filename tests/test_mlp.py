@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -214,7 +216,8 @@ def test_save_load_round_trip(tmp_path):
     path = tmp_path / "model.json"
     save_model(model, path)
     loaded = load_model(path)
-    assert np.array_equal(loaded.params.W1, model.params.W1)
+    for name in ("W1", "b1", "W2", "b2", "W3", "b3"):
+        assert np.array_equal(getattr(loaded.params, name), getattr(model.params, name))
     assert loaded.config == model.config
     assert loaded.ranges == model.ranges
     assert loaded.loss_history == model.loss_history
@@ -222,6 +225,16 @@ def test_save_load_round_trip(tmp_path):
         assert forward(loaded.params, model_input(loaded, fv)) == forward(
             model.params, model_input(model, fv)
         )
+
+
+def test_model_file_without_class_weights_loads(tmp_path):
+    model = train(synthetic_examples(n=40), TrainConfig(seed=1, epochs=2))
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    data = json.loads(path.read_text())
+    del data["config"]["class_weights"]
+    path.write_text(json.dumps(data))
+    assert load_model(path).config == model.config
 
 
 def test_save_model_byte_deterministic(tmp_path):
