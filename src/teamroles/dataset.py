@@ -89,9 +89,9 @@ def stratified_split(
 
     rng = random.Random(seed)
     labels = table.labels
-    by_class: Dict[BinaryRole, List[int]] = {}
+    by_class: Dict[BinaryRole, List[int]] = {label: [] for label in BinaryRole}
     for i, label in enumerate(labels):
-        by_class.setdefault(label, []).append(i)
+        by_class[label].append(i)
     for label, members in by_class.items():
         if len(members) < 2:
             raise ClassTooSmall(label)

@@ -74,10 +74,6 @@ class TooManyFeatures(PipelineError):
         self.m = m
 
 
-class EmptyBaselines(PipelineError):
-    pass
-
-
 class WorkerFailed(PipelineError):
     """A forked worker process of exact_shapley_batch raised or was killed."""
 
@@ -231,7 +227,7 @@ def exact_shapley_batch(
     count is restored on the way out.
     """
     if len(baselines) == 0:
-        raise EmptyBaselines("at least one baseline required")
+        raise EmptyInput("at least one baseline required")
     X = np.asarray(X, dtype=float)
     if len(X) == 0:
         raise EmptyInput("no rows to explain")
@@ -409,7 +405,7 @@ def gradient_shap(
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if len(baselines) == 0:
-        raise EmptyBaselines("at least one baseline required")
+        raise EmptyInput("at least one baseline required")
     x = np.asarray(x, dtype=float)
     bases = np.asarray(baselines, dtype=float)
     m = len(x)

@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import PipelineError
+from .errors import EmptyInput, PipelineError
 from .types import (
     FEATURE_NAMES,
     RATIO_FEATURES,
@@ -27,10 +27,6 @@ from .types import (
 )
 
 log = logging.getLogger(__name__)
-
-
-class UnfittedRanges(PipelineError):
-    pass
 
 
 class InvalidFeatures(PipelineError):
@@ -144,7 +140,7 @@ def _per_feature(values) -> Tuple[float, ...]:
 def fit_normalization(X: np.ndarray) -> NormalizationRanges:
     """The ranges of a raw feature matrix, one row per example."""
     if len(X) == 0:
-        raise UnfittedRanges("cannot fit normalization on an empty matrix")
+        raise EmptyInput("cannot fit normalization on an empty matrix")
     return NormalizationRanges(tuple(X.min(axis=0)), tuple(X.max(axis=0)))
 
 

@@ -25,6 +25,7 @@ from .types import (
     RoleLabel,
     UnknownJournal,
     as_flag,
+    as_int,
     as_text,
     parse_journal,
 )
@@ -50,6 +51,12 @@ class InsufficientPapers(PipelineError):
 
 class NonPositiveInput(PipelineError):
     pass
+
+
+def _integer(value) -> int:
+    """A string as int() parses it (every CSV cell is one), any other JSON value
+    only if it is an int: a float or a bool is not truncated to one."""
+    return int(value) if isinstance(value, str) else as_int(value)
 
 
 @dataclass(frozen=True)
@@ -126,7 +133,7 @@ def parse_corpus(file: CorpusFile) -> ParseResult:
             rejects.append(Reject(lineno, row, "unknown_journal"))
             continue
         try:
-            year = int(row["year"])
+            year = _integer(row["year"])
         except (TypeError, ValueError):
             rejects.append(Reject(lineno, row, "bad_year"))
             continue
@@ -141,7 +148,7 @@ def parse_corpus(file: CorpusFile) -> ParseResult:
         paper_id = str(row["paper_id"])
         if row.get("author_position") not in (None, ""):
             try:
-                position = int(row["author_position"])
+                position = _integer(row["author_position"])
             except (TypeError, ValueError):
                 rejects.append(Reject(lineno, row, "bad_author_position"))
                 continue

@@ -19,10 +19,6 @@ class LengthMismatch(PipelineError):
     pass
 
 
-class EmptyTeam(PipelineError):
-    pass
-
-
 @dataclass(frozen=True)
 class ClassMetrics:
     precision: float
@@ -107,7 +103,7 @@ def label_distribution(labels: Sequence[RoleLabel]) -> Dict[RoleLabel, int]:
 def l_ratio(team_labels: Sequence[RoleLabel]) -> float:
     """Proportion of a team's authors classified as Leadership."""
     if not team_labels:
-        raise EmptyTeam("team has no members")
+        raise EmptyInput("team has no members")
     leaders = sum(1 for label in team_labels if label is RoleLabel.LEADERSHIP)
     return leaders / len(team_labels)
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from teamroles import dataset, metrics, mlp
-from teamroles.cli import ARTIFACTS, DEFAULT_CONFIG, main
+from teamroles.cli import ARTIFACTS, DEFAULT_CONFIG, STAGES, main
 from teamroles.types import BinaryRole, FeatureVector
 
 
@@ -208,6 +208,63 @@ def test_rerun_stage_is_byte_identical(pipeline_dir):
 
 def test_missing_upstream_artifact_exit_code(tmp_path):
     assert run("split", "--output-dir", str(tmp_path)) == 3
+
+
+@pytest.mark.parametrize("keep", ["Support", None], ids=["support-only", "header-only"])
+def test_split_without_two_rows_of_each_class_exits_1(pipeline_dir, tmp_path, capsys, keep):
+    header, *rows = (pipeline_dir / "features.csv").read_text().splitlines(keepends=True)
+    kept = [row for row in rows if keep and row.rstrip("\r\n").endswith("," + keep)]
+    (tmp_path / "features.csv").write_text(header + "".join(kept))
+    capsys.readouterr()
+    assert run("split", "--output-dir", str(tmp_path)) == 1
+    assert capsys.readouterr().err == (
+        f"error: class {BinaryRole.LEADERSHIP} has fewer than 2 examples\n")
+    assert [path.name for path in tmp_path.iterdir()] == ["features.csv"]
+
+
+def declared_file(name: str) -> str:
+    """The file in the output dir that an input name of STAGES stands for."""
+    return ARTIFACTS["labels_rule" if name == "labels" else name]
+
+
+def only_declared_inputs(source: Path, tmp_path: Path, stage: str):
+    """An output dir holding a copy of each input STAGES declares for the stage,
+    nothing else, and the argv that runs the stage on it with the fixture cache."""
+    out = tmp_path / "out"
+    out.mkdir()
+    for name in STAGES[stage][2]:
+        shutil.copyfile(source / declared_file(name), out / declared_file(name))
+    shutil.copytree("tests/fixtures/cache", tmp_path / "cache")  # fetch writes its manifest
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"sampling": {"per_journal": 1}} if stage == "sample" else {}))
+    flags = ["--input", "tests/fixtures/corpus.csv"] if stage == "ingest" else []
+    return out, [stage, *flags, "--output-dir", str(out), "--cache-dir", str(tmp_path / "cache"),
+                 "--offline", "--config", str(config)]
+
+
+def files(directory: Path) -> dict:
+    return {path: path.read_bytes() for path in directory.rglob("*") if path.is_file()}
+
+
+@pytest.mark.parametrize("stage", list(STAGES))
+def test_every_stage_runs_on_its_declared_inputs_alone(pipeline_dir, tmp_path, stage):
+    out, argv = only_declared_inputs(pipeline_dir, tmp_path, stage)
+    assert run(*argv) == 0
+
+
+@pytest.mark.parametrize("stage, name", [
+    (stage, name) for stage, (_, _, inputs, _) in STAGES.items() for name in inputs
+])
+def test_every_declared_input_that_is_missing_exits_3(pipeline_dir, tmp_path, capsys, stage, name):
+    out, argv = only_declared_inputs(pipeline_dir, tmp_path, stage)
+    missing = out / declared_file(name)
+    missing.unlink()
+    before = files(out)
+    capsys.readouterr()
+    assert run(*argv) == 3
+    assert capsys.readouterr().err == (
+        f"missing upstream artifact: stage '{stage}' requires missing artifact: {missing}\n")
+    assert files(out) == before
 
 
 @pytest.fixture

@@ -20,7 +20,6 @@ from teamroles.cli import main
 from teamroles.errors import PipelineError
 from teamroles.explain import (
     Attribution,
-    EmptyBaselines,
     EmptyInput,
     TooManyFeatures,
     exact_shapley,
@@ -181,7 +180,7 @@ def test_exact_shapley_batch_is_mean_of_per_baseline_exact(
 
 def test_exact_shapley_batch_validations():
     model = random_network(3, seed=0)
-    with pytest.raises(EmptyBaselines):
+    with pytest.raises(EmptyInput, match="at least one baseline required"):
         exact_shapley_batch(model, np.zeros((2, 3)), [])
     with pytest.raises(EmptyInput):
         exact_shapley_batch(model, np.array([]), [np.zeros(3)])
@@ -553,7 +552,7 @@ def test_gradient_shap_deterministic_and_seed_sensitive():
 
 def test_gradient_shap_validations():
     model = small_model()
-    with pytest.raises(EmptyBaselines):
+    with pytest.raises(EmptyInput, match="at least one baseline required"):
         gradient_shap(model, np.zeros(10), [])
     with pytest.raises(ValueError):
         gradient_shap(model, np.zeros(10), [np.zeros(10)], n_samples=0)

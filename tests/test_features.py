@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from teamroles.errors import EmptyInput
 from teamroles.features import (
     InvalidFeatures,
     NormalizationRanges,
@@ -379,6 +380,11 @@ def test_fit_then_apply_maps_columns_onto_unit_interval():
     assert np.all(normalized >= 0.0) and np.all(normalized <= 1.0)
     assert np.allclose(normalized.min(axis=0), 0.0)
     assert np.allclose(normalized.max(axis=0), 1.0)
+
+
+def test_fit_normalization_on_an_empty_matrix_is_empty_input():
+    with pytest.raises(EmptyInput, match="cannot fit normalization on an empty matrix"):
+        fit_normalization(np.empty((0, len(FEATURE_NAMES))))
 
 
 def test_normalize_array_matches_scalar_path():

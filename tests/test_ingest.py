@@ -80,6 +80,24 @@ def test_json_lines_format(tmp_path):
     assert result.records[0].journal is Journal.PLOS_ONE
 
 
+@pytest.mark.parametrize("field, value, reason", [
+    ("year", 2010.7, "bad_year"),
+    ("year", 2010.0, "bad_year"),
+    ("year", True, "bad_year"),
+    ("author_position", 1.9, "bad_author_position"),
+    ("author_position", True, "bad_author_position"),
+])
+def test_json_lines_float_or_bool_integer_is_rejected(tmp_path, field, value, reason):
+    path = tmp_path / "corpus.jsonl"
+    row = {"paper_id": "W1", "journal": "PNAS", "year": 2010, "author_name": "Ann Lee",
+           "statement": "designed", "author_position": 2}
+    good = dict(row, paper_id="W2", year="2011", author_position="1")  # strings parse as in CSV
+    path.write_text(json.dumps(dict(row, **{field: value})) + "\n" + json.dumps(good) + "\n")
+    result = parse_corpus(CorpusFile(path=path, format="json-lines"))
+    assert [reject.reason for reject in result.rejects] == [reason]
+    assert [(rec.year, rec.author_position) for rec in result.records] == [(2011, 1)]
+
+
 def test_record_plus_reject_counts_conserved(tmp_path):
     file = write_csv(
         tmp_path,

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from teamroles.metrics import (
     EmptyInput,
-    EmptyTeam,
     LengthMismatch,
     classification_report,
     f1_score,
@@ -104,7 +103,7 @@ def test_l_ratio():
     assert l_ratio([L, D, I, D]) == 0.25
     assert l_ratio([L, L]) == 1.0
     assert l_ratio([D, I]) == 0.0
-    with pytest.raises(EmptyTeam):
+    with pytest.raises(EmptyInput, match="team has no members"):
         l_ratio([])
 
 
