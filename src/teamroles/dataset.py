@@ -21,8 +21,10 @@ from .types import FEATURE_NAMES, BinaryRole
 
 
 class ClassTooSmall(PipelineError):
-    def __init__(self, label):
-        super().__init__(f"class {label} has fewer than 2 examples")
+    """A class has fewer rows than a split (2) or a training set (1) needs."""
+
+    def __init__(self, label: BinaryRole, count: int, needed: int):
+        super().__init__(f"too few {label.value} rows: {count}, need {needed}")
         self.label = label
 
 
@@ -74,7 +76,8 @@ def stratified_split(
     seed: int,
     group_by_author: bool = False,
 ) -> SplitResult:
-    """Per-class split: the test partition gets round(ratio * class_count) rows.
+    """Per-class split: the test partition gets round(ratio * class_count) rows,
+    but at least 1 and at most class_count - 1, so each side holds every class.
 
     `ratio` is the test fraction. With group_by_author=True whole authors
     are assigned to one side, across classes, so no author has rows in
@@ -82,8 +85,8 @@ def stratified_split(
     Authors are visited in a seeded shuffle of their sorted ids, and an
     author goes to test while each class it has rows of is still below
     its test quota; since an author's rows move together, a class's test
-    count can miss round(ratio * class_count). Off by default to match the
-    plain row-level split.
+    count can fall short of its quota, down to no test row at all. Off by
+    default to match the plain row-level split.
     """
     check_ratio(ratio)
 
@@ -94,8 +97,9 @@ def stratified_split(
         by_class[label].append(i)
     for label, members in by_class.items():
         if len(members) < 2:
-            raise ClassTooSmall(label)
-    n_test = {label: math.floor(ratio * len(members) + 0.5) for label, members in by_class.items()}
+            raise ClassTooSmall(label, len(members), 2)
+    n_test = {label: min(max(math.floor(ratio * len(members) + 0.5), 1), len(members) - 1)
+              for label, members in by_class.items()}
 
     train: List[int] = []
     test: List[int] = []

@@ -44,11 +44,13 @@ MAX_EXACT_FEATURES = 16
 # Coalitions per pass through the network in exact_shapley_batch. Each
 # process allocates its buffers once per call, so their size maps no fresh
 # pages per block. With 64 and 32 hidden units and 10 features they hold
-# about 880 KiB: the two layer buffers 512 x 64 and 512 x 32 (256 and
+# about 1 MiB: the two layer buffers 512 x 64 and 512 x 32 (256 and
 # 128 KiB), one buffer of zeros that both ReLUs read (256 KiB; one per
-# layer grew the peak RSS by 0.2 MB more), and per baseline group the
-# first-layer rows (44 KiB), the reduced values, their flat index and the
-# expanded values (64, 64 and 72 KiB). With worker
+# layer grew the peak RSS by 0.2 MB more), the second layer's bias tiled
+# to 512 x 32 (128 KiB: numpy 2.4.6 adds it in about 5 us, a broadcast
+# row in about 11 us), and per baseline group the first-layer rows
+# (44 KiB), the reduced values, their flat index and the expanded values
+# (64, 64 and 72 KiB). With worker
 # processes on the fixture (2 CPUs, BENCH_18.json), 1024-row blocks gave
 # the same explain time within the noise (median 0.271 s against 0.273 s)
 # and grew the calling process's peak RSS by about 0.35 MB.
@@ -66,12 +68,6 @@ _TOKEN = np.dtype("<u4")
 _MAX_TOKENS = select.PIPE_BUF // _TOKEN.itemsize
 # Bytes a failed worker keeps of its exception's type and message.
 _MESSAGE_BYTES = 1024
-
-
-class TooManyFeatures(PipelineError):
-    def __init__(self, m: int):
-        super().__init__(f"exact enumeration limited to {MAX_EXACT_FEATURES} features, got {m}")
-        self.m = m
 
 
 class WorkerFailed(PipelineError):
@@ -134,7 +130,7 @@ def exact_shapley(
     baseline = np.asarray(baseline, dtype=float)
     m = len(x)
     if m > MAX_EXACT_FEATURES:
-        raise TooManyFeatures(m)
+        raise ValueError(f"exact enumeration limited to {MAX_EXACT_FEATURES} features, got {m}")
 
     # one evaluation per coalition bitmask
     hybrids = np.where(_coalitions(m).member[:, :m] == 1.0, x, baseline)
@@ -234,7 +230,7 @@ def exact_shapley_batch(
     bases = np.asarray(baselines, dtype=float)
     m = X.shape[1]
     if m > MAX_EXACT_FEATURES:
-        raise TooManyFeatures(m)
+        raise ValueError(f"exact enumeration limited to {MAX_EXACT_FEATURES} features, got {m}")
     _check_finite(X)
     _check_finite(bases)
 
@@ -279,6 +275,7 @@ def exact_shapley_batch(
         zeros = np.zeros(block * max(h1, h2))  # read by both ReLUs
         zeros1 = zeros[: block * h1].reshape(block, h1)
         zeros2 = zeros[: block * h2].reshape(block, h2)
+        b2 = np.tile(params.b2, (block, 1))
         for i in taken_rows():
             before_row()
             diffs = X[i] - bases
@@ -302,7 +299,7 @@ def exact_shapley_batch(
                         A1 = np.matmul(C, rows, out=Z1[: len(C)])
                         np.maximum(A1, zeros1[: len(C)], out=A1)
                         A2 = np.matmul(A1, W2, out=Z2[: len(C)])
-                        A2 += params.b2
+                        A2 += b2[: len(C)]
                         np.maximum(A2, zeros2[: len(C)], out=A2)
                         np.matmul(A2, params.W3, out=reduced[j, s : s + len(C)])
                 reduced[:n] += params.b3

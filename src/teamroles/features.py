@@ -30,7 +30,8 @@ log = logging.getLogger(__name__)
 
 
 class InvalidFeatures(PipelineError):
-    """A computed feature is not finite, is negative, or is a ratio above 1."""
+    """A computed feature or a model input is not finite, or a computed
+    feature is negative or a ratio above 1."""
 
 
 # per column: the largest valid value (1 for a ratio, no bound for a count)

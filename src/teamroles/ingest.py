@@ -33,12 +33,6 @@ from .types import (
 REQUIRED_FIELDS = ("paper_id", "journal", "year", "author_name", "statement")
 
 
-class MissingColumn(PipelineError):
-    def __init__(self, name: str):
-        super().__init__(f"missing required column: {name}")
-        self.name = name
-
-
 class InsufficientPapers(PipelineError):
     def __init__(self, journal: Journal, available: int, requested: int):
         super().__init__(
@@ -47,10 +41,6 @@ class InsufficientPapers(PipelineError):
         self.journal = journal
         self.available = available
         self.requested = requested
-
-
-class NonPositiveInput(PipelineError):
-    pass
 
 
 def _integer(value) -> int:
@@ -124,7 +114,7 @@ def parse_corpus(file: CorpusFile) -> ParseResult:
         if first:
             for name in REQUIRED_FIELDS:
                 if name not in row:
-                    raise MissingColumn(name)
+                    raise FormatError(file.path, lineno, f"field {name}: missing")
             first = False
 
         try:
@@ -234,7 +224,7 @@ def sample_papers(papers: List[PaperRecord], plan: SamplingPlan) -> List[PaperRe
 def expected_rows(journals: float, per_journal: float, avg_authors: float) -> float:
     """Expected labeled-row count for a sampling plan: journals x entries x mean team size."""
     if journals <= 0 or per_journal <= 0 or avg_authors <= 0:
-        raise NonPositiveInput("all sizing inputs must be positive")
+        raise ValueError("all sizing inputs must be positive")
     return journals * per_journal * avg_authors
 
 

@@ -11,12 +11,8 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, List, Sequence, Tuple
 
 from . import artifacts
-from .errors import EmptyInput, PipelineError
+from .errors import EmptyInput
 from .types import ROLE_ORDER, RoleLabel
-
-
-class LengthMismatch(PipelineError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -49,7 +45,7 @@ def classification_report(
     gold: Sequence, predicted: Sequence, labels: Sequence = None
 ) -> ClassificationReport:
     if len(gold) != len(predicted):
-        raise LengthMismatch(f"{len(gold)} gold vs {len(predicted)} predicted")
+        raise ValueError(f"{len(gold)} gold vs {len(predicted)} predicted")
     if not gold:
         raise EmptyInput("no examples to score")
     if labels is None:

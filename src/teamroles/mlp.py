@@ -23,20 +23,11 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import artifacts
-from .dataset import FeatureTable
-from .errors import PipelineError
-from .features import NormalizationRanges, fit_normalization, normalize_array
+from .dataset import ClassTooSmall, FeatureTable
+from .features import InvalidFeatures, NormalizationRanges, fit_normalization, normalize_array
 from .types import FEATURE_NAMES, BinaryRole, FeatureVector
 
 _EPS = 1e-12
-
-
-class NonFiniteInput(PipelineError):
-    pass
-
-
-class DegenerateTrainingSet(PipelineError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -113,10 +104,10 @@ def init(config: TrainConfig) -> NetworkParams:
 
 # np.clip and np.sum go through Python-level dispatch that costs more than
 # the arithmetic on a 32-row batch; np.maximum with np.minimum clips, and
-# np.add.reduce sums, to the same bits.
+# np.add.reduce sums, to the same bits. The sigmoid clips z only below, where
+# exp(-z) would overflow: above 500, 1 + exp(-z) is 1.0 unclipped too.
 def _sigmoid(z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     s = np.maximum(z, -500.0, out=out)
-    np.minimum(s, 500.0, out=s)
     np.negative(s, out=s)
     np.exp(s, out=s)
     s += 1.0
@@ -131,10 +122,10 @@ def _probability(z3: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray
 
 
 def _check_finite(X) -> np.ndarray:
-    """X as a float array, or NonFiniteInput if it holds NaN or infinity."""
+    """X as a float array, or InvalidFeatures if it holds NaN or infinity."""
     X = np.asarray(X, dtype=float)
     if not np.all(np.isfinite(X)):
-        raise NonFiniteInput("input matrix contains NaN or infinity")
+        raise InvalidFeatures("input matrix contains NaN or infinity")
     return X
 
 
@@ -209,8 +200,9 @@ def train(table: FeatureTable, config: TrainConfig = TrainConfig()) -> TrainedMo
     epoch each batch's weighted mean BCE is taken from them, batch by
     batch; the epoch's loss is their row-weighted mean.
     """
-    if len(set(table.labels)) < 2:
-        raise DegenerateTrainingSet("training set must contain both classes")
+    for label in BinaryRole:
+        if label not in table.labels:
+            raise ClassTooSmall(label, 0, 1)
 
     ranges = fit_normalization(table.X)
     X = _inputs(table.X, ranges, config.feature_indices)

@@ -39,14 +39,6 @@ MAX_REQUESTS_PER_SECOND = 8.0
 log = logging.getLogger(__name__)
 
 
-class NotFound(PipelineError):
-    pass
-
-
-class RateLimited(PipelineError):
-    pass
-
-
 class OfflineCacheMiss(PipelineError):
     pass
 
@@ -91,20 +83,14 @@ class TokenBucket:
         self.rate = rate
         self.clock = clock
         self.sleep = sleep
-        self._tokens = 1.0
-        self._last = clock()
+        self._next = clock()  # when the next acquisition may go through
         self._lock = threading.Lock()
 
     def acquire(self) -> None:
         with self._lock:
-            while True:
-                now = self.clock()
-                self._tokens = min(1.0, self._tokens + (now - self._last) * self.rate)
-                self._last = now
-                if self._tokens >= 1.0:
-                    self._tokens -= 1.0
-                    return
-                self.sleep((1.0 - self._tokens) / self.rate)
+            while (wait := self._next - self.clock()) > 0:
+                self.sleep(wait)
+            self._next = self.clock() + 1.0 / self.rate
 
 
 def _cache_entry(entry: dict) -> Tuple[str, str]:
@@ -406,13 +392,9 @@ class OpenAlexClient:
             except requests.RequestException as exc:
                 raise FetchFailed(f"{key}: {exc}") from exc
             status = resp.status_code
-            if status == 404:
-                raise NotFound(key)
             if (status == 429 or status >= 500) and attempt < 2:
                 self.limiter.sleep(2.0 * (attempt + 1))
                 continue
-            if status == 429:
-                raise RateLimited(key)
             if not 200 <= status < 300:
                 raise FetchFailed(f"{key}: HTTP {status}")
             data = _parse_body(resp.text)

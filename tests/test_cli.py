@@ -217,9 +217,39 @@ def test_split_without_two_rows_of_each_class_exits_1(pipeline_dir, tmp_path, ca
     (tmp_path / "features.csv").write_text(header + "".join(kept))
     capsys.readouterr()
     assert run("split", "--output-dir", str(tmp_path)) == 1
-    assert capsys.readouterr().err == (
-        f"error: class {BinaryRole.LEADERSHIP} has fewer than 2 examples\n")
+    assert capsys.readouterr().err == "error: too few Leadership rows: 0, need 2\n"
     assert [path.name for path in tmp_path.iterdir()] == ["features.csv"]
+
+
+def lines_of(path: Path, label: str):
+    """The header line of a feature CSV and its row lines of one label."""
+    header, *rows = path.read_text().splitlines(keepends=True)
+    return header, [row for row in rows if row.rstrip("\r\n").endswith("," + label)]
+
+
+def test_split_gives_each_side_a_row_of_a_class_of_two(pipeline_dir, tmp_path):
+    header, lead = lines_of(pipeline_dir / "features.csv", "Leadership")
+    _, support = lines_of(pipeline_dir / "features.csv", "Support")
+    (tmp_path / "features.csv").write_text(header + "".join(lead[:2] + support))
+    assert run("split", "--output-dir", str(tmp_path)) == 0
+    counts = json.loads((tmp_path / "split_manifest.json").read_text())["counts"]
+    assert counts["train"]["Leadership"] == counts["test"]["Leadership"] == 1
+
+
+def test_train_on_one_class_exits_1(pipeline_dir, tmp_path, capsys):
+    header, support = lines_of(pipeline_dir / "train.csv", "Support")
+    (tmp_path / "train.csv").write_text(header + "".join(support))
+    capsys.readouterr()
+    assert run("train", "--output-dir", str(tmp_path)) == 1
+    assert capsys.readouterr().err == "error: too few Leadership rows: 0, need 1\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["train.csv"]
+
+
+def test_ingest_without_a_required_column_names_the_file_and_line(tmp_path, capsys):
+    corpus = tmp_path / "corpus.csv"
+    corpus.write_text("paper_id,journal,year,author_name\nW1,PNAS,2010,Ann Lee\n")
+    assert run("ingest", "--input", str(corpus), "--output-dir", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err == f"error: {corpus} line 2: field statement: missing\n"
 
 
 def declared_file(name: str) -> str:

@@ -128,7 +128,8 @@ def test_split_properties(n_lead, n_support, ratio, seed):
     assert ids == sorted(examples.paper_ids)
     for label, total in ((BinaryRole.LEADERSHIP, n_lead), (BinaryRole.SUPPORT, n_support)):
         got = result.test.labels.count(label)
-        assert got == math.floor(ratio * total + 0.5)
+        assert got == min(max(math.floor(ratio * total + 0.5), 1), total - 1)
+        assert 0 < got < total
 
 
 def split_reference(rows, ratio, seed, group_by_author):
@@ -138,7 +139,8 @@ def split_reference(rows, ratio, seed, group_by_author):
     by_class = {}
     for row in rows:
         by_class.setdefault(row[3], []).append(row)
-    n_test = {label: math.floor(ratio * len(members) + 0.5) for label, members in by_class.items()}
+    n_test = {label: min(max(math.floor(ratio * len(members) + 0.5), 1), len(members) - 1)
+              for label, members in by_class.items()}
     train, test = [], []
     if group_by_author:
         groups = {}

@@ -21,7 +21,6 @@ from teamroles.errors import PipelineError
 from teamroles.explain import (
     Attribution,
     EmptyInput,
-    TooManyFeatures,
     exact_shapley,
     exact_shapley_batch,
     gradient_shap,
@@ -30,8 +29,8 @@ from teamroles.explain import (
     write_summary,
     write_summary_svg,
 )
-from teamroles.features import NormalizationRanges
-from teamroles.mlp import NonFiniteInput, TrainConfig, TrainedModel, forward, init, train
+from teamroles.features import InvalidFeatures, NormalizationRanges
+from teamroles.mlp import TrainConfig, TrainedModel, forward, init, train
 from teamroles.types import FEATURE_NAMES, BinaryRole
 
 
@@ -123,7 +122,7 @@ def test_exact_shapley_identical_point_and_baseline():
 
 
 def test_exact_shapley_too_many_features():
-    with pytest.raises(TooManyFeatures):
+    with pytest.raises(ValueError, match="limited to 16 features, got 17"):
         exact_shapley(lambda v: 0.0, np.zeros(17), np.zeros(17))
 
 
@@ -184,11 +183,11 @@ def test_exact_shapley_batch_validations():
         exact_shapley_batch(model, np.zeros((2, 3)), [])
     with pytest.raises(EmptyInput):
         exact_shapley_batch(model, np.array([]), [np.zeros(3)])
-    with pytest.raises(TooManyFeatures):
+    with pytest.raises(ValueError, match="limited to 16 features, got 17"):
         exact_shapley_batch(model, np.zeros((1, 17)), [np.zeros(17)])
     X = np.zeros((2, 3))
     X[1, 2] = np.nan
-    with pytest.raises(NonFiniteInput):
+    with pytest.raises(InvalidFeatures):
         exact_shapley_batch(model, X, [np.zeros(3)])
 
 
@@ -379,18 +378,24 @@ def test_exact_shapley_batch_raises_what_a_worker_process_raised(
 
 @pytest.mark.parametrize("workers_do", ["hang", "raise", "work"])
 def test_the_parent_raises_its_own_error_and_its_workers_are_killed(
-    fixture_explain, monkeypatch, forks, row_log, workers_do
+    fixture_explain, monkeypatch, forks, row_log, workers_do, tmp_path
 ):
     model, X, baselines = fixture_explain
     parent = os.getpid()
+    busy = tmp_path / "parent-busy"
 
     def hook():
         if os.getpid() == parent:
+            busy.touch()
             time.sleep(0.05)  # the workers take their first rows meanwhile
             raise KeyError("parent")
         if workers_do == "hang":
             time.sleep(10)
         elif workers_do == "raise":
+            # only once the parent is in its first row: a worker that fails
+            # before it is reported as WorkerFailed (the test above)
+            while not busy.exists():
+                time.sleep(0.001)
             raise MemoryError("worker process")
 
     row_log.hook = hook
@@ -502,7 +507,7 @@ def test_exact_shapley_batch_checks_the_baselines(fixture_explain):
     for bad in (np.nan, np.inf):
         spoilt = [b.copy() for b in baselines]
         spoilt[2][3] = bad
-        with pytest.raises(NonFiniteInput):
+        with pytest.raises(InvalidFeatures):
             exact_shapley_batch(model, X, spoilt)
 
 

@@ -5,9 +5,8 @@ import pytest
 from teamroles.ingest import (
     CorpusFile,
     FileUnreadable,
+    FormatError,
     InsufficientPapers,
-    MissingColumn,
-    NonPositiveInput,
     SamplingPlan,
     expected_rows,
     group_papers,
@@ -56,9 +55,9 @@ def test_year_out_of_range_rejected(tmp_path):
 def test_missing_column(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("paper_id,journal,year,author_name\nW1,PNAS,2010,Ann Lee\n")
-    with pytest.raises(MissingColumn) as excinfo:
+    with pytest.raises(FormatError, match="line 2: field statement: missing$") as excinfo:
         parse_corpus(CorpusFile(path=path))
-    assert excinfo.value.name == "statement"
+    assert (excinfo.value.path, excinfo.value.line) == (path, 2)
 
 
 def test_unreadable_file(tmp_path):
@@ -183,7 +182,7 @@ def test_expected_rows():
     assert expected_rows(4, 250, 5) == 5000
     assert expected_rows(1, 1, 1) == 1
     assert expected_rows(4, 500, 5) == 10000
-    with pytest.raises(NonPositiveInput):
+    with pytest.raises(ValueError):
         expected_rows(0, 250, 5)
 
 

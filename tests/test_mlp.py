@@ -8,11 +8,9 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import feature_table
 from teamroles.cli import main
-from teamroles.dataset import read_examples
-from teamroles.features import fit_normalization, normalize_array
+from teamroles.dataset import ClassTooSmall, read_examples
+from teamroles.features import InvalidFeatures, fit_normalization, normalize_array
 from teamroles.mlp import (
-    DegenerateTrainingSet,
-    NonFiniteInput,
     TrainConfig,
     TrainedModel,
     forward,
@@ -75,9 +73,9 @@ def test_forward_rejects_non_finite():
     for bad in (np.nan, np.inf, -np.inf):
         x = np.zeros(10)
         x[3] = bad
-        with pytest.raises(NonFiniteInput):
+        with pytest.raises(InvalidFeatures):
             forward(params, x)
-        with pytest.raises(NonFiniteInput):
+        with pytest.raises(InvalidFeatures):
             input_gradient_batch(params, x[None, :])[0]
 
 
@@ -86,7 +84,7 @@ def test_forward_batch_rejects_non_finite():
     for bad in (np.nan, np.inf, -np.inf):
         X = np.zeros((4, 10))
         X[2, 3] = bad
-        with pytest.raises(NonFiniteInput):
+        with pytest.raises(InvalidFeatures):
             forward_batch(params, X)
 
 
@@ -131,7 +129,7 @@ def test_train_rejects_single_class():
     examples = feature_table(
         (f"A{i}", f"W{i}", [0.0] * 4 + [float(i)] * 6, BinaryRole.SUPPORT) for i in range(10)
     )
-    with pytest.raises(DegenerateTrainingSet):
+    with pytest.raises(ClassTooSmall, match="^too few Leadership rows: 0, need 1$"):
         train(examples)
 
 

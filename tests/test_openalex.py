@@ -534,6 +534,17 @@ def test_server_errors_are_retried(online):
     assert client.cache.get("works", f"{BASE}/works/W2") is None
 
 
+# a 404 fails at once, a 429 after two retries
+@pytest.mark.parametrize("status, slept", [(404, []), (429, [2.0, 4.0])])
+def test_not_found_and_rate_limited_fail_with_their_status(online, status, slept):
+    client, replies, calls, sleeps = online
+    replies += [FakeResponse(status)] * (len(slept) + 1)
+    with pytest.raises(FetchFailed, match=rf"/works/W1: HTTP {status}$"):
+        client.fetch_work("W1")
+    assert len(calls) == len(slept) + 1 and sleeps == slept
+    assert client.cache.get("works", f"{BASE}/works/W1") is None
+
+
 def test_non_json_body_is_not_cached(online, tmp_path):
     client, replies, calls, _ = online
     replies += [FakeResponse(200, "<html>gateway</html>"), FakeResponse(200, "[1]")]
