@@ -39,24 +39,6 @@ DEFAULT_CONFIG = {
     "explain": {"n_baseline_samples": 32, "svg": False},
 }
 
-ARTIFACTS = {
-    "corpus": "corpus.jsonl",
-    "rejects": "rejects.jsonl",
-    "sampled": "corpus_sampled.jsonl",
-    "labels_rule": "labels_rule.jsonl",
-    "labels_llm": "labels_llm.jsonl",
-    "features": "features.csv",
-    "train": "train.csv",
-    "test": "test.csv",
-    "split_manifest": "split_manifest.json",
-    "model": "model.json",
-    "metrics": "metrics.json",
-    "metrics_text": "metrics.txt",
-    "attributions": "attributions.csv",
-    "shap_summary": "shap_summary.csv",
-    "lratio": "lratio.csv",
-}
-
 
 def load_config(args) -> dict:
     config = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
@@ -131,10 +113,6 @@ def _seed(config: dict) -> int:
     return seed
 
 
-def _out(config: dict, key: str) -> Path:
-    return Path(config["output_dir"]) / ARTIFACTS[key]
-
-
 def _client(config: dict):
     from . import openalex
 
@@ -143,14 +121,6 @@ def _client(config: dict):
     return openalex.OpenAlexClient(openalex.ClientConfig(
         mailto=config["mailto"], cache_dir=Path(config["cache_dir"]), offline=config["offline"]
     ))
-
-
-def _input(args, config: dict, name: str) -> Path:
-    """The path of a stage input that STAGES names: an ARTIFACTS key, or "labels",
-    which is --labels if given, else labels_rule.jsonl."""
-    if name == "labels":
-        return Path(args.labels) if args.labels else _out(config, "labels_rule")
-    return _out(config, name)
 
 
 def _read_labels(path: Path) -> dict:
@@ -163,36 +133,36 @@ def _read_labels(path: Path) -> dict:
     return labels
 
 
-def cmd_ingest(args, config) -> None:
+def cmd_ingest(args, config, corpus, rejects) -> None:
     from . import ingest
 
     corpus_file = ingest.CorpusFile(
         path=Path(args.input), format=args.format, delimiter=args.delimiter
     )
     result = ingest.parse_corpus(corpus_file)
-    ingest.write_corpus(result.records, _out(config, "corpus"))
-    ingest.write_rejects(result.rejects, _out(config, "rejects"))
+    ingest.write_corpus(result.records, corpus)
+    ingest.write_rejects(result.rejects, rejects)
     print(f"ingest: {len(result.records)} records, {len(result.rejects)} rejects")
 
 
-def cmd_sample(args, config) -> None:
+def cmd_sample(args, config, corpus, sampled) -> None:
     from . import ingest
 
-    records = ingest.read_corpus(_out(config, "corpus"))
+    records = ingest.read_corpus(corpus)
     papers = ingest.group_papers(records)
     with _config_values("sampling"):
         plan = ingest.SamplingPlan(**config["sampling"], seed=_seed(config))
     selected = ingest.sample_papers(papers, plan)
     rows = [rec for paper in selected for rec in paper.authors]
-    ingest.write_corpus(rows, _out(config, "sampled"))
+    ingest.write_corpus(rows, sampled)
     print(f"sample: {len(selected)} papers, {len(rows)} rows")
 
 
-def cmd_label_rule(args, config) -> None:
+def cmd_label_rule(args, config, corpus, labels) -> None:
     from . import ingest, llm
     from .rules import NoKeywordMatch, classify_statement
 
-    records = ingest.read_corpus(_out(config, "corpus"))
+    records = ingest.read_corpus(corpus)
     outcomes = []
     for rec in records:
         try:
@@ -200,15 +170,15 @@ def cmd_label_rule(args, config) -> None:
             outcomes.append(llm.BatchOutcome(rec.record_id, label, None, None))
         except NoKeywordMatch as exc:
             outcomes.append(llm.BatchOutcome(rec.record_id, None, f"NoKeywordMatch: {exc}", None))
-    llm.write_outcomes(outcomes, _out(config, "labels_rule"))
+    llm.write_outcomes(outcomes, labels)
     labeled = sum(1 for o in outcomes if o.ok)
     print(f"label-rule: {labeled}/{len(outcomes)} labeled")
 
 
-def cmd_label_llm(args, config) -> None:
+def cmd_label_llm(args, config, corpus, labels) -> None:
     from . import ingest, llm
 
-    records = ingest.read_corpus(_out(config, "corpus"))
+    records = ingest.read_corpus(corpus)
     with _config_values("backend"):
         backend_cfg = llm.BackendConfig(**config["backend"])
     if args.backend == "http":
@@ -216,7 +186,7 @@ def cmd_label_llm(args, config) -> None:
     else:
         backend = llm.MockBackend()
     outcomes = llm.classify_batch(records, backend, config=backend_cfg)
-    llm.write_outcomes(outcomes, _out(config, "labels_llm"))
+    llm.write_outcomes(outcomes, labels)
     labeled = sum(1 for o in outcomes if o.ok)
     print(f"label-llm: {labeled}/{len(outcomes)} labeled via {args.backend}")
 
@@ -266,10 +236,10 @@ def _author_profiles(client, records, wanted, skip):
         yield profile, group
 
 
-def cmd_fetch(args, config) -> None:
+def cmd_fetch(args, config, corpus) -> None:
     from . import ingest
 
-    records = ingest.read_corpus(_out(config, "corpus"))
+    records = ingest.read_corpus(corpus)
     client = _client(config)
     fetched, failed = 0, 0
 
@@ -284,14 +254,14 @@ def cmd_fetch(args, config) -> None:
     print(f"fetch: {fetched} profiles, {failed} failures")
 
 
-def cmd_featurize(args, config) -> None:
+def cmd_featurize(args, config, corpus, labels_file, features_file) -> None:
     import numpy as np
 
     from . import dataset, features, ingest
     from .types import FEATURE_NAMES, to_binary
 
-    records = ingest.read_corpus(_out(config, "corpus"))
-    labels = _read_labels(_input(args, config, "labels"))
+    records = ingest.read_corpus(corpus)
+    labels = _read_labels(labels_file)
     client = _client(config)
 
     def skip(rows, exc):
@@ -317,15 +287,15 @@ def cmd_featurize(args, config) -> None:
         X[[row[2] for row in kept]],
         tuple(row[3] for row in kept),
     )
-    dataset.write_examples(table, _out(config, "features"))
+    dataset.write_examples(table, features_file)
     # a record without a label, or one that skip() saw, has no example
     print(f"featurize: {len(table)} examples, {len(records) - len(table)} skipped")
 
 
-def cmd_split(args, config) -> None:
+def cmd_split(args, config, features, train, test, manifest) -> None:
     from . import dataset
 
-    table = dataset.read_examples(_out(config, "features"))
+    table = dataset.read_examples(features)
     with _config_values("split_ratio"):
         ratio = dataset.check_ratio(config["split_ratio"])
     result = dataset.stratified_split(
@@ -334,16 +304,16 @@ def cmd_split(args, config) -> None:
         seed=_seed(config),
         group_by_author=bool(args.group_by_author),
     )
-    dataset.write_examples(result.train, _out(config, "train"))
-    dataset.write_examples(result.test, _out(config, "test"))
-    dataset.write_split_manifest(result, _out(config, "split_manifest"))
+    dataset.write_examples(result.train, train)
+    dataset.write_examples(result.test, test)
+    dataset.write_split_manifest(result, manifest)
     print(f"split: {len(result.train)} train, {len(result.test)} test")
 
 
-def cmd_train(args, config) -> None:
+def cmd_train(args, config, train, model_file) -> None:
     from . import dataset, mlp
 
-    table = dataset.read_examples(_out(config, "train"))
+    table = dataset.read_examples(train)
     settings = config["train"]
     with _config_values("train"):
         train_cfg = mlp.TrainConfig(**{
@@ -353,31 +323,31 @@ def cmd_train(args, config) -> None:
             "hidden_sizes": tuple(settings["hidden_sizes"]),
         }, seed=_seed(config))
     model = mlp.train(table, train_cfg)
-    mlp.save_model(model, _out(config, "model"))
+    mlp.save_model(model, model_file)
     print(f"train: {len(table)} examples, final loss {model.loss_history[-1]:.4f}")
 
 
-def cmd_evaluate(args, config) -> None:
+def cmd_evaluate(args, config, model_file, test, metrics_file, metrics_text) -> None:
     from . import dataset, metrics, mlp
     from .types import BinaryRole
 
-    model = mlp.load_model(_out(config, "model"))
-    table = dataset.read_examples(_out(config, "test"))
+    model = mlp.load_model(model_file)
+    table = dataset.read_examples(test)
     predicted = mlp.predict_batch(model, mlp.model_inputs(model, table.X))
     report = metrics.classification_report(list(table.labels), predicted, labels=list(BinaryRole))
-    metrics.save_report(report, _out(config, "metrics"))
-    artifacts.write_text(_out(config, "metrics_text"), metrics.report_to_text(report) + "\n")
+    metrics.save_report(report, metrics_file)
+    artifacts.write_text(metrics_text, metrics.report_to_text(report) + "\n")
     print(f"evaluate: macro F1 {report.macro_f1:.3f} on {len(table)} test examples")
 
 
-def cmd_explain(args, config) -> None:
+def cmd_explain(args, config, model_file, train, test, attributions_file, summary, svg) -> None:
     import numpy as np
 
     from . import dataset, explain, mlp
 
-    model = mlp.load_model(_out(config, "model"))
-    train_table = dataset.read_examples(_out(config, "train"))
-    test_table = dataset.read_examples(_out(config, "test"))
+    model = mlp.load_model(model_file)
+    train_table = dataset.read_examples(train)
+    test_table = dataset.read_examples(test)
 
     rng = np.random.default_rng(_seed(config))
     n_samples = config["explain"]["n_baseline_samples"]
@@ -393,19 +363,19 @@ def cmd_explain(args, config) -> None:
     attributions = explain.exact_shapley_batch(model, X, baselines)
     ids = [f"{paper}:{author}"
            for paper, author in zip(test_table.paper_ids, test_table.author_ids)]
-    explain.write_attributions(attributions, ids, model.input_names, _out(config, "attributions"))
+    explain.write_attributions(attributions, ids, model.input_names, attributions_file)
     rows = explain.shap_summary(attributions, model.input_names)
-    explain.write_summary(rows, _out(config, "shap_summary"))
+    explain.write_summary(rows, summary)
     if config["explain"]["svg"]:
-        explain.write_summary_svg(rows, Path(config["output_dir"]) / "shap_summary.svg")
+        explain.write_summary_svg(rows, svg)
     print(f"explain: {len(attributions)} attributions, top feature {rows[0].feature}")
 
 
-def cmd_lratio(args, config) -> None:
+def cmd_lratio(args, config, corpus, labels_file, lratio) -> None:
     from . import ingest, metrics
 
-    records = ingest.read_corpus(_out(config, "corpus"))
-    labels = _read_labels(_input(args, config, "labels"))
+    records = ingest.read_corpus(corpus)
+    labels = _read_labels(labels_file)
 
     teams = {}
     for rec in records:
@@ -413,22 +383,19 @@ def cmd_lratio(args, config) -> None:
         if label is not None:
             teams.setdefault(rec.paper_id, []).append(label)
     rows = ([pid, len(team), repr(metrics.l_ratio(team))] for pid, team in sorted(teams.items()))
-    artifacts.write_csv(_out(config, "lratio"), ["paper_id", "team_size", "l_ratio"], rows)
+    artifacts.write_csv(lratio, ["paper_id", "team_size", "l_ratio"], rows)
     print(f"lratio: {len(teams)} papers")
 
 
-def cmd_report(args, config) -> None:
+def cmd_report(args, config, metrics_file, summary, labels_file, report_dir) -> None:
     from . import metrics
 
     # every input is read and checked before report/ is touched, so a run that
     # fails leaves the previous report whole
-    copies = {}
-    for key in ("metrics", "shap_summary"):
-        copies[ARTIFACTS[key]] = artifacts.read_text(_out(config, key))
-    labels = _read_labels(_input(args, config, "labels"))
+    copies = {path.name: artifacts.read_text(path) for path in (metrics_file, summary)}
+    labels = _read_labels(labels_file)
     distribution = metrics.label_distribution(list(labels.values()))
 
-    report_dir = Path(config["output_dir"]) / "report"
     artifacts.make_dir(report_dir)
     for name, text in copies.items():
         artifacts.write_text(report_dir / name, text)
@@ -437,44 +404,59 @@ def cmd_report(args, config) -> None:
     print(f"report: written to {report_dir}")
 
 
-_LABELS = ("--labels", {"help": "labels file (default labels_rule.jsonl)"})
+RULE_LABELS = "labels_rule.jsonl"
 
-# stage name -> (handler, help, the inputs main checks for before the handler runs
-# (see _input), stage-specific arguments as (flag, add_argument kwargs))
+# stage name -> (handler, help, the files it reads, the files it writes, stage-specific
+# arguments as (flag, add_argument kwargs)). A file is named as it is in --output-dir,
+# except "labels": --labels if given, else RULE_LABELS. main checks that the files read
+# exist, then calls handler(args, config, *paths): the path of each file read and then
+# of each written, in this order.
 STAGES = {
-    "ingest": (cmd_ingest, "parse a raw corpus into canonical JSON-lines", (), [
+    "ingest": (cmd_ingest, "parse a raw corpus into canonical JSON-lines", (),
+               ("corpus.jsonl", "rejects.jsonl"), [
         ("--input", {"required": True}),
         ("--format", {"choices": ["delimited-table", "json-lines"], "default": "delimited-table"}),
         ("--delimiter", {"default": ","}),
     ]),
-    "sample": (cmd_sample, "journal-stratified paper sampling", ("corpus",), []),
-    "label-rule": (cmd_label_rule, "keyword-hierarchy labeling", ("corpus",), []),
-    "label-llm": (cmd_label_llm, "few-shot chat-backend labeling", ("corpus",), [
+    "sample": (cmd_sample, "journal-stratified paper sampling", ("corpus.jsonl",),
+               ("corpus_sampled.jsonl",), []),
+    "label-rule": (cmd_label_rule, "keyword-hierarchy labeling", ("corpus.jsonl",),
+                   (RULE_LABELS,), []),
+    "label-llm": (cmd_label_llm, "few-shot chat-backend labeling", ("corpus.jsonl",),
+                  ("labels_llm.jsonl",), [
         ("--backend", {"choices": ["mock", "http"], "default": "mock"}),
     ]),
-    "fetch": (cmd_fetch, "warm the metadata cache for the corpus", ("corpus",), []),
+    # fetch writes only the cache manifest, in --cache-dir
+    "fetch": (cmd_fetch, "warm the metadata cache for the corpus", ("corpus.jsonl",), (), []),
     "featurize": (cmd_featurize, "compute the ten features per labeled record",
-                  ("corpus", "labels"), [_LABELS]),
-    "split": (cmd_split, "stratified train/test split", ("features",), [
+                  ("corpus.jsonl", "labels"), ("features.csv",), []),
+    "split": (cmd_split, "stratified train/test split", ("features.csv",),
+              ("train.csv", "test.csv", "split_manifest.json"), [
         ("--group-by-author", {"action": "store_true"}),
     ]),
-    "train": (cmd_train, "train the dense network", ("train",), []),
-    "evaluate": (cmd_evaluate, "score the model on the test partition", ("model", "test"), []),
+    "train": (cmd_train, "train the dense network", ("train.csv",), ("model.json",), []),
+    "evaluate": (cmd_evaluate, "score the model on the test partition",
+                 ("model.json", "test.csv"), ("metrics.json", "metrics.txt"), []),
+    # shap_summary.svg is written only with explain.svg on
     "explain": (cmd_explain, "exact Shapley attributions for test examples",
-                ("model", "train", "test"), []),
-    "lratio": (cmd_lratio, "per-paper leadership ratio", ("corpus", "labels"), [_LABELS]),
+                ("model.json", "train.csv", "test.csv"),
+                ("attributions.csv", "shap_summary.csv", "shap_summary.svg"), []),
+    "lratio": (cmd_lratio, "per-paper leadership ratio", ("corpus.jsonl", "labels"),
+               ("lratio.csv",), []),
     "report": (cmd_report, "aggregate metrics, distribution, and attributions",
-               ("metrics", "shap_summary", "labels"), [_LABELS]),
+               ("metrics.json", "shap_summary.csv", "labels"), ("report",), []),
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="teamroles", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, _, arguments) in STAGES.items():
+    for name, (_, help_text, reads, _, arguments) in STAGES.items():
         p = sub.add_parser(name, help=help_text)
         for flag, kwargs in arguments:
             p.add_argument(flag, **kwargs)
+        if "labels" in reads:
+            p.add_argument("--labels", help=f"labels file (default {RULE_LABELS})")
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--output-dir", dest="output_dir", help="artifact directory")
         p.add_argument("--cache-dir", dest="cache_dir", help="metadata cache directory")
@@ -489,12 +471,14 @@ def main(argv=None) -> int:
         config = load_config(args)
         out_dir = Path(config["output_dir"])
         artifacts.make_dir(out_dir)
-        handler, _, inputs, _ = STAGES[args.command]
-        for name in inputs:
-            path = _input(args, config, name)
-            if not path.exists():
-                raise UpstreamArtifactMissing(args.command, str(path))
-        handler(args, config)
+        handler, _, reads, writes, _ = STAGES[args.command]
+        paths = {name: out_dir / name for name in reads + writes}
+        if "labels" in paths:
+            paths["labels"] = Path(args.labels) if args.labels else out_dir / RULE_LABELS
+        for name in reads:
+            if not paths[name].exists():
+                raise UpstreamArtifactMissing(args.command, str(paths[name]))
+        handler(args, config, *paths.values())
         # only now: a stage that stops on a setting leaves the previous run's record
         artifacts.write_json(out_dir / "config_used.json", {"schema_version": 1, **config})
         return 0

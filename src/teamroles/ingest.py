@@ -31,6 +31,8 @@ from .types import (
 )
 
 REQUIRED_FIELDS = ("paper_id", "journal", "year", "author_name", "statement")
+# a JSON value of another type (null, a number) is a bad_<field> reject, not its repr
+TEXT_FIELDS = ("paper_id", "author_name", "statement")
 
 
 class InsufficientPapers(PipelineError):
@@ -87,6 +89,13 @@ class ParseResult:
     rejects: List[Reject]
 
 
+def _check_fields(path, line: int, fields) -> None:
+    """FormatError naming the first required field that `fields` lacks."""
+    for name in REQUIRED_FIELDS:
+        if name not in fields:
+            raise FormatError(path, line, f"field {name}: missing")
+
+
 def _truthy(value) -> bool:
     if isinstance(value, bool):
         return value
@@ -109,14 +118,12 @@ def parse_corpus(file: CorpusFile) -> ParseResult:
         rows = artifacts.read_jsonl(file.path)
     else:
         rows = artifacts.read_csv(file.path, delimiter=file.delimiter)
-    first = True
     for lineno, row in rows:
-        if first:
-            for name in REQUIRED_FIELDS:
-                if name not in row:
-                    raise FormatError(file.path, lineno, f"field {name}: missing")
-            first = False
-
+        _check_fields(file.path, lineno, row)
+        bad = [name for name in TEXT_FIELDS if not isinstance(row[name], str)]
+        if bad:
+            rejects.append(Reject(lineno, row, f"bad_{bad[0]}"))
+            continue
         try:
             journal = parse_journal(str(row["journal"]))
         except UnknownJournal:
@@ -130,12 +137,12 @@ def parse_corpus(file: CorpusFile) -> ParseResult:
         if not (CORPUS_YEAR_MIN <= year <= CORPUS_YEAR_MAX):
             rejects.append(Reject(lineno, row, "year_out_of_range"))
             continue
-        statement = str(row["statement"]).strip()
+        statement = row["statement"].strip()
         if not statement:
             rejects.append(Reject(lineno, row, "empty_statement"))
             continue
 
-        paper_id = str(row["paper_id"])
+        paper_id = row["paper_id"]
         if row.get("author_position") not in (None, ""):
             try:
                 position = _integer(row["author_position"])
@@ -166,13 +173,16 @@ def parse_corpus(file: CorpusFile) -> ParseResult:
                 paper_id=paper_id,
                 journal=journal,
                 year=year,
-                author_name=str(row["author_name"]).strip(),
+                author_name=row["author_name"].strip(),
                 author_position=position,
                 is_corresponding=_truthy(row.get("is_corresponding", False)),
                 statement=statement,
                 gold_role=gold_role,
             )
         )
+    if file.format != "json-lines" and not (records or rejects):
+        # a table with no data rows still needs the columns: check its header
+        _check_fields(file.path, *next(artifacts.read_csv_rows(file.path, file.delimiter)))
     return ParseResult(records, rejects)
 
 

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from teamroles import artifacts, errors, ingest
-from teamroles.cli import main
+from teamroles.cli import STAGES, main
 from teamroles.errors import FileUnreadable, FileUnwritable, FormatError, TruncatedLine
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "teamroles"
@@ -502,6 +502,44 @@ def test_guard_sees_writes():
         "json.dump(d, fh)\ncsv.writer(fh)\nshutil.copyfile(a, b)\np.write_text(s)\n"
     )
     assert sorted(line for line, _ in _writes(tree)) == [1, 2, 3, 6, 7, 8, 9]
+
+
+DECLARED = {name for _, _, reads, writes, _ in STAGES.values() for name in reads + writes}
+
+
+def _worked_out_paths(tree: ast.AST):
+    """(line, what) for each place a cmd_* handler works out a path itself: it
+    reads the output_dir setting, or joins a name that STAGES declares onto a
+    directory."""
+    for handler in ast.walk(tree):
+        if not (isinstance(handler, ast.FunctionDef) and handler.name.startswith("cmd_")):
+            continue
+        for node in ast.walk(handler):
+            if isinstance(node, ast.Constant) and node.value == "output_dir":
+                yield node.lineno, "output_dir"
+            elif (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+                  and isinstance(node.right, ast.Constant) and node.right.value in DECLARED):
+                yield node.lineno, f"/ {node.right.value}"
+
+
+def test_handlers_take_their_paths_from_main():
+    """main resolves every path that STAGES declares, and passes them to the handler."""
+    tree = ast.parse((SRC / "cli.py").read_text())
+    assert list(_worked_out_paths(tree)) == []
+
+
+def test_path_guard_sees_a_handler_that_works_out_a_path():
+    tree = ast.parse(
+        "def cmd_report(args, config, labels):\n"
+        "    report_dir = Path(config['output_dir']) / 'report'\n"
+        "    features = labels.parent / 'features.csv'\n"
+        "    other = config.get('output_dir')\n"
+        "    inside = report_dir / 'distribution.csv'\n"
+        "def helper(config):\n"
+        "    return Path(config['output_dir']) / 'report'\n"
+    )
+    assert sorted(_worked_out_paths(tree)) == [
+        (2, "/ report"), (2, "output_dir"), (3, "/ features.csv"), (4, "output_dir")]
 
 
 def _sibling_imports(tree: ast.AST):

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from teamroles import dataset, metrics, mlp
-from teamroles.cli import ARTIFACTS, DEFAULT_CONFIG, STAGES, main
+from teamroles.cli import DEFAULT_CONFIG, RULE_LABELS, STAGES, main
 from teamroles.types import BinaryRole, FeatureVector
 
 
@@ -50,10 +50,10 @@ def pipeline_dir(tmp_path_factory):
 
 
 def test_pipeline_artifacts_exist(pipeline_dir):
-    for key, name in ARTIFACTS.items():
-        if key == "sampled":  # the sample stage is exercised separately
-            continue
-        assert (pipeline_dir / name).exists(), name
+    for stage in QUICK_START:
+        for name in STAGES[stage[0]][3]:
+            if name != "shap_summary.svg":  # written only with explain.svg on
+                assert (pipeline_dir / name).exists(), name
     assert (pipeline_dir / "config_used.json").exists()
     for name in ("metrics.json", "shap_summary.csv", "distribution.csv"):
         assert (pipeline_dir / "report" / name).exists()
@@ -252,9 +252,40 @@ def test_ingest_without_a_required_column_names_the_file_and_line(tmp_path, caps
     assert capsys.readouterr().err == f"error: {corpus} line 2: field statement: missing\n"
 
 
+ROW = {"paper_id": "W1", "journal": "PNAS", "year": 2010, "author_name": "Ann Lee",
+       "statement": "designed the study"}
+NO_STATEMENT = {key: value for key, value in ROW.items() if key != "statement"}
+
+
+@pytest.mark.parametrize("name, text, line, field", [
+    ("corpus.csv", "paper_id,journal\n", 1, "year"),  # a header and no data rows
+    ("corpus.jsonl", f"{json.dumps(ROW)}\n{json.dumps(NO_STATEMENT)}\n", 2, "statement"),
+], ids=["header-only-csv", "second-json-line"])
+def test_ingest_checks_every_row_and_a_bare_header_for_required_fields(
+        tmp_path, capsys, name, text, line, field):
+    corpus = tmp_path / name
+    corpus.write_text(text)
+    fmt = "json-lines" if name.endswith(".jsonl") else "delimited-table"
+    argv = ["ingest", "--input", str(corpus), "--format", fmt, "--output-dir", str(tmp_path / "out")]
+    assert run(*argv) == 1
+    assert capsys.readouterr().err == f"error: {corpus} line {line}: field {field}: missing\n"
+    assert not (tmp_path / "out" / "corpus.jsonl").exists()
+
+
+def test_ingest_rejects_a_json_null_text_field(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    rows = [ROW, dict(ROW, author_name=None, statement=None)]
+    corpus.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    out = tmp_path / "out"
+    assert run("ingest", "--input", str(corpus), "--format", "json-lines", "--output-dir", str(out)) == 0
+    assert capsys.readouterr().out == "ingest: 1 records, 1 rejects\n"
+    rejects = [json.loads(line) for line in (out / "rejects.jsonl").read_text().splitlines()]
+    assert [row["reject_reason"] for row in rejects] == ["bad_author_name"]
+
+
 def declared_file(name: str) -> str:
     """The file in the output dir that an input name of STAGES stands for."""
-    return ARTIFACTS["labels_rule" if name == "labels" else name]
+    return RULE_LABELS if name == "labels" else name
 
 
 def only_declared_inputs(source: Path, tmp_path: Path, stage: str):
@@ -283,7 +314,8 @@ def test_every_stage_runs_on_its_declared_inputs_alone(pipeline_dir, tmp_path, s
 
 
 @pytest.mark.parametrize("stage, name", [
-    (stage, name) for stage, (_, _, inputs, _) in STAGES.items() for name in inputs
+    pytest.param(stage, name, id=f"{stage}-{Path(name).stem}")  # e.g. evaluate-model
+    for stage, (_, _, inputs, _, _) in STAGES.items() for name in inputs
 ])
 def test_every_declared_input_that_is_missing_exits_3(pipeline_dir, tmp_path, capsys, stage, name):
     out, argv = only_declared_inputs(pipeline_dir, tmp_path, stage)
@@ -295,6 +327,34 @@ def test_every_declared_input_that_is_missing_exits_3(pipeline_dir, tmp_path, ca
     assert capsys.readouterr().err == (
         f"missing upstream artifact: stage '{stage}' requires missing artifact: {missing}\n")
     assert files(out) == before
+
+
+@pytest.mark.parametrize("stage", list(STAGES))
+def test_every_stage_writes_exactly_its_declared_outputs(pipeline_dir, tmp_path, stage):
+    out, argv = only_declared_inputs(pipeline_dir, tmp_path, stage)
+    if stage == "explain":  # shap_summary.svg is written only with explain.svg on
+        (tmp_path / "config.json").write_text(json.dumps({"explain": {"svg": True}}))
+    before = files(out)
+    assert run(*argv) == 0
+    after = files(out)
+    assert before.keys() <= after.keys()
+    written = {path.relative_to(out).parts[0] for path in after if after[path] != before.get(path)}
+    assert written == {*STAGES[stage][3], "config_used.json"}
+
+
+def stage_table() -> str:
+    """README's table of the files each stage reads and writes, as STAGES declares them."""
+    def names(files):
+        return ", ".join(f"`{name}`" for name in files) or "—"
+
+    lines = ["| stage | reads | writes |", "| --- | --- | --- |"]
+    lines += [f"| `{stage}` | {names(reads)} | {names(writes)} |"
+              for stage, (_, _, reads, writes, _) in STAGES.items()]
+    return "\n".join(lines) + "\n"
+
+
+def test_readme_states_each_stage_files_as_stages_declares_them():
+    assert stage_table() in (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 @pytest.fixture

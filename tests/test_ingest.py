@@ -97,6 +97,19 @@ def test_json_lines_float_or_bool_integer_is_rejected(tmp_path, field, value, re
     assert [(rec.year, rec.author_position) for rec in result.records] == [(2011, 1)]
 
 
+@pytest.mark.parametrize("field", ["paper_id", "author_name", "statement"])
+@pytest.mark.parametrize("value", [None, 7, ["designed"]])
+def test_json_lines_text_field_that_is_not_a_string_is_rejected(tmp_path, field, value):
+    path = tmp_path / "corpus.jsonl"
+    row = {"paper_id": "W1", "journal": "PNAS", "year": 2010, "author_name": "Ann Lee",
+           "statement": "designed"}
+    path.write_text(json.dumps(dict(row, **{field: value})) + "\n" + json.dumps(row) + "\n")
+    result = parse_corpus(CorpusFile(path=path, format="json-lines"))
+    assert [(reject.line, reject.reason) for reject in result.rejects] == [(1, f"bad_{field}")]
+    assert [(rec.paper_id, rec.author_name, rec.statement) for rec in result.records] == [
+        ("W1", "Ann Lee", "designed")]
+
+
 def test_record_plus_reject_counts_conserved(tmp_path):
     file = write_csv(
         tmp_path,
