@@ -287,15 +287,6 @@ def main():
                 body = {"results": page_results, "meta": {"next_cursor": next_cursor}}
                 fh.write(cache_entry(url, body) + "\n")
 
-    with open(cache_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(
-            {"base_url": BASE_URL, "written_at": FETCHED_AT, "kinds": ["authors", "works"]},
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
-
     n_rows = sum(len(p["rows"]) for p in papers)
     print(f"fixtures: {len(authors)} authors, {len(papers)} papers, {n_rows} corpus rows")
 

@@ -270,12 +270,15 @@ def read_jsonl_at(path, number: int, start: int, end: int,
 
 def read_csv_rows(path, delimiter: str = ",") -> Iterator[Tuple[int, list]]:
     """(line number, cells) for the header and then for each non-blank CSV row;
-    a row whose width is not the header's raises FormatError."""
+    a row whose width is not the header's raises FormatError. A byte order mark
+    before the header, as spreadsheets write one, is no part of its first cell."""
     reader = csv.reader((line for *_, line in _lines(path)), delimiter=delimiter)
     try:
         header = next(reader, None)
         if header is None:
             raise FormatError(path, 1, "empty file, header row required")
+        if header:
+            header[0] = header[0].removeprefix("\ufeff")
         yield reader.line_num, header
         width = len(header)
         for values in filter(None, reader):

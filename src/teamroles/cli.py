@@ -36,7 +36,7 @@ DEFAULT_CONFIG = {
         "api_key_env": "TEAMROLES_API_KEY",
     },
     "train": {"epochs": 20, "batch_size": 32, "learning_rate": 0.001, "hidden_sizes": [64, 32]},
-    "explain": {"n_baseline_samples": 32, "svg": False},
+    "explain": {"n_baseline_samples": 32},
 }
 
 
@@ -136,9 +136,8 @@ def _read_labels(path: Path) -> dict:
 def cmd_ingest(args, config, corpus, rejects) -> None:
     from . import ingest
 
-    corpus_file = ingest.CorpusFile(
-        path=Path(args.input), format=args.format, delimiter=args.delimiter
-    )
+    with _config_values("--delimiter"):
+        corpus_file = ingest.CorpusFile(Path(args.input), args.format, args.delimiter)
     result = ingest.parse_corpus(corpus_file)
     ingest.write_corpus(result.records, corpus)
     ingest.write_rejects(result.rejects, rejects)
@@ -182,6 +181,8 @@ def cmd_label_llm(args, config, corpus, labels) -> None:
     with _config_values("backend"):
         backend_cfg = llm.BackendConfig(**config["backend"])
     if args.backend == "http":
+        if not backend_cfg.endpoint_url:
+            raise ConfigError("backend.endpoint_url is required for --backend http")
         backend = llm.HttpBackend()
     else:
         backend = llm.MockBackend()
@@ -250,7 +251,6 @@ def cmd_fetch(args, config, corpus) -> None:
     every = {rec.record_id for rec in records}
     for _, group in _author_profiles(client, records, every, skip):
         fetched += len(group)
-    client.write_manifest()
     print(f"fetch: {fetched} profiles, {failed} failures")
 
 
@@ -366,8 +366,7 @@ def cmd_explain(args, config, model_file, train, test, attributions_file, summar
     explain.write_attributions(attributions, ids, model.input_names, attributions_file)
     rows = explain.shap_summary(attributions, model.input_names)
     explain.write_summary(rows, summary)
-    if config["explain"]["svg"]:
-        explain.write_summary_svg(rows, svg)
+    explain.write_summary_svg(rows, svg)
     print(f"explain: {len(attributions)} attributions, top feature {rows[0].feature}")
 
 
@@ -426,7 +425,6 @@ STAGES = {
                   ("labels_llm.jsonl",), [
         ("--backend", {"choices": ["mock", "http"], "default": "mock"}),
     ]),
-    # fetch writes only the cache manifest, in --cache-dir
     "fetch": (cmd_fetch, "warm the metadata cache for the corpus", ("corpus.jsonl",), (), []),
     "featurize": (cmd_featurize, "compute the ten features per labeled record",
                   ("corpus.jsonl", "labels"), ("features.csv",), []),
@@ -437,7 +435,6 @@ STAGES = {
     "train": (cmd_train, "train the dense network", ("train.csv",), ("model.json",), []),
     "evaluate": (cmd_evaluate, "score the model on the test partition",
                  ("model.json", "test.csv"), ("metrics.json", "metrics.txt"), []),
-    # shap_summary.svg is written only with explain.svg on
     "explain": (cmd_explain, "exact Shapley attributions for test examples",
                 ("model.json", "train.csv", "test.csv"),
                 ("attributions.csv", "shap_summary.csv", "shap_summary.svg"), []),

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
 from typing import Dict, List, Sequence, Tuple
@@ -23,8 +24,8 @@ from .types import FEATURE_NAMES, BinaryRole
 class ClassTooSmall(PipelineError):
     """A class has fewer rows than a split (2) or a training set (1) needs."""
 
-    def __init__(self, label: BinaryRole, count: int, needed: int):
-        super().__init__(f"too few {label.value} rows: {count}, need {needed}")
+    def __init__(self, label: BinaryRole, count: int, needed: int, where: str = ""):
+        super().__init__(f"too few {label.value} rows{where}: {count}, need {needed}")
         self.label = label
 
 
@@ -84,9 +85,12 @@ def stratified_split(
     both train and test and every row is in exactly one of them.
     Authors are visited in a seeded shuffle of their sorted ids, and an
     author goes to test while each class it has rows of is still below
-    its test quota; since an author's rows move together, a class's test
-    count can fall short of its quota, down to no test row at all. Off by
-    default to match the plain row-level split.
+    its test quota, and its move leaves train a row of every class. Since
+    an author's rows move together, a class's test count can fall short of
+    its quota. A class left with no test row then takes the first author in
+    that order who is in train, has a row of it and can move by the same
+    rule; if there is none, ClassTooSmall. Off by default to match the
+    plain row-level split.
     """
     check_ratio(ratio)
 
@@ -110,14 +114,32 @@ def stratified_split(
         keys = sorted(groups)
         rng.shuffle(keys)
         picked = dict.fromkeys(by_class, 0)
+        tested = set()
+
+        def fits(key) -> Counter:
+            """The class counts of an author's rows if the author is in train and
+            moving them to test leaves train a row of every class, else none."""
+            moved = Counter(labels[i] for i in groups[key])
+            keeps = all(len(rows) - picked[c] > moved[c] for c, rows in by_class.items())
+            return moved if keeps and key not in tested else Counter()
+
+        def move(key):
+            tested.add(key)
+            for i in groups[key]:
+                picked[labels[i]] += 1
+
         for key in keys:
-            group = groups[key]
-            if all(picked[labels[i]] < n_test[labels[i]] for i in group):
-                test.extend(group)
-                for i in group:
-                    picked[labels[i]] += 1
-            else:
-                train.extend(group)
+            if all(picked[labels[i]] < n_test[labels[i]] for i in groups[key]) and fits(key):
+                move(key)
+        # a class left with no test row takes the first author in train who has a row of it
+        for label in by_class:
+            if not picked[label]:
+                key = next((key for key in keys if fits(key)[label]), None)
+                if key is None:
+                    raise ClassTooSmall(label, 0, 1, " in test")
+                move(key)
+        for key in keys:
+            (test if key in tested else train).extend(groups[key])
     else:
         for label in sorted(by_class, key=lambda b: b.value):
             members = by_class[label]

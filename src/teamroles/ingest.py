@@ -60,6 +60,8 @@ class CorpusFile:
     def __post_init__(self):
         if self.format not in ("delimited-table", "json-lines"):
             raise ValueError(f"unknown corpus format: {self.format}")
+        if len(self.delimiter) != 1:
+            raise ValueError(f"must be one character, got {self.delimiter!r}")
 
 
 @dataclass(frozen=True)

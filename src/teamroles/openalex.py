@@ -434,12 +434,3 @@ class OpenAlexClient:
     def resolve_author(self, name: str, paper_work_id: str) -> str:
         """Fetch a work and match a corpus author name on it (see match_author)."""
         return match_author(self.fetch_work(paper_work_id), name)
-
-    def write_manifest(self) -> None:
-        manifest = {
-            "base_url": self.config.base_url,
-            "written_at": datetime.now(timezone.utc).isoformat(),
-            "kinds": sorted(k for k in self.cache._entries),
-        }
-        artifacts.make_dir(self.cache.cache_dir)
-        artifacts.write_json(self.cache.cache_dir / "manifest.json", manifest)

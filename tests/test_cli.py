@@ -1,5 +1,6 @@
 import collections
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -9,8 +10,9 @@ import sys
 from pathlib import Path
 
 import pytest
+import requests
 
-from teamroles import dataset, metrics, mlp
+from teamroles import dataset, ingest, llm, metrics, mlp
 from teamroles.cli import DEFAULT_CONFIG, RULE_LABELS, STAGES, main
 from teamroles.types import BinaryRole, FeatureVector
 
@@ -52,8 +54,7 @@ def pipeline_dir(tmp_path_factory):
 def test_pipeline_artifacts_exist(pipeline_dir):
     for stage in QUICK_START:
         for name in STAGES[stage[0]][3]:
-            if name != "shap_summary.svg":  # written only with explain.svg on
-                assert (pipeline_dir / name).exists(), name
+            assert (pipeline_dir / name).exists(), name
     assert (pipeline_dir / "config_used.json").exists()
     for name in ("metrics.json", "shap_summary.csv", "distribution.csv"):
         assert (pipeline_dir / "report" / name).exists()
@@ -115,6 +116,18 @@ def test_split_group_by_author_keeps_each_author_on_one_side(pipeline_dir, tmp_p
     for side, part in (("train", train), ("test", test)):
         counts = collections.Counter(row["label"] for row in part)
         assert manifest["counts"][side] == dict(counts)
+
+
+def test_split_group_by_author_gives_test_a_row_of_each_class(pipeline_dir, tmp_path):
+    """At seed 9 and ratio 0.05 the grouped split used to put 10 Support rows and no
+    Leadership row in test."""
+    shutil.copyfile(pipeline_dir / "features.csv", tmp_path / "features.csv")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"split_ratio": 0.05}))
+    assert run("split", "--group-by-author", "--seed", "9", "--config", str(config),
+               "--output-dir", str(tmp_path)) == 0
+    counts = json.loads((tmp_path / "split_manifest.json").read_text())["counts"]
+    assert all(counts[side][label] > 0 for side in counts for label in ("Leadership", "Support"))
 
 
 @pytest.mark.parametrize("flags, grouped", [([], False), (["--group-by-author"], True)])
@@ -283,6 +296,70 @@ def test_ingest_rejects_a_json_null_text_field(tmp_path, capsys):
     assert [row["reject_reason"] for row in rejects] == ["bad_author_name"]
 
 
+@pytest.mark.parametrize("delimiter", [";;", ""], ids=["two-characters", "empty"])
+def test_ingest_with_a_delimiter_that_is_not_one_character_exits_2(tmp_path, capsys, delimiter):
+    out = tmp_path / "out"
+    code = run("ingest", "--input", "tests/fixtures/corpus.csv", f"--delimiter={delimiter}",
+               "--output-dir", str(out))
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"config error: --delimiter: must be one character, got {delimiter!r}\n")
+    assert not files(out)
+
+
+def test_ingest_of_a_corpus_that_starts_with_a_byte_order_mark(tmp_path):
+    """Excel's "CSV UTF-8" starts the file with U+FEFF, which is no part of paper_id."""
+    marked = tmp_path / "corpus.csv"
+    marked.write_bytes("\ufeff".encode() + Path("tests/fixtures/corpus.csv").read_bytes())
+    for corpus, out in (("tests/fixtures/corpus.csv", "plain"), (marked, "marked")):
+        assert run("ingest", "--input", str(corpus), "--output-dir", str(tmp_path / out)) == 0
+    assert files(tmp_path / "marked").keys() == {tmp_path / "marked" / name for name in (
+        "corpus.jsonl", "rejects.jsonl", "config_used.json")}
+    for name in ("corpus.jsonl", "rejects.jsonl"):
+        assert (tmp_path / "marked" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+
+def test_label_llm_over_http_without_an_endpoint_exits_2(pipeline_dir, tmp_path, capsys,
+                                                        monkeypatch):
+    """It used to post each row to '' and wait out every retry, then exit 0."""
+    posted = []
+
+    def post(url, **kwargs):
+        posted.append(url)
+        raise requests.exceptions.MissingSchema(f"Invalid URL {url!r}")
+
+    monkeypatch.setattr(requests, "post", post)
+    first = (pipeline_dir / "corpus.jsonl").read_text().splitlines(keepends=True)[0]
+    (tmp_path / "corpus.jsonl").write_text(first)
+    before = files(tmp_path)
+    capsys.readouterr()
+    assert run("label-llm", "--backend", "http", "--output-dir", str(tmp_path)) == 2
+    assert capsys.readouterr().err == (
+        "config error: backend.endpoint_url is required for --backend http\n")
+    assert files(tmp_path) == before and posted == []
+
+
+def test_label_llm_over_http_writes_the_labels_of_the_mock_backend(pipeline_dir, tmp_path,
+                                                                   monkeypatch):
+    """An endpoint that answers as MockBackend does gives labels_llm.jsonl the bytes
+    that --backend mock wrote."""
+    def post(url, **kwargs):
+        reply = requests.Response()
+        reply.status_code = 200
+        answer = llm.MockBackend().complete(kwargs["json"]["messages"][0]["content"], None)
+        reply._content = json.dumps({"choices": [{"message": {"content": answer}}]}).encode()
+        return reply
+
+    monkeypatch.setattr(requests, "post", post)
+    shutil.copyfile(pipeline_dir / "corpus.jsonl", tmp_path / "corpus.jsonl")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"backend": {"endpoint_url": "https://chat.example/v1"}}))
+    assert run("label-llm", "--backend", "http", "--config", str(config),
+               "--output-dir", str(tmp_path)) == 0
+    labels = (tmp_path / "labels_llm.jsonl").read_bytes()
+    assert labels == (pipeline_dir / "labels_llm.jsonl").read_bytes()
+
+
 def declared_file(name: str) -> str:
     """The file in the output dir that an input name of STAGES stands for."""
     return RULE_LABELS if name == "labels" else name
@@ -295,7 +372,7 @@ def only_declared_inputs(source: Path, tmp_path: Path, stage: str):
     out.mkdir()
     for name in STAGES[stage][2]:
         shutil.copyfile(source / declared_file(name), out / declared_file(name))
-    shutil.copytree("tests/fixtures/cache", tmp_path / "cache")  # fetch writes its manifest
+    shutil.copytree("tests/fixtures/cache", tmp_path / "cache")  # a copy, so writes to it show
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"sampling": {"per_journal": 1}} if stage == "sample" else {}))
     flags = ["--input", "tests/fixtures/corpus.csv"] if stage == "ingest" else []
@@ -331,15 +408,16 @@ def test_every_declared_input_that_is_missing_exits_3(pipeline_dir, tmp_path, ca
 
 @pytest.mark.parametrize("stage", list(STAGES))
 def test_every_stage_writes_exactly_its_declared_outputs(pipeline_dir, tmp_path, stage):
+    """A stage adds or changes its declared outputs and config_used.json, on every run, and
+    nothing else: an offline run leaves each file in --cache-dir as it was."""
     out, argv = only_declared_inputs(pipeline_dir, tmp_path, stage)
-    if stage == "explain":  # shap_summary.svg is written only with explain.svg on
-        (tmp_path / "config.json").write_text(json.dumps({"explain": {"svg": True}}))
-    before = files(out)
+    before, cache = files(out), files(tmp_path / "cache")
     assert run(*argv) == 0
     after = files(out)
     assert before.keys() <= after.keys()
     written = {path.relative_to(out).parts[0] for path in after if after[path] != before.get(path)}
     assert written == {*STAGES[stage][3], "config_used.json"}
+    assert files(tmp_path / "cache") == cache
 
 
 def stage_table() -> str:
@@ -457,7 +535,6 @@ def test_bad_config_file_exit_code(tmp_path):
         ("ingest", {"output_dir": 5}, "output_dir"),
         ("featurize", {"cache_dir": 5}, "cache_dir"),
         ("featurize", {"cache_dir": "tests/fixtures/cache", "offline": "no"}, "offline"),
-        ("explain", {"explain": {"svg": "no"}}, "explain.svg"),
         ("sample", {"seed": 1.9}, "seed"),
         ("train", {"seed": True}, "seed"),
         ("train", {"train": {"epochs": 2.5}}, "train.epochs"),
@@ -482,7 +559,7 @@ def test_bad_config_file_exit_code(tmp_path):
     ids=["split_ratio", "epochs", "hidden_sizes", "n_baseline_samples", "temperature",
          "per_journal", *(f"seed-{seed}-{stage}" for seed in ("x", "negative")
                           for stage in ("sample", "split", "train", "explain")),
-         "output_dir-int", "cache_dir-int", "offline-string", "svg-string", "seed-float",
+         "output_dir-int", "cache_dir-int", "offline-string", "seed-float",
          "seed-bool", "epochs-float", "hidden_sizes-float", "learning_rate-nan",
          "learning_rate-negative", "n_baseline_samples-float", "per_journal-float",
          "max_retries-float", "unknown-in-a-section", "unknown-top-level", "unknown-section",
@@ -579,6 +656,17 @@ def test_every_setting_of_the_wrong_type_exits_2(pipeline_dir, tmp_path, capsys,
     assert code == 2
     assert err.startswith(f"config error: {'.'.join(path)}: ") and err.count("\n") == 1
     assert {file.name: file.read_bytes() for file in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("section, settings", [
+    ("train", mlp.TrainConfig), ("backend", llm.BackendConfig), ("sampling", ingest.SamplingPlan)])
+def test_config_defaults_are_the_library_defaults(section, settings):
+    """A stage run with no config and a library caller that builds settings() with no
+    arguments use the same values: each setting of the section is a field of the
+    class, with the field's default."""
+    defaults = {field.name: field.default for field in dataclasses.fields(settings)
+                if field.name in DEFAULT_CONFIG[section]}
+    assert json.loads(json.dumps(defaults)) == DEFAULT_CONFIG[section]  # tuples as lists
 
 
 def test_integer_learning_rate_trains_as_a_float_and_is_echoed_as_given(pipeline_dir, tmp_path):

@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 import random
@@ -113,6 +114,33 @@ def test_split_group_by_author_keeps_mixed_authors_on_one_side(authors, ratio, s
     assert sorted(result.train.paper_ids + result.test.paper_ids) == sorted(examples.paper_ids)
 
 
+LEAD, SUPPORT = BinaryRole.LEADERSHIP, BinaryRole.SUPPORT
+# Five authors with two Support rows each, then authors with rows of both classes. At ratio
+# 0.2 a Support-only author fills the Support quota of 2, which shuts out every mixed author.
+SHUT_OUT = [(f"S{i // 2}", SUPPORT) for i in range(10)] + [
+    ("M0", LEAD), ("M0", SUPPORT), ("M1", LEAD), ("M1", SUPPORT)]
+# At ratio 0.9 the Leadership quota is 2 of 3, so Y then X would put all three in test.
+TAKEN_WHOLE = [("X", LEAD), ("X", LEAD), ("Y", LEAD)] + [(f"S{i}", SUPPORT) for i in range(6)]
+
+
+@pytest.mark.parametrize("rows, ratio", [(SHUT_OUT, 0.2), (TAKEN_WHOLE, 0.9)],
+                         ids=["no-test-row", "no-train-row"])
+@pytest.mark.parametrize("seed", range(8))
+def test_grouped_split_gives_each_side_a_row_of_every_class(rows, ratio, seed):
+    table = feature_table(example(i, label, author) for i, (author, label) in enumerate(rows))
+    result = stratified_split(table, ratio, seed, group_by_author=True)
+    assert set(result.train.labels) == set(result.test.labels) == set(BinaryRole)
+    assert not set(result.train.author_ids) & set(result.test.author_ids)
+
+
+def test_grouped_split_with_one_author_holding_a_class_raises():
+    rows = [("X", LEAD), ("X", LEAD), ("X", SUPPORT)] + [(f"S{i}", SUPPORT) for i in range(6)]
+    table = feature_table(example(i, label, author) for i, (author, label) in enumerate(rows))
+    for seed in range(8):
+        with pytest.raises(ClassTooSmall, match="too few Leadership rows in test: 0, need 1"):
+            stratified_split(table, 0.2, seed, group_by_author=True)
+
+
 @settings(max_examples=60)
 @given(
     st.integers(min_value=2, max_value=60),
@@ -148,14 +176,26 @@ def split_reference(rows, ratio, seed, group_by_author):
             groups.setdefault(row[0], []).append(row)
         keys = sorted(groups)
         rng.shuffle(keys)
-        picked = dict.fromkeys(by_class, 0)
+        tested = []
+
+        def can_test(key):
+            """Whether the author is in train and train keeps every class without them."""
+            rest = {row[3] for row in rows if row[0] != key and row[0] not in tested}
+            return key not in tested and rest == set(by_class)
+
         for key in keys:
-            if all(picked[row[3]] < n_test[row[3]] for row in groups[key]):
-                test.extend(groups[key])
-                for row in groups[key]:
-                    picked[row[3]] += 1
-            else:
-                train.extend(groups[key])
+            counts = collections.Counter(row[3] for k in tested for row in groups[k])
+            if all(counts[row[3]] < n_test[row[3]] for row in groups[key]) and can_test(key):
+                tested.append(key)
+        for label in by_class:  # a class with no test row takes an author from train
+            if not any(row[3] == label for k in tested for row in groups[k]):
+                key = next((key for key in keys if can_test(key)
+                            and any(row[3] == label for row in groups[key])), None)
+                if key is None:
+                    raise ClassTooSmall(label, 0, 1, " in test")
+                tested.append(key)
+        test = [row for key in keys if key in tested for row in groups[key]]
+        train = [row for key in keys if key not in tested for row in groups[key]]
     else:
         for label in sorted(by_class, key=lambda b: b.value):
             members = by_class[label]
@@ -181,10 +221,15 @@ def test_split_matches_the_list_based_reference(authors_and_leads, ratio, seed, 
     n = len(rows)  # two more rows of each class, so neither class is too small
     rows += [example(n + i, label) for i, label in enumerate([BinaryRole.LEADERSHIP] * 2
                                                               + [BinaryRole.SUPPORT] * 2)]
+    try:
+        expected = split_reference(rows, ratio, seed, group_by_author)
+    except ClassTooSmall as exc:
+        with pytest.raises(ClassTooSmall, match=str(exc)):
+            stratified_split(feature_table(rows), ratio, seed, group_by_author)
+        return
     result = stratified_split(feature_table(rows), ratio, seed, group_by_author)
-    assert (result.train.paper_ids, result.test.paper_ids) == split_reference(
-        rows, ratio, seed, group_by_author
-    )
+    assert (result.train.paper_ids, result.test.paper_ids) == expected
+    assert set(result.train.labels) == set(result.test.labels) == set(BinaryRole)
     by_paper = {row[1]: row for row in rows}
     for part in (result.train, result.test):
         assert [by_paper[p][2] for p in part.paper_ids] == part.X.tolist()

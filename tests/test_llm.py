@@ -1,6 +1,8 @@
+import json
 import re
 
 import pytest
+import requests
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -13,6 +15,7 @@ from teamroles.llm import (
     BackendConfig,
     ChatBackend,
     EmptyStatement,
+    HttpBackend,
     MockBackend,
     TransportFailure,
     UnparseableResponse,
@@ -230,3 +233,70 @@ def test_outcomes_round_trip(tmp_path):
     path = tmp_path / "labels.jsonl"
     write_outcomes(outcomes, path)
     assert read_outcomes(path) == outcomes
+
+
+def http_reply(status: int, body) -> requests.Response:
+    """A response with this status whose body is `body` as JSON, or bytes as they are."""
+    reply = requests.Response()
+    reply.status_code = status
+    reply._content = body if isinstance(body, bytes) else json.dumps(body).encode()
+    return reply
+
+
+def fake_post(monkeypatch, reply):
+    """Make requests.post record each call and return `reply`, or raise it if it is
+    an exception; return the list of (url, keyword arguments) it records."""
+    calls = []
+
+    def post(url, **kwargs):
+        calls.append((url, kwargs))
+        if isinstance(reply, Exception):
+            raise reply
+        return reply
+
+    monkeypatch.setattr(requests, "post", post)
+    return calls
+
+
+HTTP_CONFIG = BackendConfig(endpoint_url="https://chat.example/v1/completions",
+                            model_name="chat-1", temperature=0.3, api_key_env="TEAMROLES_TEST_KEY")
+ANSWER = http_reply(200, {"choices": [{"message": {"content": "Role: Leadership"}}]})
+
+
+def test_http_backend_posts_the_model_the_prompt_and_the_temperature(monkeypatch):
+    monkeypatch.delenv("TEAMROLES_TEST_KEY", raising=False)
+    calls = fake_post(monkeypatch, ANSWER)
+    assert HttpBackend().complete("the prompt", HTTP_CONFIG) == "Role: Leadership"
+    [(url, kwargs)] = calls
+    assert url == HTTP_CONFIG.endpoint_url
+    assert kwargs["json"] == {"model": "chat-1", "temperature": 0.3,
+                              "messages": [{"role": "user", "content": "the prompt"}]}
+
+
+def test_http_backend_sends_a_key_only_when_its_variable_is_set(monkeypatch):
+    calls = fake_post(monkeypatch, ANSWER)
+    for value in (None, "", "s3cret"):
+        if value is None:
+            monkeypatch.delenv("TEAMROLES_TEST_KEY", raising=False)
+        else:
+            monkeypatch.setenv("TEAMROLES_TEST_KEY", value)
+        HttpBackend().complete("the prompt", HTTP_CONFIG)
+    assert [kwargs["headers"].get("Authorization") for _, kwargs in calls] == [
+        None, None, "Bearer s3cret"]
+
+
+@pytest.mark.parametrize("reply", [
+    requests.ConnectionError("connection refused"),
+    requests.Timeout("read timed out"),
+    http_reply(503, {"error": "overloaded"}),
+    http_reply(401, {"error": "bad key"}),
+    http_reply(200, {"id": "cmpl-1"}),
+    http_reply(200, {"choices": []}),
+    http_reply(200, {"choices": [{"text": "Leadership"}]}),
+    http_reply(200, b"<html>not json</html>"),
+], ids=["refused", "timeout", "503", "401", "no-choices", "empty-choices", "no-message",
+        "not-json"])
+def test_http_backend_turns_a_failed_request_into_a_transport_failure(monkeypatch, reply):
+    fake_post(monkeypatch, reply)
+    with pytest.raises(TransportFailure):
+        HttpBackend().complete("the prompt", HTTP_CONFIG)
