@@ -11,7 +11,7 @@ artifact byte-identical.
 import sys
 from pathlib import Path
 
-from teamroles.cli import main
+from teamroles.cli import STAGES, main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -22,22 +22,12 @@ def run(output_dir: str) -> int:
         "--cache-dir", str(ROOT / "tests" / "fixtures" / "cache"),
         "--offline",
     ]
-    stages = [
-        ["ingest", "--input", str(ROOT / "tests" / "fixtures" / "corpus.csv")],
-        ["label-rule"],
-        ["label-llm"],
-        ["featurize"],
-        ["split"],
-        ["train"],
-        ["evaluate"],
-        ["explain"],
-        ["lratio"],
-        ["report"],
-    ]
-    for stage in stages:
-        code = main(stage + common)
+    corpus = str(ROOT / "tests" / "fixtures" / "corpus.csv")
+    for stage in STAGES:
+        inputs = ["--input", corpus] if stage == "ingest" else []
+        code = main([stage, *inputs, *common])
         if code != 0:
-            print(f"stage {stage[0]} failed with exit code {code}", file=sys.stderr)
+            print(f"stage {stage} failed with exit code {code}", file=sys.stderr)
             return code
     print(f"\nAll stages complete; artifacts in {output_dir}/")
     return 0

@@ -27,7 +27,6 @@ DEFAULT_CONFIG = {
     "seed": 0,
     "mailto": None,
     "split_ratio": 0.2,
-    "sampling": {"per_journal": 250, "min_team": 2, "max_team": 8},
     "backend": {
         "endpoint_url": "",
         "model_name": "mock",
@@ -144,19 +143,6 @@ def cmd_ingest(args, config, corpus, rejects) -> None:
     print(f"ingest: {len(result.records)} records, {len(result.rejects)} rejects")
 
 
-def cmd_sample(args, config, corpus, sampled) -> None:
-    from . import ingest
-
-    records = ingest.read_corpus(corpus)
-    papers = ingest.group_papers(records)
-    with _config_values("sampling"):
-        plan = ingest.SamplingPlan(**config["sampling"], seed=_seed(config))
-    selected = ingest.sample_papers(papers, plan)
-    rows = [rec for paper in selected for rec in paper.authors]
-    ingest.write_corpus(rows, sampled)
-    print(f"sample: {len(selected)} papers, {len(rows)} rows")
-
-
 def cmd_label_rule(args, config, corpus, labels) -> None:
     from . import ingest, llm
     from .rules import NoKeywordMatch, classify_statement
@@ -235,23 +221,6 @@ def _author_profiles(client, records, wanted, skip):
             skip([rec for rec, _ in group], exc)
             continue
         yield profile, group
-
-
-def cmd_fetch(args, config, corpus) -> None:
-    from . import ingest
-
-    records = ingest.read_corpus(corpus)
-    client = _client(config)
-    fetched, failed = 0, 0
-
-    def skip(rows, exc):
-        nonlocal failed
-        failed += len(rows)
-
-    every = {rec.record_id for rec in records}
-    for _, group in _author_profiles(client, records, every, skip):
-        fetched += len(group)
-    print(f"fetch: {fetched} profiles, {failed} failures")
 
 
 def cmd_featurize(args, config, corpus, labels_file, features_file) -> None:
@@ -417,15 +386,12 @@ STAGES = {
         ("--format", {"choices": ["delimited-table", "json-lines"], "default": "delimited-table"}),
         ("--delimiter", {"default": ","}),
     ]),
-    "sample": (cmd_sample, "journal-stratified paper sampling", ("corpus.jsonl",),
-               ("corpus_sampled.jsonl",), []),
     "label-rule": (cmd_label_rule, "keyword-hierarchy labeling", ("corpus.jsonl",),
                    (RULE_LABELS,), []),
     "label-llm": (cmd_label_llm, "few-shot chat-backend labeling", ("corpus.jsonl",),
                   ("labels_llm.jsonl",), [
         ("--backend", {"choices": ["mock", "http"], "default": "mock"}),
     ]),
-    "fetch": (cmd_fetch, "warm the metadata cache for the corpus", ("corpus.jsonl",), (), []),
     "featurize": (cmd_featurize, "compute the ten features per labeled record",
                   ("corpus.jsonl", "labels"), ("features.csv",), []),
     "split": (cmd_split, "stratified train/test split", ("features.csv",),

@@ -228,77 +228,98 @@ def _count(data: dict, name: str, default=None) -> int:
     return value
 
 
-def _year_and_citations(data: dict) -> Tuple[int, int]:
-    """A work's publication year and citation count, after checking that it has
-    an id, a year and an authorship list."""
+# A field of the wrong JSON type shows as one of these while a body is walked;
+# each walk turns it into a MalformedResponse naming the field, so the checks
+# cost nothing on a well-formed work.
+_WRONG_TYPE = (AttributeError, TypeError)
+
+
+def _id_year_and_citations(data: dict) -> Tuple[str, int, int]:
+    """A work's short id, publication year and citation count, after checking
+    that it has an id, a year and an authorship list."""
     for name in ("id", "publication_year", "authorships"):
         if data.get(name) is None:
             raise MalformedResponse(name)
-    return _count(data, "publication_year"), _count(data, "cited_by_count", 0)
+    try:
+        work_id = _short_id(data["id"])
+    except _WRONG_TYPE as exc:
+        raise MalformedResponse("id", f"(got {data['id']!r})") from exc
+    return work_id, _count(data, "publication_year"), _count(data, "cited_by_count", 0)
 
 
 def _author_ids(data: dict) -> List[str]:
     """The short author id of each authorship of a work, in position order; an
     authorship without one is a malformed response."""
     ids = []
-    for i, auth in enumerate(data["authorships"]):
-        author = auth.get("author") or {}
-        if not author.get("id"):
-            raise MalformedResponse("authorships.author.id", f"(position {i + 1})")
-        ids.append(_short_id(author["id"]))
+    try:
+        for i, auth in enumerate(data["authorships"]):
+            author = auth.get("author") or {}
+            if not author.get("id"):
+                raise MalformedResponse("authorships.author.id", f"(position {i + 1})")
+            ids.append(_short_id(author["id"]))
+    except _WRONG_TYPE as exc:
+        raise MalformedResponse("authorships", f"(position {len(ids) + 1})") from exc
     return ids
 
 
 def _institution_ids(auth: dict) -> frozenset:
-    return frozenset(
-        _shared_short_id(inst["id"]) for inst in auth.get("institutions", []) if inst.get("id")
-    )
+    try:
+        return frozenset(
+            _shared_short_id(inst["id"]) for inst in auth.get("institutions", []) if inst.get("id")
+        )
+    except _WRONG_TYPE as exc:
+        raise MalformedResponse("authorships.institutions") from exc
 
 
 def _topic_and_reference_ids(data: dict) -> Tuple[frozenset, frozenset]:
     # topics read from the concept id list as delivered by the API
-    topic_ids = frozenset(
-        _shared_short_id(c["id"])
-        for c in data.get("concepts") or data.get("topics") or []
-        if c.get("id")
-    )
-    return topic_ids, frozenset(_shared_short_id(w) for w in data.get("referenced_works", []))
+    try:
+        topic_ids = frozenset(
+            _shared_short_id(c["id"])
+            for c in data.get("concepts") or data.get("topics") or []
+            if c.get("id")
+        )
+    except _WRONG_TYPE as exc:
+        raise MalformedResponse("concepts" if data.get("concepts") else "topics") from exc
+    try:
+        return topic_ids, frozenset(map(_shared_short_id, data.get("referenced_works", [])))
+    except _WRONG_TYPE as exc:
+        raise MalformedResponse("referenced_works") from exc
 
 
 def parse_work(data: dict) -> RawWork:
-    year, citation_count = _year_and_citations(data)
-    authorships = tuple(
-        Authorship(
+    work_id, year, citation_count = _id_year_and_citations(data)
+    authorships = []
+    for position, (author_id, auth) in enumerate(zip(_author_ids(data), data["authorships"]), 1):
+        display_name = auth["author"].get("display_name", "")
+        if not isinstance(display_name, str):
+            raise MalformedResponse("authorships.author.display_name", f"(position {position})")
+        authorships.append(Authorship(
             author_id=author_id,
-            display_name=auth["author"].get("display_name", ""),
+            display_name=display_name,
             position=position,
             is_corresponding=bool(auth.get("is_corresponding", False)),
             institution_ids=_institution_ids(auth),
-        )
-        for position, (author_id, auth) in enumerate(
-            zip(_author_ids(data), data["authorships"]), start=1
-        )
-    )
+        ))
     topic_ids, referenced_work_ids = _topic_and_reference_ids(data)
     return RawWork(
-        work_id=_short_id(data["id"]),
+        work_id=work_id,
         year=year,
         citation_count=citation_count,
         referenced_work_ids=referenced_work_ids,
         topic_ids=topic_ids,
-        authorships=authorships,
+        authorships=tuple(authorships),
     )
 
 
 def _profile_entry(data: dict, author_id: str) -> Optional[WorkEntry]:
     """A work of `author_id`'s profile as an entry of their history, or None if
-    they are not among its authors. It checks what parse_work checks, every
-    authorship's author id included, but builds only the author's own
-    authorship: a profile reads nothing of the co-authors."""
-    year, citation_count = _year_and_citations(data)
+    they are not among its authors. It checks what parse_work checks but the
+    names, every authorship's author id included, and builds only the author's
+    own authorship: a profile reads nothing of the co-authors."""
+    work_id, year, citation_count = _id_year_and_citations(data)
     ids = _author_ids(data)
     topic_ids, referenced_work_ids = _topic_and_reference_ids(data)
-    work_id = _short_id(data["id"])
     if author_id not in ids:
         return None
     position = ids.index(author_id) + 1
@@ -420,15 +441,19 @@ class OpenAlexClient:
             params = (("cursor", cursor), ("filter", f"author.id:{author_id}"),
                       ("per-page", PAGE_SIZE))  # sorted by name
             page = self._request("authors", f"{self.config.base_url}/works?{urlencode(params)}")
-            if "results" not in page:
-                raise MalformedResponse("results")
-            for raw in page["results"]:
-                entry = _profile_entry(raw, author_id)
-                if entry is None or entry.work_id in seen:
-                    continue
-                seen.add(entry.work_id)
-                entries.append(entry)
-            cursor = (page.get("meta") or {}).get("next_cursor")
+            try:
+                for raw in page["results"]:
+                    entry = _profile_entry(raw, author_id)
+                    if entry is None or entry.work_id in seen:
+                        continue
+                    seen.add(entry.work_id)
+                    entries.append(entry)
+            except (KeyError, *_WRONG_TYPE) as exc:  # no results, or not a list of objects
+                raise MalformedResponse("results") from exc
+            try:
+                cursor = (page.get("meta") or {}).get("next_cursor")
+            except _WRONG_TYPE as exc:
+                raise MalformedResponse("meta") from exc
         return AuthorProfile(author_id, tuple(entries))
 
     def resolve_author(self, name: str, paper_work_id: str) -> str:

@@ -61,3 +61,12 @@ def test_cache_entries_counts_each_cached_url_once(monkeypatch):
     }
     assert len(urls) == 111
     assert tracer.counters["openalex.cache_entries"] == len(urls)
+
+
+def test_the_benchmark_times_every_stage_the_cli_offers(monkeypatch):
+    """The fixture workload runs ALL_STAGES: a stage added to STAGES and not there
+    would go untimed."""
+    from teamroles.cli import STAGES
+
+    run, _ = load_run_and_tracer(monkeypatch)
+    assert run.ALL_STAGES == tuple(STAGES)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 import requests
 
-from teamroles import dataset, ingest, llm, metrics, mlp
+from teamroles import dataset, llm, metrics, mlp
 from teamroles.cli import DEFAULT_CONFIG, RULE_LABELS, STAGES, main
 from teamroles.types import BinaryRole, FeatureVector
 
@@ -374,7 +374,7 @@ def only_declared_inputs(source: Path, tmp_path: Path, stage: str):
         shutil.copyfile(source / declared_file(name), out / declared_file(name))
     shutil.copytree("tests/fixtures/cache", tmp_path / "cache")  # a copy, so writes to it show
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"sampling": {"per_journal": 1}} if stage == "sample" else {}))
+    config.write_text("{}")
     flags = ["--input", "tests/fixtures/corpus.csv"] if stage == "ingest" else []
     return out, [stage, *flags, "--output-dir", str(out), "--cache-dir", str(tmp_path / "cache"),
                  "--offline", "--config", str(config)]
@@ -529,20 +529,18 @@ def test_bad_config_file_exit_code(tmp_path):
         ("train", {"train": {"hidden_sizes": [64]}}, "train"),
         ("explain", {"explain": {"n_baseline_samples": -1}}, "explain"),
         ("label-llm", {"backend": {"temperature": -1}}, "backend"),
-        ("sample", {"sampling": {"per_journal": 0}}, "sampling"),
         *((stage, {"seed": seed}, "seed") for seed in ("x", -1)
-          for stage in ("sample", "split", "train", "explain")),
+          for stage in ("split", "train", "explain")),
         ("ingest", {"output_dir": 5}, "output_dir"),
         ("featurize", {"cache_dir": 5}, "cache_dir"),
         ("featurize", {"cache_dir": "tests/fixtures/cache", "offline": "no"}, "offline"),
-        ("sample", {"seed": 1.9}, "seed"),
+        ("split", {"seed": 1.9}, "seed"),
         ("train", {"seed": True}, "seed"),
         ("train", {"train": {"epochs": 2.5}}, "train.epochs"),
         ("train", {"train": {"hidden_sizes": [64.5, 32]}}, "train.hidden_sizes"),
         ("train", {"train": {"learning_rate": "nan"}}, "train.learning_rate"),
         ("train", {"train": {"learning_rate": -1}}, "train"),
         ("explain", {"explain": {"n_baseline_samples": 3.7}}, "explain.n_baseline_samples"),
-        ("sample", {"sampling": {"per_journal": 2.5}}, "sampling.per_journal"),
         ("label-llm", {"backend": {"max_retries": 1.5}}, "backend.max_retries"),
         ("train", {"train": {"learning_rat": 0.5}}, "train.learning_rat"),
         ("train", {"split_ration": 0.5}, "split_ration"),
@@ -557,11 +555,11 @@ def test_bad_config_file_exit_code(tmp_path):
         ("ingest", {"train": {"epochs": 2.5}}, "train.epochs"),
     ],
     ids=["split_ratio", "epochs", "hidden_sizes", "n_baseline_samples", "temperature",
-         "per_journal", *(f"seed-{seed}-{stage}" for seed in ("x", "negative")
-                          for stage in ("sample", "split", "train", "explain")),
+         *(f"seed-{seed}-{stage}" for seed in ("x", "negative")
+           for stage in ("split", "train", "explain")),
          "output_dir-int", "cache_dir-int", "offline-string", "seed-float",
          "seed-bool", "epochs-float", "hidden_sizes-float", "learning_rate-nan",
-         "learning_rate-negative", "n_baseline_samples-float", "per_journal-float",
+         "learning_rate-negative", "n_baseline_samples-float",
          "max_retries-float", "unknown-in-a-section", "unknown-top-level", "unknown-section",
          "learning_rate-string", "learning_rate-bool", "split_ratio-string", "temperature-nan",
          "model_name-int", "mailto-int", "section-int", "epochs-float-ingest"],
@@ -659,7 +657,7 @@ def test_every_setting_of_the_wrong_type_exits_2(pipeline_dir, tmp_path, capsys,
 
 
 @pytest.mark.parametrize("section, settings", [
-    ("train", mlp.TrainConfig), ("backend", llm.BackendConfig), ("sampling", ingest.SamplingPlan)])
+    ("train", mlp.TrainConfig), ("backend", llm.BackendConfig)])
 def test_config_defaults_are_the_library_defaults(section, settings):
     """A stage run with no config and a library caller that builds settings() with no
     arguments use the same values: each setting of the section is a field of the
@@ -695,7 +693,7 @@ def test_config_used_feeds_back(pipeline_dir, tmp_path):
 def test_config_file_with_flag_override(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"output_dir": str(tmp_path / "from_config"),
-                                       "sampling": {"per_journal": 7}}))
+                                       "train": {"epochs": 7}}))
     override = tmp_path / "override"
     assert run(
         "ingest", "--input", "tests/fixtures/corpus.csv",
@@ -703,8 +701,8 @@ def test_config_file_with_flag_override(tmp_path):
     ) == 0
     config = json.loads((override / "config_used.json").read_text())
     assert config["output_dir"] == str(override)  # flag beats config file
-    assert config["sampling"]["per_journal"] == 7  # nested keys merge
-    assert config["sampling"]["min_team"] == 2  # defaults preserved
+    assert config["train"]["epochs"] == 7  # nested keys merge
+    assert config["train"]["batch_size"] == 32  # defaults preserved
 
 
 def test_unreadable_input_exit_code(tmp_path):
@@ -715,17 +713,6 @@ def test_unreadable_input_exit_code(tmp_path):
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         run("frobnicate")
-
-
-def test_sample_stage(tmp_path):
-    out = tmp_path / "out"
-    assert run("ingest", "--input", "tests/fixtures/corpus.csv",
-               "--output-dir", str(out)) == 0
-    config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps({"sampling": {"per_journal": 5}}))
-    assert run("sample", "--config", str(config_path), "--output-dir", str(out)) == 0
-    rows = [json.loads(l) for l in (out / "corpus_sampled.jsonl").read_text().splitlines()]
-    assert len({r["paper_id"] for r in rows}) == 20  # 5 papers x 4 journals
 
 
 # the stages that never import numpy; the other five do

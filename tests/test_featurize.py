@@ -12,6 +12,7 @@ import dataclasses
 import json
 import random
 import shutil
+from urllib.parse import urlencode
 
 import pytest
 
@@ -125,18 +126,6 @@ def test_featurize_fetches_each_paper_and_author_once(labeled_dir, tmp_path, fet
     assert set(profiles) == {row["author_id"] for row in rows}
 
 
-def test_fetch_stage_counts_records_and_fetches_once(labeled_dir, tmp_path, fetch_counts, capsys):
-    shutil.copyfile(labeled_dir / "corpus.jsonl", tmp_path / "corpus.jsonl")
-    cache = tmp_path / "cache"
-    shutil.copytree(CACHE, cache)
-    assert run(tmp_path, "fetch", cache=cache) == 0
-    assert "fetch: 299 profiles, 0 failures" in capsys.readouterr().out
-    assert set(collections.Counter(fetch_counts["fetch_work"]).values()) == {1}
-    profiles = collections.Counter(fetch_counts["fetch_author_profile"])
-    assert set(profiles.values()) == {1}
-    assert set(profiles) == {row["author_id"] for row in features_rows(labeled_dir / "features.csv")}
-
-
 def test_partly_rejected_paper_is_skipped_not_a_traceback(labeled_dir, tmp_path, capsys):
     """A paper whose first row ingest rejected leaves positions 2..n+1 on a team of n."""
     with open("tests/fixtures/corpus.csv", newline="", encoding="utf-8") as fh:
@@ -163,9 +152,51 @@ def test_partly_rejected_paper_is_skipped_not_a_traceback(labeled_dir, tmp_path,
     assert partial == [row for row in full if row["paper_id"] != "W1001"]
     assert f"featurize: {len(partial)} examples, {298 - len(partial)} skipped" in captured.out
 
-    assert run(tmp_path, "sample") == 1
-    message = f"error: paper W1001: author_position exceeds team size {len(kept)}"
-    assert message in capsys.readouterr().err
+
+def edit_cache(cache, kind, marker, edit):
+    """Rewrite the body of the first entry of <cache>/<kind>.jsonl whose request URL
+    holds `marker` as edit(body) leaves it; return what edit returns."""
+    path = cache / f"{kind}.jsonl"
+    lines = path.read_text().splitlines()
+    for i, line in enumerate(lines):
+        entry = json.loads(line)
+        if marker in entry["request_url"]:
+            body = json.loads(entry["body"])
+            result = edit(body)
+            entry["body"] = json.dumps(body)
+            lines[i] = json.dumps(entry, sort_keys=True)
+            path.write_text("\n".join(lines) + "\n")
+            return result
+    pytest.fail(f"no cached {kind} entry for {marker}")
+
+
+def first_author():
+    """The OpenAlex id of W1001's first author in the fixture cache."""
+    client = openalex.OpenAlexClient(openalex.ClientConfig(cache_dir=CACHE, offline=True))
+    return client.fetch_work("W1001").authorships[0].author_id
+
+
+def profile_marker(author_id):
+    """What the request URL of an author's first profile page holds."""
+    return f"cursor=%2A&filter=author.id%3A{author_id}&"
+
+
+def featurize_on(labeled_dir, tmp_path, cache):
+    """Run featurize on the fixture's corpus and labels with `cache`."""
+    for name in ("corpus.jsonl", "labels_rule.jsonl"):
+        if not (tmp_path / name).exists():
+            shutil.copyfile(labeled_dir / name, tmp_path / name)
+    assert run(tmp_path, "featurize", cache=cache) == 0
+
+
+def assert_skips_only(labeled_dir, tmp_path, err, message, lost):
+    """Exactly the rows of the fixture's features.csv for which lost(row) holds are
+    skipped, each with `message`; the other rows keep their bytes."""
+    full = features_rows(labeled_dir / "features.csv")
+    gone = [row for row in full if lost(row)]
+    assert gone
+    assert err.count(message) == len(gone)
+    assert features_rows(tmp_path / "features.csv") == [row for row in full if not lost(row)]
 
 
 def assert_bad_profile_work_skips_only_that_authors_rows(labeled_dir, tmp_path, capsys, spoil):
@@ -174,32 +205,12 @@ def assert_bad_profile_work_skips_only_that_authors_rows(labeled_dir, tmp_path, 
     author's rows are skipped, each with that error."""
     cache = tmp_path / "cache"
     shutil.copytree(CACHE, cache)
-    client = openalex.OpenAlexClient(openalex.ClientConfig(cache_dir=cache, offline=True))
-    author_id = client.fetch_work("W1001").authorships[0].author_id
-    lines = (cache / "authors.jsonl").read_text().splitlines()
-    for i, line in enumerate(lines):
-        entry = json.loads(line)
-        if f"author.id%3A{author_id}&" in entry["request_url"]:
-            page = json.loads(entry["body"])
-            message = spoil(page, author_id)
-            entry["body"] = json.dumps(page)
-            lines[i] = json.dumps(entry, sort_keys=True)
-            break
-    else:
-        pytest.fail(f"no cached profile page for {author_id}")
-    (cache / "authors.jsonl").write_text("\n".join(lines) + "\n")
-    for name in ("corpus.jsonl", "labels_rule.jsonl"):
-        shutil.copyfile(labeled_dir / name, tmp_path / name)
-
-    assert run(tmp_path, "featurize", cache=cache) == 0
-    err = capsys.readouterr().err
-    full = features_rows(labeled_dir / "features.csv")
-    lost = [row for row in full if row["author_id"] == author_id]
-    assert lost
-    assert err.count(message) == len(lost)
-    assert features_rows(tmp_path / "features.csv") == [
-        row for row in full if row["author_id"] != author_id
-    ]
+    author_id = first_author()
+    message = edit_cache(cache, "authors", profile_marker(author_id),
+                         lambda page: spoil(page, author_id))
+    featurize_on(labeled_dir, tmp_path, cache)
+    assert_skips_only(labeled_dir, tmp_path, capsys.readouterr().err, message,
+                      lambda row: row["author_id"] == author_id)
 
 
 def citation_count(value, reason):
@@ -241,3 +252,164 @@ def test_coauthor_without_id_after_the_profile_author_skips_their_rows(
     assert_bad_profile_work_skips_only_that_authors_rows(
         labeled_dir, tmp_path, capsys, drop_next_coauthors_id
     )
+
+
+def put(*path, value=None, drop=False):
+    """An edit of a metadata body that sets the value at a key path, or deletes it."""
+    def edit(body):
+        for key in path[:-1]:
+            body = body[key]
+        if drop:
+            del body[path[-1]]
+        else:
+            body[path[-1]] = value
+    return edit
+
+
+# (what is edited: W1001's first author's first profile page, or W1001's focal work;
+# the edit; the field that the skip names)
+WRONG_TYPED_METADATA = {
+    "results-null": ("profile", put("results", value=None), "results"),
+    "result-string": ("profile", put("results", 0, value="W1"), "results"),
+    "meta-list": ("profile", put("meta", value=["page2"]), "meta"),
+    "authorships-string": ("profile", put("results", 0, "authorships", value="A1"),
+                           "authorships (position 1)"),
+    "author-string": ("profile", put("results", 0, "authorships", 0, "author", value="A1"),
+                      "authorships (position 1)"),
+    "concept-string": ("profile", put("results", 0, "concepts", value=["C01"]), "concepts"),
+    "reference-number": ("profile", put("results", 0, "referenced_works", value=[5]),
+                         "referenced_works"),
+    "focal-authorships-object": ("work", put("authorships", value={"author": {"id": "A1"}}),
+                                 "authorships (position 1)"),
+    "focal-display_name-number": ("work", put("authorships", 0, "author", "display_name", value=5),
+                                  "authorships.author.display_name (position 1)"),
+    "focal-id-number": ("work", put("id", value=1001), "id (got 1001)"),
+    "focal-institutions-string": ("work", put("authorships", 0, "institutions", value="I1"),
+                                  "authorships.institutions"),
+    "results-missing": ("profile", put("results", drop=True), "results"),
+    "publication_year-missing": ("profile", put("results", 0, "publication_year", drop=True),
+                                 "publication_year"),
+}
+
+
+@pytest.mark.parametrize("where, edit, field", WRONG_TYPED_METADATA.values(),
+                         ids=WRONG_TYPED_METADATA.keys())
+def test_malformed_metadata_skips_its_rows_not_a_traceback(labeled_dir, tmp_path, capsys,
+                                                          where, edit, field):
+    """A field missing or of the wrong JSON type on a profile page skips that author's
+    rows, and on a focal work that paper's rows, each with one line naming the field."""
+    cache = tmp_path / "cache"
+    shutil.copytree(CACHE, cache)
+    author_id = first_author()
+    if where == "profile":
+        edit_cache(cache, "authors", profile_marker(author_id), edit)
+        column, value = "author_id", author_id
+    else:
+        edit_cache(cache, "works", "/works/W1001", edit)
+        column, value = "paper_id", "W1001"
+    featurize_on(labeled_dir, tmp_path, cache)
+    assert_skips_only(labeled_dir, tmp_path, capsys.readouterr().err,
+                      f"missing or malformed field: {field}\n", lambda row: row[column] == value)
+
+
+def test_name_on_no_authorship_skips_only_that_row(labeled_dir, tmp_path, capsys):
+    lines = (labeled_dir / "corpus.jsonl").read_text().splitlines(keepends=True)
+    first = json.loads(lines[0])
+    assert (first["paper_id"], first["author_position"]) == ("W1001", 1)
+    lines[0] = json.dumps(dict(first, author_name="Zed Nobody"), sort_keys=True) + "\n"
+    (tmp_path / "corpus.jsonl").write_text("".join(lines))
+    featurize_on(labeled_dir, tmp_path, CACHE)
+    captured = capsys.readouterr()
+    assert "featurize: 295 examples, 4 skipped" in captured.out
+    author_id = first_author()
+    assert_skips_only(labeled_dir, tmp_path, captured.err,
+                      "featurize: skipping W1001#1: 'Zed Nobody' not on work W1001\n",
+                      lambda row: (row["paper_id"], row["author_id"]) == ("W1001", author_id))
+
+
+def test_name_two_authorships_share_is_ambiguous(labeled_dir, tmp_path, capsys):
+    """Two authorships of W1001 named as its first author: that author's row is an
+    AmbiguousMatch, and the second author's own name is then on no authorship."""
+    cache = tmp_path / "cache"
+    shutil.copytree(CACHE, cache)
+
+    def rename_second_author(work):
+        authors = [auth["author"] for auth in work["authorships"]]
+        authors[1]["display_name"] = authors[0]["display_name"]
+        return [author["id"].rsplit("/", 1)[-1] for author in authors[:2]]
+
+    first, second = edit_cache(cache, "works", "/works/W1001", rename_second_author)
+    featurize_on(labeled_dir, tmp_path, cache)
+    err = capsys.readouterr().err
+    assert f"featurize: skipping W1001#1: ambiguous author match: {[first, second]}\n" in err
+    lost = {("W1001", first), ("W1001", second)}
+    assert_skips_only(labeled_dir, tmp_path, err, "featurize: skipping W1001#",
+                      lambda row: (row["paper_id"], row["author_id"]) in lost)
+
+
+def test_paper_with_no_labeled_row_is_not_fetched(labeled_dir, tmp_path, capsys, fetch_counts):
+    labels = (labeled_dir / "labels_rule.jsonl").read_text().splitlines(keepends=True)
+    kept = [line for line in labels if json.loads(line)["record_id"].split("#")[0] != "W1001"]
+    assert len(kept) < len(labels)
+    (tmp_path / "labels_rule.jsonl").write_text("".join(kept))
+    featurize_on(labeled_dir, tmp_path, CACHE)
+    captured = capsys.readouterr()
+    assert "W1001" not in fetch_counts["fetch_work"] and "W1001" not in captured.err
+    full = features_rows(labeled_dir / "features.csv")
+    partial = features_rows(tmp_path / "features.csv")
+    assert partial == [row for row in full if row["paper_id"] != "W1001"]
+    assert f"featurize: {len(partial)} examples, {299 - len(partial)} skipped" in captured.out
+
+
+def assert_profile_edit_keeps_the_features(labeled_dir, tmp_path, edit):
+    """After edit(cache, author_id) on a copy of the fixture cache, W1001's
+    first author has the profile they have in the fixture, and features.csv its bytes."""
+    cache = tmp_path / "cache"
+    shutil.copytree(CACHE, cache)
+    author_id = first_author()
+    edit(cache, author_id)
+    clients = [openalex.OpenAlexClient(openalex.ClientConfig(cache_dir=path, offline=True))
+               for path in (CACHE, cache)]
+    clean, edited = (client.fetch_author_profile(author_id) for client in clients)
+    assert edited == clean
+    featurize_on(labeled_dir, tmp_path, cache)
+    assert (tmp_path / "features.csv").read_bytes() == (labeled_dir / "features.csv").read_bytes()
+
+
+def first_author_of_another_paper(author_id):
+    """An author of W1002 other than `author_id`."""
+    client = openalex.OpenAlexClient(openalex.ClientConfig(cache_dir=CACHE, offline=True))
+    return next(auth.author_id for auth in client.fetch_work("W1002").authorships
+                if auth.author_id != author_id)
+
+
+def test_profile_work_the_author_is_not_on_is_left_out(labeled_dir, tmp_path):
+    def add_a_work_of_another_author(cache, author_id):
+        def other_work(page):
+            return next(work for work in page["results"] if not any(
+                auth["author"]["id"].endswith(f"/{author_id}") for auth in work["authorships"]))
+
+        second = first_author_of_another_paper(author_id)
+        work = edit_cache(cache, "authors", profile_marker(second), other_work)
+        edit_cache(cache, "authors", profile_marker(author_id),
+                   lambda page: page["results"].append(work))
+
+    assert_profile_edit_keeps_the_features(labeled_dir, tmp_path, add_a_work_of_another_author)
+
+
+def test_profile_over_two_pages_with_a_repeated_work_counts_it_once(labeled_dir, tmp_path):
+    def split_the_page(cache, author_id):
+        def keep_the_first_half(page):
+            works = page["results"]
+            assert len(works) >= 2 and page["meta"]["next_cursor"] is None
+            half = len(works) // 2
+            page["results"], page["meta"]["next_cursor"] = works[:half + 1], "page2"
+            return {"results": works[half:], "meta": {"next_cursor": None}}  # works[half] twice
+
+        second_page = edit_cache(cache, "authors", profile_marker(author_id), keep_the_first_half)
+        params = (("cursor", "page2"), ("filter", f"author.id:{author_id}"),
+                  ("per-page", openalex.PAGE_SIZE))
+        key = f"{openalex.ClientConfig().base_url}/works?{urlencode(params)}"
+        openalex.JsonLinesCache(cache).put("authors", key, json.dumps(second_page))
+
+    assert_profile_edit_keeps_the_features(labeled_dir, tmp_path, split_the_page)

@@ -229,9 +229,10 @@ def test_rejected_row_does_not_take_its_position(tmp_path):
     path.write_text(
         "paper_id,journal,year,author_name,author_position,statement,gold_role\n"
         "W1,PNAS,2010,Ann Lee,1,designed the study,Chief\n"
+        "W1,PNAS,2010,Cy Dee,0,edited,\n"
         "W1,PNAS,2010,Bo Chen,1,analyzed data,\n",
         encoding="utf-8",
     )
     result = parse_corpus(CorpusFile(path=path))
     assert [r.author_name for r in result.records] == ["Bo Chen"]
-    assert [rej.reason for rej in result.rejects] == ["bad_gold_role"]
+    assert [rej.reason for rej in result.rejects] == ["bad_gold_role", "bad_author_position"]

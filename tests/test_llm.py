@@ -228,8 +228,10 @@ def test_batch_preserves_order_and_length():
 
 
 def test_outcomes_round_trip(tmp_path):
-    records = [make_record("designed"), make_record("performed spectroscopy", paper="W2")]
+    records = [make_record("designed"), make_record("performed spectroscopy", paper="W2"),
+               make_record("  ", paper="W3")]
     outcomes = classify_batch(records, MockBackend())
+    assert outcomes[2].error == "EmptyStatement: record W3#1 has an empty statement"
     path = tmp_path / "labels.jsonl"
     write_outcomes(outcomes, path)
     assert read_outcomes(path) == outcomes
