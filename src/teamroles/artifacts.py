@@ -14,7 +14,9 @@ caller reaches it. read_jsonl_spans also gives each row's byte span, and
 read_jsonl_at reads one such span back under the same rules, for a caller
 that keeps where its rows are rather than the rows. read_csv_rows gives the
 header and then each row as a list of cells, for a caller that picks its
-columns by position; read_csv keys each row by the header. The row readers,
+columns by position, and can keep each row's text as the file holds it, for
+a caller that copies rows rather than writing them again; read_csv keys each
+row by the header. The row readers,
 and read_json for a file that holds one JSON object, take an optional
 `decode` that turns each row into a value; a KeyError, ValueError or
 TypeError it raises becomes FormatError(path, line, "field <name>: ..."),
@@ -254,12 +256,15 @@ def read_jsonl(path, decode: Optional[Callable[[dict], Any]] = None) -> Iterator
 def read_jsonl_at(path, number: int, start: int, end: int,
                   decode: Optional[Callable[[dict], Any]] = None) -> Any:
     """The object or decode(object) of the row that read_jsonl_spans gave as line
-    `number` at bytes [start, end), read again from the file; FormatError if
-    those bytes do not hold a row now."""
+    `number` at bytes [start, end), read again from the file with one os.pread
+    on a bare descriptor (a file object would only add a buffer and its setup);
+    FormatError if those bytes do not hold a row now."""
     try:
-        with open(path, "rb", buffering=0) as fh:  # one read: a buffer would only cost
-            fh.seek(start)
-            raw = fh.read(end - start)
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            raw = os.pread(fd, end - start, start)
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise FileUnreadable(f"cannot read {path}: {exc}") from exc
     row = _json_object(path, number, _decode_utf8(path, number, raw))
@@ -268,23 +273,45 @@ def read_jsonl_at(path, number: int, start: int, end: int,
     return _decoded(path, number, row, decode)
 
 
-def read_csv_rows(path, delimiter: str = ",") -> Iterator[Tuple[int, list]]:
+def read_csv_rows(path, delimiter: str = ",", text: Optional[list] = None
+                  ) -> Iterator[Tuple[int, list]]:
     """(line number, cells) for the header and then for each non-blank CSV row;
     a row whose width is not the header's raises FormatError. A byte order mark
-    before the header, as spreadsheets write one, is no part of its first cell."""
-    reader = csv.reader((line for *_, line in _lines(path)), delimiter=delimiter)
+    before the header, as spreadsheets write one, is no part of its first cell.
+    With a list for `text`, the text of the header and then of each row it
+    yields, as the file holds it (a quoted cell may span lines), is appended to
+    it before the row is yielded; a last line without a line end gets "\r\n",
+    so that rows can follow it."""
+    lines = (line for *_, line in _lines(path))
+    held: list = []  # the lines of the row being read, when its text is kept
+    if text is not None:
+        lines = (held.append(line) or line for line in lines)
+    reader = csv.reader(lines, delimiter=delimiter)
+
+    def keep() -> None:
+        row = "".join(held)
+        text.append(row if row.endswith("\n") else row + "\r\n")
+        held.clear()
+
     try:
         header = next(reader, None)
         if header is None:
             raise FormatError(path, 1, "empty file, header row required")
         if header:
             header[0] = header[0].removeprefix("\ufeff")
+        if text is not None:
+            keep()
         yield reader.line_num, header
         width = len(header)
-        for values in filter(None, reader):
+        for values in reader:
+            if not values:  # a blank line
+                held.clear()
+                continue
             if len(values) != width:
                 message = f"{len(values)} columns, the header has {width}"
                 raise FormatError(path, reader.line_num, message)
+            if text is not None:
+                keep()
             yield reader.line_num, values
     except csv.Error as exc:
         raise FormatError(path, reader.line_num, str(exc)) from exc

@@ -187,9 +187,8 @@ def _author_profiles(client, records, wanted, skip):
     the previous one was consumed. Rows that cannot be resolved or profiled
     go to skip(rows, error), paper by paper and then author by author.
     """
-    import dataclasses
-
     from . import ingest, openalex
+    from .types import check_team
 
     by_author = {}
     for paper_id, rows in ingest.rows_by_paper(records).items():
@@ -197,14 +196,12 @@ def _author_profiles(client, records, wanted, skip):
         if not wanted_rows:
             continue
         try:
-            paper = ingest.paper_record(rows)
+            check_team(paper_id, rows)  # before the fetch: an incomplete paper costs none
             work = client.fetch_work(paper_id)
         except PipelineError as exc:
             skip(wanted_rows, exc)
             continue
-        focal = dataclasses.replace(
-            paper, referenced_work_ids=work.referenced_work_ids, topic_ids=work.topic_ids
-        )
+        focal = ingest.paper_record(rows, work.referenced_work_ids, work.topic_ids)
         for rec in wanted_rows:
             try:
                 author_id = openalex.match_author(work, rec.author_name)
@@ -262,9 +259,13 @@ def cmd_featurize(args, config, corpus, labels_file, features_file) -> None:
 
 
 def cmd_split(args, config, features, train, test, manifest) -> None:
+    """Split features.csv per class. Every cell is parsed and checked, but the
+    rows are written as features.csv holds them, header included: train.csv
+    and test.csv get the text of the rows the split chose, in its order."""
     from . import dataset
 
-    table = dataset.read_examples(features)
+    text: list = []  # the header's text, then each row's
+    table = dataset.read_examples(features, text)
     with _config_values("split_ratio"):
         ratio = dataset.check_ratio(config["split_ratio"])
     result = dataset.stratified_split(
@@ -273,8 +274,7 @@ def cmd_split(args, config, features, train, test, manifest) -> None:
         seed=_seed(config),
         group_by_author=bool(args.group_by_author),
     )
-    dataset.write_examples(result.train, train)
-    dataset.write_examples(result.test, test)
+    dataset.write_split(result, text, train, test)
     dataset.write_split_manifest(result, manifest)
     print(f"split: {len(result.train)} train, {len(result.test)} test")
 

@@ -2,7 +2,9 @@
 
 After `featurize`, the rows travel as one FeatureTable: ids and labels
 per row and the raw features in one float matrix, which `train`,
-`evaluate` and `explain` use as it is.
+`evaluate` and `explain` use as it is. write_examples formats the floats
+once, in `featurize`; `split` parses and checks every cell too, but writes
+`train.csv` and `test.csv` from the text of the rows it chose, as read.
 """
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,6 +64,8 @@ class SplitResult:
     seed: int
     ratio: float
     group_by_author: bool
+    train_rows: Tuple[int, ...]  # the index in the split table of each train row, in order
+    test_rows: Tuple[int, ...]
 
 
 def check_ratio(ratio: float) -> float:
@@ -146,7 +150,8 @@ def stratified_split(
             rng.shuffle(members)
             test.extend(members[: n_test[label]])
             train.extend(members[n_test[label]:])
-    return SplitResult(table.take(train), table.take(test), seed, ratio, group_by_author)
+    return SplitResult(table.take(train), table.take(test), seed, ratio, group_by_author,
+                       tuple(train), tuple(test))
 
 
 FEATURE_TABLE_HEADER = ["author_id", "paper_id", *FEATURE_NAMES, "label"]
@@ -169,13 +174,15 @@ _FIELDS = (("author_id", str), ("paper_id", str), *((name, float) for name in FE
            ("label", BinaryRole.from_string))
 
 
-def read_examples(path) -> FeatureTable:
+def read_examples(path, text: Optional[list] = None) -> FeatureTable:
     """The table write_examples wrote, its cells parsed a block of rows at a
     time, column by column. A row of the wrong width, or a cell that is
     missing or does not parse, raises FormatError naming its line; after
     them, so does a value that is not finite, is negative or is a ratio
-    above 1. Either error is the first of its kind in file order."""
-    rows = artifacts.read_csv_rows(path)
+    above 1. Either error is the first of its kind in file order. With a
+    list for `text`, it receives the header's text and then each row's,
+    as read_csv_rows keeps them, for write_split."""
+    rows = artifacts.read_csv_rows(path, text=text)
     _, header = next(rows)
     column = {name: i for i, name in enumerate(header)}
     author_ids: List[str] = []
@@ -215,6 +222,16 @@ def read_examples(path) -> FeatureTable:
         raise problem
     return FeatureTable(tuple(author_ids), tuple(paper_ids), np.concatenate(blocks),
                         tuple(labels))
+
+
+def write_split(result: SplitResult, text: Sequence[str], train, test) -> None:
+    """Write the train and test rows of a split of the table that
+    read_examples(path, text) read: the header and then each chosen row as
+    the file held them, in the order the split chose the rows. Nothing is
+    parsed or formatted again, so a table that write_examples wrote splits
+    into the bytes write_examples would write for each side."""
+    for rows, path in ((result.train_rows, train), (result.test_rows, test)):
+        artifacts.write_text(path, "".join([text[0], *(text[1 + i] for i in rows)]))
 
 
 def write_split_manifest(result: SplitResult, path) -> None:

@@ -196,15 +196,16 @@ def rows_by_paper(records: List[ContributionRecord]) -> Dict[str, List[Contribut
     return by_paper
 
 
-def paper_record(rows: List[ContributionRecord]) -> PaperRecord:
-    """One paper's rows as a PaperRecord, authors ordered by position.
+def paper_record(rows: List[ContributionRecord], referenced_work_ids: frozenset = frozenset(),
+                 topic_ids: frozenset = frozenset()) -> PaperRecord:
+    """One paper's rows as a PaperRecord, authors ordered by position, with the
+    reference and topic ids of its work if given.
 
     Raises IncompletePaper when the rows leave a position of the team uncovered.
     """
     rows = sorted(rows, key=lambda r: r.author_position)
-    return PaperRecord(
-        paper_id=rows[0].paper_id, journal=rows[0].journal, year=rows[0].year, authors=tuple(rows)
-    )
+    return PaperRecord(rows[0].paper_id, rows[0].journal, rows[0].year, tuple(rows),
+                       referenced_work_ids, topic_ids)
 
 
 def group_papers(records: List[ContributionRecord]) -> List[PaperRecord]:

@@ -4,14 +4,19 @@ The cache is one JSON-lines file per entity kind, keyed by normalized
 request URL; with offline=True no network call is ever made, so a
 complete fixture cache makes the downstream pipeline byte-reproducible.
 The files are the store: in memory the cache keeps only where each key's
-newest line is and reads the body from the file on each lookup, so its
-memory grows with the number of entries, not with their bytes. The client
-builds its request URLs in normalized form, so they are keys as they stand.
+newest line is and reads the body from the file on each lookup, one
+os.pread per lookup, so its memory grows with the number of entries, not
+with their bytes. The client builds its request URLs in normalized form,
+so they are keys as they stand.
 
 A focal work goes through parse_work, which builds every authorship for
 name matching. A work on an author's profile page is checked the same way,
 down to every authorship's author id, but only the profile author's own
-authorship is built, since a history entry reads nothing else of it.
+authorship is built, since a history entry reads nothing else of it. Both
+records are built once each, as checked tuples (Authorship, WorkEntry), and
+a field of the wrong JSON type is a MalformedResponse naming it, never a
+wrong value: a `referenced_works` that is not a list is rejected, not read
+character by character or key by key.
 """
 from __future__ import annotations
 
@@ -26,7 +31,7 @@ import unicodedata
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 from urllib.parse import quote, urlencode
 
 from . import artifacts
@@ -182,8 +187,7 @@ class JsonLinesCache:
             self._ends[kind] = (number + 1, start + len(line))
 
 
-@dataclass(frozen=True)
-class Authorship:
+class Authorship(NamedTuple):  # a tuple: parse_work builds one per author of every work
     author_id: str
     display_name: str
     position: int  # 1-based
@@ -281,8 +285,11 @@ def _topic_and_reference_ids(data: dict) -> Tuple[frozenset, frozenset]:
         )
     except _WRONG_TYPE as exc:
         raise MalformedResponse("concepts" if data.get("concepts") else "topics") from exc
+    references = data.get("referenced_works", [])
+    if not isinstance(references, list):  # else a string gives its characters, an object its keys
+        raise MalformedResponse("referenced_works")
     try:
-        return topic_ids, frozenset(map(_shared_short_id, data.get("referenced_works", [])))
+        return topic_ids, frozenset(map(_shared_short_id, references))
     except _WRONG_TYPE as exc:
         raise MalformedResponse("referenced_works") from exc
 
@@ -294,13 +301,9 @@ def parse_work(data: dict) -> RawWork:
         display_name = auth["author"].get("display_name", "")
         if not isinstance(display_name, str):
             raise MalformedResponse("authorships.author.display_name", f"(position {position})")
-        authorships.append(Authorship(
-            author_id=author_id,
-            display_name=display_name,
-            position=position,
-            is_corresponding=bool(auth.get("is_corresponding", False)),
-            institution_ids=_institution_ids(auth),
-        ))
+        authorships.append(Authorship(author_id, display_name, position,
+                                      bool(auth.get("is_corresponding", False)),
+                                      _institution_ids(auth)))
     topic_ids, referenced_work_ids = _topic_and_reference_ids(data)
     return RawWork(
         work_id=work_id,
@@ -324,16 +327,8 @@ def _profile_entry(data: dict, author_id: str) -> Optional[WorkEntry]:
         return None
     position = ids.index(author_id) + 1
     auth = data["authorships"][position - 1]
-    return WorkEntry(
-        work_id=work_id,
-        year=year,
-        author_position=position,
-        is_corresponding=bool(auth.get("is_corresponding", False)),
-        referenced_work_ids=referenced_work_ids,
-        topic_ids=topic_ids,
-        citation_count=citation_count,
-        institution_ids=_institution_ids(auth),
-    )
+    return WorkEntry(work_id, year, position, bool(auth.get("is_corresponding", False)),
+                     referenced_work_ids, topic_ids, citation_count, _institution_ids(auth))
 
 
 @functools.lru_cache(maxsize=1 << 14)  # the same names recur on every work they match

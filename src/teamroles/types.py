@@ -200,21 +200,21 @@ class PaperRecord:
     topic_ids: frozenset = frozenset()
 
     def __post_init__(self):
-        positions = [a.author_position for a in self.authors]
-        if any(p > len(self.authors) for p in positions):
-            raise IncompletePaper(
-                f"paper {self.paper_id}: author_position exceeds team size {len(self.authors)}"
-            )
+        check_team(self.paper_id, self.authors)
 
     @property
     def team_size(self) -> int:
         return len(self.authors)
 
 
-@dataclass(frozen=True)
-class WorkEntry:
-    """One publication in an author's history."""
+def check_team(paper_id: str, authors) -> None:
+    """IncompletePaper if a paper's author rows leave a position of its team
+    uncovered, that is, if an author_position exceeds the number of rows."""
+    if any(a.author_position > len(authors) for a in authors):
+        raise IncompletePaper(f"paper {paper_id}: author_position exceeds team size {len(authors)}")
 
+
+class _WorkFields(NamedTuple):
     work_id: str
     year: int
     author_position: int
@@ -224,9 +224,26 @@ class WorkEntry:
     citation_count: int
     institution_ids: frozenset
 
-    def __post_init__(self):
-        if self.citation_count < 0:
-            raise ValueError(f"citation_count must be >= 0, got {self.citation_count}")
+
+class WorkEntry(_WorkFields):
+    """One publication in an author's history.
+
+    A tuple, as ContributionRecord is: featurize builds one per work of every
+    profile page; like a frozen dataclass, it is immutable and checked when built.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, work_id, year, author_position, is_corresponding, referenced_work_ids,
+                topic_ids, citation_count, institution_ids):
+        if citation_count < 0:
+            raise ValueError(f"citation_count must be >= 0, got {citation_count}")
+        return tuple.__new__(cls, (work_id, year, author_position, is_corresponding,
+                                   referenced_work_ids, topic_ids, citation_count,
+                                   institution_ids))
+
+    # _replace builds through _make, which would skip the check in __new__
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 @dataclass(frozen=True)

@@ -185,6 +185,19 @@ def test_readers_stream_and_fail_only_on_reaching_the_bad_line(tmp_path, read, c
             assert number < 3
 
 
+def test_read_csv_rows_keeps_the_text_of_each_row_it_yields(tmp_path):
+    """A row's text is its lines as the file holds them, a quoted cell's line
+    break included; a blank line is no row's, and a last line without a line
+    end gets one."""
+    path = tmp_path / "rows.csv"
+    path.write_bytes(b'\xef\xbb\xbfa,b\r\n1,"x\ny"\n\n\r\n"2,",3')
+    text = []
+    rows = artifacts.read_csv_rows(path, text=text)
+    assert next(rows) == (1, ["a", "b"]) and text == ["\ufeffa,b\r\n"]
+    assert list(rows) == [(3, ["1", "x\ny"]), (6, ["2,", "3"])]
+    assert text == ["\ufeffa,b\r\n", '1,"x\ny"\n', '"2,",3\r\n']
+
+
 def test_unreadable_files_raise_file_unreadable(tmp_path):
     for read in (read_jsonl, read_csv):
         with pytest.raises(FileUnreadable):

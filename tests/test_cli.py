@@ -1,6 +1,7 @@
 import collections
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -14,7 +15,7 @@ import requests
 
 from teamroles import dataset, llm, metrics, mlp
 from teamroles.cli import DEFAULT_CONFIG, RULE_LABELS, STAGES, main
-from teamroles.types import BinaryRole, FeatureVector
+from teamroles.types import FEATURE_NAMES, BinaryRole, FeatureVector
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -247,6 +248,51 @@ def test_split_gives_each_side_a_row_of_a_class_of_two(pipeline_dir, tmp_path):
     assert run("split", "--output-dir", str(tmp_path)) == 0
     counts = json.loads((tmp_path / "split_manifest.json").read_text())["counts"]
     assert counts["train"]["Leadership"] == counts["test"]["Leadership"] == 1
+
+
+def test_split_copies_each_row_as_features_csv_holds_it(pipeline_dir, tmp_path):
+    """A features.csv that write_examples did not write: a quoted id holding a
+    comma, a quoted paper_id over two lines, a float written 1e0, the columns
+    reordered, \\n line ends and a blank line. train.csv and test.csv hold its
+    header and the text of their rows exactly as it holds them, and train on them
+    fits the model.json that it fits on the canonical file of the same table."""
+    table = dataset.read_examples(pipeline_dir / "features.csv")
+    X = table.X.copy()
+    X[0, 2] = 1.0  # probability_of_leading, written 1e0 below
+    table = dataset.FeatureTable(("Smith, J.", *table.author_ids[1:]),
+                                 (table.paper_ids[0], "W1\nW2", *table.paper_ids[2:]),
+                                 X, table.labels)
+    canonical, odd = tmp_path / "canonical", tmp_path / "odd"
+    canonical.mkdir(), odd.mkdir()
+    dataset.write_examples(table, canonical / "features.csv")
+
+    columns = ["label", *reversed(FEATURE_NAMES), "paper_id", "author_id"]
+
+    def line(cells):
+        text = io.StringIO()
+        csv.writer(text, lineterminator="\n").writerow(cells)
+        return text.getvalue()
+
+    header, rows = line(columns), {}
+    for i, (author_id, paper_id) in enumerate(zip(table.author_ids, table.paper_ids)):
+        cells = {"author_id": author_id, "paper_id": paper_id, "label": table.labels[i].value,
+                 **dict(zip(FEATURE_NAMES, map(repr, X[i].tolist())))}
+        if i == 0:
+            cells["probability_of_leading"] = "1e0"
+        rows[author_id, paper_id] = line([cells[name] for name in columns])
+    assert '"Smith, J."' in rows[table.author_ids[0], table.paper_ids[0]]
+    assert '"W1\nW2"' in rows[table.author_ids[1], "W1\nW2"]
+    lines = list(rows.values())
+    (odd / "features.csv").write_text(header + "".join(lines[:5] + ["\n"] + lines[5:]), newline="")
+
+    for out in (canonical, odd):
+        assert run("split", "--output-dir", str(out)) == 0
+        assert run("train", "--output-dir", str(out)) == 0
+    for name in ("train.csv", "test.csv"):
+        chosen = dataset.read_examples(canonical / name)
+        expected = header + "".join(rows[key] for key in zip(chosen.author_ids, chosen.paper_ids))
+        assert (odd / name).read_bytes() == expected.encode("utf-8")
+    assert (odd / "model.json").read_bytes() == (canonical / "model.json").read_bytes()
 
 
 def test_train_on_one_class_exits_1(pipeline_dir, tmp_path, capsys):

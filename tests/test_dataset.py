@@ -16,6 +16,7 @@ from teamroles.dataset import (
     read_examples,
     stratified_split,
     write_examples,
+    write_split,
     write_split_manifest,
 )
 from teamroles.errors import FormatError
@@ -234,6 +235,45 @@ def test_split_matches_the_list_based_reference(authors_and_leads, ratio, seed, 
     for part in (result.train, result.test):
         assert [by_paper[p][2] for p in part.paper_ids] == part.X.tolist()
         assert tuple(by_paper[p][3] for p in part.paper_ids) == part.labels
+
+
+# ids as a writer may quote them: commas, quotes and line breaks inside a cell
+_ids = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+               min_size=1, max_size=6)
+_ratios = st.floats(min_value=0.0, max_value=1.0)
+_counts = st.floats(min_value=0.0, max_value=1e12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.tuples(_ids, _ids, st.lists(_ratios, min_size=4, max_size=4),
+                       st.lists(_counts, min_size=6, max_size=6), st.booleans()),
+             min_size=0, max_size=30),
+    st.floats(min_value=0.05, max_value=0.95),
+    st.integers(min_value=0, max_value=10_000),
+    st.booleans(),
+)
+def test_write_split_copies_rows_as_write_examples_writes_them(
+        tmp_path_factory, drawn, ratio, seed, group_by_author):
+    """For any table that write_examples wrote, the split's rows copied as read
+    are the bytes that write_examples writes for each side: the rewrite that
+    write_split replaced is its reference."""
+    rows = [(author, paper, ratios + counts, BinaryRole.LEADERSHIP if lead else BinaryRole.SUPPORT)
+            for author, paper, ratios, counts, lead in drawn]
+    rows += [example(i, label) for i, label in enumerate([BinaryRole.LEADERSHIP] * 2
+                                                           + [BinaryRole.SUPPORT] * 2)]
+    out = tmp_path_factory.mktemp("split")
+    write_examples(feature_table(rows), out / "features.csv")
+    text: list = []
+    table = read_examples(out / "features.csv", text)
+    try:
+        result = stratified_split(table, ratio, seed, group_by_author)
+    except ClassTooSmall:
+        return
+    write_split(result, text, out / "train.csv", out / "test.csv")
+    for part, name in ((result.train, "train.csv"), (result.test, "test.csv")):
+        write_examples(part, out / "expected.csv")
+        assert (out / name).read_bytes() == (out / "expected.csv").read_bytes()
 
 
 def test_examples_round_trip(tmp_path):

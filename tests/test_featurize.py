@@ -126,8 +126,10 @@ def test_featurize_fetches_each_paper_and_author_once(labeled_dir, tmp_path, fet
     assert set(profiles) == {row["author_id"] for row in rows}
 
 
-def test_partly_rejected_paper_is_skipped_not_a_traceback(labeled_dir, tmp_path, capsys):
-    """A paper whose first row ingest rejected leaves positions 2..n+1 on a team of n."""
+def test_partly_rejected_paper_is_skipped_not_a_traceback(labeled_dir, tmp_path, capsys,
+                                                          fetch_counts):
+    """A paper whose first row ingest rejected leaves positions 2..n+1 on a team of n;
+    it is skipped before its work is fetched."""
     with open("tests/fixtures/corpus.csv", newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     first = next(i for i, row in enumerate(rows) if row["paper_id"] == "W1001")
@@ -142,6 +144,7 @@ def test_partly_rejected_paper_is_skipped_not_a_traceback(labeled_dir, tmp_path,
 
     assert run(tmp_path, "featurize") == 0
     captured = capsys.readouterr()
+    assert "W1001" not in fetch_counts["fetch_work"] and fetch_counts["fetch_work"]
     kept = [rec for rec in read_corpus(tmp_path / "corpus.jsonl") if rec.paper_id == "W1001"]
     assert [rec.author_position for rec in kept] == list(range(2, len(kept) + 2))
     for rec in kept:
@@ -278,6 +281,12 @@ WRONG_TYPED_METADATA = {
                       "authorships (position 1)"),
     "concept-string": ("profile", put("results", 0, "concepts", value=["C01"]), "concepts"),
     "reference-number": ("profile", put("results", 0, "referenced_works", value=[5]),
+                         "referenced_works"),
+    "reference-string": ("profile", put("results", 0, "referenced_works",
+                                        value="https://openalex.org/R1 https://openalex.org/R2"),
+                         "referenced_works"),
+    "reference-object": ("profile", put("results", 0, "referenced_works",
+                                        value={"https://openalex.org/R1": 1}),
                          "referenced_works"),
     "focal-authorships-object": ("work", put("authorships", value={"author": {"id": "A1"}}),
                                  "authorships (position 1)"),

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from teamroles.llm import BatchOutcome
+from teamroles.openalex import Authorship
 from teamroles.types import (
     FEATURE_NAMES,
     ROLE_ORDER,
@@ -16,6 +17,7 @@ from teamroles.types import (
     PaperRecord,
     RoleLabel,
     UnknownJournal,
+    WorkEntry,
     as_int,
     parse_journal,
     role_max,
@@ -115,7 +117,10 @@ def test_contribution_record_position_validated():
 def test_records_are_immutable_and_checked_however_built():
     rec = ContributionRecord("W1", Journal.PNAS, 2010, "A", 1, False, "designed")
     outcome = BatchOutcome("W1#1", RoleLabel.LEADERSHIP, None, None)
-    for value, name in ((rec, "author_position"), (outcome, "label")):
+    work = WorkEntry("H1", 2010, 1, False, frozenset(), frozenset(), 3, frozenset())
+    authorship = Authorship("A1", "A", 1, False, frozenset())
+    for value, name in ((rec, "author_position"), (outcome, "label"), (work, "citation_count"),
+                        (authorship, "author_id")):
         with pytest.raises(AttributeError):
             setattr(value, name, None)
     with pytest.raises(ValueError):
@@ -123,6 +128,15 @@ def test_records_are_immutable_and_checked_however_built():
     with pytest.raises(ValueError):
         ContributionRecord(paper_id="W1", journal=Journal.PNAS, year=2010, author_name="A",
                            author_position=0, is_corresponding=False, statement="designed")
+    with pytest.raises(ValueError, match="citation_count must be >= 0, got -1"):
+        WorkEntry("H1", 2010, 1, False, frozenset(), frozenset(), -1, frozenset())
+    with pytest.raises(ValueError, match="citation_count must be >= 0, got -1"):
+        WorkEntry(work_id="H1", year=2010, author_position=1, is_corresponding=False,
+                  referenced_work_ids=frozenset(), topic_ids=frozenset(), citation_count=-1,
+                  institution_ids=frozenset())
+    with pytest.raises(ValueError, match="citation_count must be >= 0, got -1"):
+        work._replace(citation_count=-1)
+    assert work._replace(citation_count=0).citation_count == 0
 
 
 def test_paper_record_position_within_team():
