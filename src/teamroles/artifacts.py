@@ -132,19 +132,13 @@ def _lines(path) -> Iterator[Tuple[int, int, int, str]]:
         raise FileUnreadable(f"cannot read {path}: {exc}") from exc
 
 
-def read_text(path) -> str:
-    """The text of a UTF-8 file, read in one call."""
+def read_json(path, decode: Optional[Callable[[dict], Any]] = None) -> Any:
+    """The JSON value of a UTF-8 file, or decode(value) for a file that holds one object."""
     try:
         with open(path, "rb") as fh:
-            return _decode_utf8(path, 1, fh.read())
+            data = json.loads(_decode_utf8(path, 1, fh.read()))
     except OSError as exc:
         raise FileUnreadable(f"cannot read {path}: {exc}") from exc
-
-
-def read_json(path, decode: Optional[Callable[[dict], Any]] = None) -> Any:
-    """The JSON value of a file, or decode(value) for a file that holds one object."""
-    try:
-        data = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise FormatError(path, exc.lineno, f"bad JSON: {exc.msg} at column {exc.colno}") from exc
     if decode is None:
@@ -276,8 +270,9 @@ def read_jsonl_at(path, number: int, start: int, end: int,
 def read_csv_rows(path, delimiter: str = ",", text: Optional[list] = None
                   ) -> Iterator[Tuple[int, list]]:
     """(line number, cells) for the header and then for each non-blank CSV row;
-    a row whose width is not the header's raises FormatError. A byte order mark
-    before the header, as spreadsheets write one, is no part of its first cell.
+    a row whose width is not the header's raises FormatError, as does a header
+    that names a column twice (blank names aside). A byte order mark before
+    the header, as spreadsheets write one, is no part of its first cell.
     With a list for `text`, the text of the header and then of each row it
     yields, as the file holds it (a quoted cell may span lines), is appended to
     it before the row is yielded; a last line without a line end gets "\r\n",
@@ -299,6 +294,9 @@ def read_csv_rows(path, delimiter: str = ",", text: Optional[list] = None
             raise FormatError(path, 1, "empty file, header row required")
         if header:
             header[0] = header[0].removeprefix("\ufeff")
+        repeated = [name for i, name in enumerate(header) if name and name in header[:i]]
+        if repeated:
+            raise FormatError(path, reader.line_num, f"column {repeated[0]} repeats in the header")
         if text is not None:
             keep()
         yield reader.line_num, header

@@ -47,7 +47,6 @@ def test_round_trips(tmp_path):
     assert list(artifacts.read_jsonl(tmp_path / "a.jsonl")) == [(1, {"a": "é", "b": 1}), (2, {"c": None})]
     artifacts.write_csv(tmp_path / "a.csv", ["x", "y"], [["1", "a,b"], ["2", ""]])
     assert (tmp_path / "a.csv").read_bytes() == b'x,y\r\n1,"a,b"\r\n2,\r\n'
-    assert artifacts.read_text(tmp_path / "a.csv") == 'x,y\r\n1,"a,b"\r\n2,\r\n'
     assert list(artifacts.read_csv(tmp_path / "a.csv")) == [
         (2, {"x": "1", "y": "a,b"}),
         (3, {"x": "2", "y": ""}),
@@ -196,6 +195,17 @@ def test_read_csv_rows_keeps_the_text_of_each_row_it_yields(tmp_path):
     assert next(rows) == (1, ["a", "b"]) and text == ["\ufeffa,b\r\n"]
     assert list(rows) == [(3, ["1", "x\ny"]), (6, ["2,", "3"])]
     assert text == ["\ufeffa,b\r\n", '1,"x\ny"\n', '"2,",3\r\n']
+
+
+def test_header_that_names_a_column_twice_is_a_format_error(tmp_path):
+    """A row keyed by such a header would keep only the last of the two cells;
+    blank names, as a spreadsheet's trailing empty columns have, may repeat."""
+    path = tmp_path / "rows.csv"
+    path.write_text("a,b,a\n1,2,3\n")
+    with pytest.raises(FormatError, match=r"line 1: column a repeats in the header"):
+        next(artifacts.read_csv_rows(path))
+    path.write_text("a,,b,\n1,,2,\n")
+    assert list(read_csv(path)) == [(2, {"a": "1", "": "", "b": "2"})]
 
 
 def test_unreadable_files_raise_file_unreadable(tmp_path):
@@ -444,12 +454,6 @@ def test_unwritable_output_exits_1(stage_dir, tmp_path, capsys):
 
     out = tmp_path / "out"
     out.mkdir()
-    for artifact in ("labels_rule.jsonl", "metrics.json", "shap_summary.csv"):
-        (out / artifact).write_text("{}" if artifact == "metrics.json" else "")
-    (out / "report").write_text("")  # report/ cannot be made
-    assert main(["report", "--output-dir", str(out)]) == 1
-    assert capsys.readouterr().err.startswith(f"error: cannot create directory {out / 'report'}: ")
-
     (out / "corpus.jsonl.tmp").mkdir()
     assert main(["ingest", "--input", "tests/fixtures/corpus.csv", "--output-dir", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"error: cannot write {out / 'corpus.jsonl'}: ")
@@ -552,7 +556,7 @@ def test_path_guard_sees_a_handler_that_works_out_a_path():
         "    return Path(config['output_dir']) / 'report'\n"
     )
     assert sorted(_worked_out_paths(tree)) == [
-        (2, "/ report"), (2, "output_dir"), (3, "/ features.csv"), (4, "output_dir")]
+        (2, "output_dir"), (3, "/ features.csv"), (4, "output_dir"), (5, "/ distribution.csv")]
 
 
 def _sibling_imports(tree: ast.AST):

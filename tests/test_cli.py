@@ -14,7 +14,7 @@ import pytest
 import requests
 
 from teamroles import dataset, llm, metrics, mlp
-from teamroles.cli import DEFAULT_CONFIG, RULE_LABELS, STAGES, main
+from teamroles.cli import DEFAULT_CONFIG, RULE_LABELS, STAGES, build_parser, main
 from teamroles.types import FEATURE_NAMES, BinaryRole, FeatureVector
 
 
@@ -57,8 +57,7 @@ def test_pipeline_artifacts_exist(pipeline_dir):
         for name in STAGES[stage[0]][3]:
             assert (pipeline_dir / name).exists(), name
     assert (pipeline_dir / "config_used.json").exists()
-    for name in ("metrics.json", "shap_summary.csv", "distribution.csv"):
-        assert (pipeline_dir / "report" / name).exists()
+    assert not (pipeline_dir / "report").exists()
 
 
 def test_config_echoed(pipeline_dir):
@@ -199,7 +198,7 @@ def test_lratio_rows_valid(pipeline_dir):
 
 
 def test_distribution_counts(pipeline_dir):
-    with open(pipeline_dir / "report" / "distribution.csv", newline="") as fh:
+    with open(pipeline_dir / "distribution.csv", newline="") as fh:
         rows = {row["role"]: int(row["count"]) for row in csv.DictReader(fh)}
     assert set(rows) == {"Leadership", "Direct Support", "Indirect Support"}
     assert sum(rows.values()) == 296  # three fixture statements are keyword-free
@@ -309,6 +308,19 @@ def test_ingest_without_a_required_column_names_the_file_and_line(tmp_path, caps
     corpus.write_text("paper_id,journal,year,author_name\nW1,PNAS,2010,Ann Lee\n")
     assert run("ingest", "--input", str(corpus), "--output-dir", str(tmp_path / "out")) == 1
     assert capsys.readouterr().err == f"error: {corpus} line 2: field statement: missing\n"
+
+
+def test_ingest_of_a_header_that_names_a_column_twice_exits_1(tmp_path, capsys):
+    """Keyed by that header, each row would keep only its last statement cell."""
+    corpus = tmp_path / "corpus.csv"
+    corpus.write_text("paper_id,journal,year,author_name,statement,statement\n"
+                      "W1,PNAS,2010,Ann Lee,designed the study,\n"
+                      "W1,PNAS,2010,Bo Chan,,edited\n")
+    out = tmp_path / "out"
+    assert run("ingest", "--input", str(corpus), "--output-dir", str(out)) == 1
+    assert capsys.readouterr().err == (
+        f"error: {corpus} line 1: column statement repeats in the header\n")
+    assert not files(out)
 
 
 ROW = {"paper_id": "W1", "journal": "PNAS", "year": 2010, "author_name": "Ann Lee",
@@ -461,7 +473,8 @@ def test_every_stage_writes_exactly_its_declared_outputs(pipeline_dir, tmp_path,
     assert run(*argv) == 0
     after = files(out)
     assert before.keys() <= after.keys()
-    written = {path.relative_to(out).parts[0] for path in after if after[path] != before.get(path)}
+    written = {path.relative_to(out).as_posix()
+               for path in after if after[path] != before.get(path)}
     assert written == {*STAGES[stage][3], "config_used.json"}
     assert files(tmp_path / "cache") == cache
 
@@ -477,6 +490,27 @@ def stage_table() -> str:
     return "\n".join(lines) + "\n"
 
 
+def test_every_declared_file_is_a_top_level_file():
+    """main joins each declared name onto --output-dir, so none may name a subdirectory."""
+    for _, _, reads, writes, _ in STAGES.values():
+        for name in reads + writes:
+            assert "/" not in name and os.sep not in name, name
+
+
+def test_report_runs_on_the_labels_alone(pipeline_dir, tmp_path):
+    """report needs no model or attributions: after ingest and label-rule it writes
+    the role counts of the full pipeline's run, and no directory."""
+    out = ["--output-dir", str(tmp_path)]
+    assert run("ingest", "--input", "tests/fixtures/corpus.csv", *out) == 0
+    assert run("label-rule", *out) == 0
+    assert run("report", *out) == 0
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "config_used.json", "corpus.jsonl", "distribution.csv", "labels_rule.jsonl",
+        "rejects.jsonl"]
+    distribution = (tmp_path / "distribution.csv").read_bytes()
+    assert distribution == (pipeline_dir / "distribution.csv").read_bytes()
+
+
 def test_readme_states_each_stage_files_as_stages_declares_them():
     assert stage_table() in (ROOT / "README.md").read_text(encoding="utf-8")
 
@@ -485,8 +519,7 @@ def test_readme_states_each_stage_files_as_stages_declares_them():
 def labels_override_dir(pipeline_dir, tmp_path):
     """Inputs of featurize, lratio and report, with no labels_rule.jsonl and a
     labels_llm.jsonl that names every labeled record Leadership."""
-    for name in ("corpus.jsonl", "metrics.json", "shap_summary.csv"):
-        shutil.copyfile(pipeline_dir / name, tmp_path / name)
+    shutil.copyfile(pipeline_dir / "corpus.jsonl", tmp_path / "corpus.jsonl")
     with open(tmp_path / "labels_llm.jsonl", "w", encoding="utf-8") as fh:
         for line in (pipeline_dir / "labels_llm.jsonl").read_text().splitlines():
             row = json.loads(line)
@@ -508,7 +541,7 @@ def test_labels_flag_overrides_default(labels_override_dir):
     assert {row["label"] for row in features_rows} == {"Leadership"}
     with open(out / "lratio.csv", newline="") as fh:
         assert {row["l_ratio"] for row in csv.DictReader(fh)} == {"1.0"}
-    with open(out / "report" / "distribution.csv", newline="") as fh:
+    with open(out / "distribution.csv", newline="") as fh:
         rows = {row["role"]: int(row["count"]) for row in csv.DictReader(fh)}
     assert rows == {"Leadership": 296, "Direct Support": 0, "Indirect Support": 0}
 
@@ -536,23 +569,23 @@ def test_repeated_record_id_in_labels_file_exits_1(labels_override_dir, capsys):
         assert run(stage, "--output-dir", str(out), "--cache-dir", "tests/fixtures/cache",
                    "--offline", "--labels", str(labels)) == 1, stage
         assert capsys.readouterr().err == message
-    for name in ("features.csv", "lratio.csv", "report/distribution.csv"):
+    for name in ("features.csv", "lratio.csv", "distribution.csv"):
         assert not (out / name).exists(), name
 
 
-def test_report_that_fails_on_its_labels_leaves_report_dir_unchanged(labels_override_dir, capsys):
+def test_report_that_fails_on_its_labels_leaves_distribution_unchanged(labels_override_dir,
+                                                                         capsys):
     out = labels_override_dir
     labels = out / "labels_llm.jsonl"
     common = ["--output-dir", str(out), "--labels", str(labels)]
     assert run("report", *common) == 0
-    before = {path.name: path.read_bytes() for path in (out / "report").iterdir()}
-    (out / "metrics.json").write_text('{"accuracy": 0.0}')  # the next run's metrics
+    before = (out / "distribution.csv").read_bytes()
     first = labels.read_text().splitlines()[0]
     with open(labels, "a", encoding="utf-8") as fh:
         fh.write(first + "\n")  # a repeated record id
     assert run("report", *common) == 1
     assert "repeats line 1" in capsys.readouterr().err
-    assert {path.name: path.read_bytes() for path in (out / "report").iterdir()} == before
+    assert (out / "distribution.csv").read_bytes() == before
 
 
 def test_missing_cache_dir_is_config_error(tmp_path):
@@ -759,6 +792,21 @@ def test_unreadable_input_exit_code(tmp_path):
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         run("frobnicate")
+
+
+@pytest.mark.parametrize("tail", [["--bogus"], ["--seed", "x"], ["--help"]],
+                         ids=["unknown-flag", "bad-value", "help"])
+@pytest.mark.parametrize("stage", list(STAGES))
+def test_a_stage_parses_as_the_parser_of_every_stage_does(capsys, stage, tail):
+    """main builds only the named stage's parser; its usage, errors, help and exit
+    codes are those of the parser that holds them all."""
+    def outcome(parse):
+        with pytest.raises(SystemExit) as stopped:
+            parse([stage, *tail])
+        printed = capsys.readouterr()
+        return stopped.value.code, printed.out, printed.err
+
+    assert outcome(main) == outcome(build_parser().parse_args)
 
 
 # the stages that never import numpy; the other five do
